@@ -59,7 +59,6 @@ from .construct import ConstructionResult, aig_to_egraph, planned_construction
 
 if TYPE_CHECKING:  # circular: pipeline builds its phases from here
     from ..aig import AIG
-    from ..egraph import EGraph
     from .pipeline import BoolEOptions, BoolEPipeline
 from .extraction import FABlockRecord, reconstruct_aig
 from .fa_structure import FAPair, FAInsertionReport, count_npn_fa_pairs, insert_fa_structures
@@ -650,8 +649,10 @@ def _construction_to_wire(construction: ConstructionResult) -> Dict:
     }
 
 
-def _construction_from_wire(wire: Dict, egraph: "EGraph",
+def _construction_from_wire(wire: Dict, egraph: Any,
                             aig: "AIG") -> ConstructionResult:
+    # ``egraph`` is a restored DenseEGraph; ConstructionResult is typed by
+    # the EGraph API, which both engines implement.
     return ConstructionResult(
         egraph=egraph,
         aig=aig,

@@ -42,11 +42,19 @@ Cross-engine round-trips are therefore free: ``DenseEGraph.from_state(
 python_graph.export_state())`` and the reverse direction both preserve all
 observable state, which is how checkpoints written by one engine resume
 under the other.
+
+Snapshots are this engine's arrays: :meth:`DenseEGraph.to_columns` writes
+them as flat int columns in a canonical node order and
+:meth:`DenseEGraph.from_columns` adopts such columns as the node table of
+a fresh graph, so the snapshot codec never builds an :class:`ENode`.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+import gc
+from contextlib import contextmanager
+from itertools import compress, islice
+from operator import countOf, eq, itemgetter, le, lt, sub
 from typing import (
     AbstractSet,
     Dict,
@@ -71,7 +79,8 @@ from .pattern import (
     Subst,
 )
 
-__all__ = ["DenseEGraph", "as_engine", "ENGINES", "DEFAULT_ENGINE"]
+__all__ = ["DenseEGraph", "as_engine", "ENGINES", "DEFAULT_ENGINE",
+           "PAYLOAD_TYPES"]
 
 #: Recognised values of the ``engine`` option.
 ENGINES = ("dense", "python")
@@ -85,6 +94,86 @@ DEFAULT_ENGINE = "dense"
 _ROOT_CHUNK = 256
 
 
+def _ranks(keys: List) -> List[int]:
+    """``rank[i]`` = position of ``keys[i]`` in sorted order."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    rank = [0] * len(order)
+    for position, index in enumerate(order):
+        rank[index] = position
+    return rank
+
+
+def _tabled(values: List[int]) -> Tuple[List[int], List[int]]:
+    """The distinct ``values`` in order of first use, and ``values``
+    rewritten as indices into that table."""
+    table = list(dict.fromkeys(values))
+    index = dict(zip(table, range(len(table))))
+    return table, list(map(index.__getitem__, values))
+
+
+def _roots(uf: List[int]) -> List[int]:
+    """Ids ``i`` with ``uf[i] == i``, ascending: the e-classes of a
+    path-compressed union-find array."""
+    ids = range(len(uf))
+    return list(compress(ids, map(eq, uf, ids)))
+
+
+#: JSON scalar types a leaf payload may have in a snapshot.
+PAYLOAD_TYPES = (str, bool, int, type(None))
+
+
+def _int_column(columns: Dict, name: str, length: Optional[int] = None,
+                high: Optional[int] = None) -> List[int]:
+    """Fetch and validate a snapshot int column with O(n) builtins.
+
+    Every entry must be a plain ``int`` (``bool`` is rejected too) in
+    ``[0, high)`` — ``high=None`` skips the range check — and the column
+    must have ``length`` entries when given.  Raises ``TypeError`` /
+    ``ValueError`` on the first violation.
+    """
+    column = columns[name]
+    if type(column) is not list:
+        raise TypeError(f"column {name!r} is not a list")
+    if length is not None and len(column) != length:
+        raise ValueError(f"column {name!r} has {len(column)} entries, "
+                         f"expected {length}")
+    if countOf(map(type, column), int) != len(column):
+        raise TypeError(f"column {name!r} holds non-int entries")
+    if high is not None and column and (min(column) < 0
+                                        or max(column) >= high):
+        raise ValueError(f"column {name!r} has an entry out of range")
+    return column
+
+
+def _offset_column(columns: Dict, name: str, rows: int) -> List[int]:
+    """Fetch and validate a CSR offset column: ``rows + 1`` ints, starting
+    at 0, non-decreasing."""
+    column = _int_column(columns, name, length=rows + 1)
+    if column[0] != 0 or not all(map(le, column, islice(column, 1, None))):
+        raise ValueError(f"column {name!r} is not a monotone offset array")
+    return column
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic collector around a bulk build.
+
+    Decoding a snapshot allocates ~10^5 fresh containers (per-class node
+    sets, parent lists, class objects) next to columns holding millions of
+    ints; every collection the allocations trigger re-traverses those
+    columns and finds nothing to free, which costs about a quarter of the
+    decode.  The collector is restored (when it was on) on exit.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
 class _DenseClass:
     """Per-class storage: node ids and a flat ``[node, class, ...]`` parent
     list.  ``nodes``/``parents`` decode to the object-graph forms so code
@@ -92,10 +181,11 @@ class _DenseClass:
 
     __slots__ = ("id", "node_ids", "parent_pairs", "_graph")
 
-    def __init__(self, class_id: int, graph: "DenseEGraph") -> None:
+    def __init__(self, class_id: int, graph: "DenseEGraph",
+                 node_ids: Set[int], parent_pairs: List[int]) -> None:
         self.id = class_id
-        self.node_ids: Set[int] = set()
-        self.parent_pairs: List[int] = []
+        self.node_ids = node_ids
+        self.parent_pairs = parent_pairs
         self._graph = graph
 
     @property
@@ -138,7 +228,9 @@ class DenseEGraph:
         self._node_payload: List[int] = []
         self._node_off: List[int] = [0]
         self._node_child: List[int] = []
-        self._node_ids: Dict[Tuple[int, ...], int] = {}
+        # Interning table ``(op, payload, *children) -> node id``; ``None``
+        # until first use after a snapshot decode (see _index_nodes).
+        self._node_ids: Optional[Dict[Tuple[int, ...], int]] = {}
         self._node_obj: List[Optional[ENode]] = []
         # Canonicalization memo, valid while ``_epoch`` is unchanged (the
         # epoch advances on every successful union).
@@ -150,7 +242,9 @@ class DenseEGraph:
         self._hashcons: Dict[int, int] = {}
         self._pending: List[int] = []
         self._clean = True
-        self._op_classes: Dict[int, Set[int]] = {}
+        # Operator index (op id -> classes); ``None`` until first use after
+        # a snapshot decode (see _index_ops).
+        self._op_classes: Optional[Dict[int, Set[int]]] = {}
         self._dirty: Set[int] = set()
         self._seq: Dict[int, int] = {}
         # Derived caches (same invalidation discipline as EGraph).
@@ -186,14 +280,9 @@ class DenseEGraph:
             op_id = len(self._op_names)
             self._op_ids[op] = op_id
             self._op_names.append(op)
-            # Recompute lexicographic ranks; relative ranks of existing ops
-            # never change, so cached per-class sort orders stay valid.
-            order = sorted(range(len(self._op_names)),
-                           key=self._op_names.__getitem__)
-            rank = [0] * len(order)
-            for position, index in enumerate(order):
-                rank[index] = position
-            self._op_rank = rank
+            # Relative ranks of existing ops never change, so cached
+            # per-class sort orders stay valid.
+            self._rank_ops()
         return op_id
 
     def _intern_payload(self, payload: Hashable) -> int:
@@ -202,24 +291,29 @@ class DenseEGraph:
             payload_id = len(self._payloads)
             self._payload_ids[payload] = payload_id
             self._payloads.append(payload)
-            # Rank by str(payload) — the component enode_sort_key compares —
-            # with the insertion index as a deterministic tie-break.
-            payloads = self._payloads
-            order = sorted(range(len(payloads)),
-                           key=lambda index: (str(payloads[index]), index))
-            rank = [0] * len(order)
-            for position, index in enumerate(order):
-                rank[index] = position
-            self._payload_rank = rank
+            self._rank_payloads()
         return payload_id
+
+    def _rank_ops(self) -> None:
+        """Lexicographic rank of every interned operator name."""
+        self._op_rank = _ranks(self._op_names)
+
+    def _rank_payloads(self) -> None:
+        """Rank by str(payload) — the component enode_sort_key compares —
+        with the insertion index as a deterministic tie-break."""
+        self._payload_rank = _ranks([(str(payload), index) for index, payload
+                                     in enumerate(self._payloads)])
 
     def _intern_node(self, op_id: int, payload_id: int,
                      children: Tuple[int, ...]) -> int:
         key = (op_id, payload_id) + children
-        node_id = self._node_ids.get(key)
+        node_ids = self._node_ids
+        if node_ids is None:
+            node_ids = self._index_nodes()
+        node_id = node_ids.get(key)
         if node_id is None:
             node_id = len(self._node_op)
-            self._node_ids[key] = node_id
+            node_ids[key] = node_id
             self._node_op.append(op_id)
             self._node_payload.append(payload_id)
             self._node_child.extend(children)
@@ -228,6 +322,23 @@ class DenseEGraph:
             self._node_canon.append(-1)
             self._canon_stamp.append(-1)
         return node_id
+
+    def _index_nodes(self) -> Dict[Tuple[int, ...], int]:
+        """Build the interning table from the node columns.
+
+        :meth:`from_columns` defers this: a warm restore that only
+        extracts never interns a node, so it never pays for the table.
+        """
+        buffer = self._node_child
+        offsets = self._node_off
+        table = dict(zip(
+            [(op_id, payload_id, *buffer[low:high])
+             for op_id, payload_id, low, high
+             in zip(self._node_op, self._node_payload, offsets,
+                    islice(offsets, 1, None))],
+            range(len(self._node_op))))
+        self._node_ids = table
+        return table
 
     def _intern_enode(self, node: ENode) -> int:
         """Intern an :class:`ENode` verbatim (children left as given)."""
@@ -323,7 +434,9 @@ class DenseEGraph:
         return self._find(class_id)
 
     def seq(self, class_id: int) -> int:
-        return self._seq[self._find(class_id)]
+        if self._uf[class_id] != class_id:
+            class_id = self._find(class_id)
+        return self._seq[class_id]
 
     def sorted_by_seq(self, ids: Iterable[int]) -> List[int]:
         return sorted(ids, key=self._seq.__getitem__)
@@ -352,23 +465,28 @@ class DenseEGraph:
         cached = self._enode_cache.get(root)
         if cached is None:
             canonical = self._canonical
-            op_rank = self._op_rank
-            payload_rank = self._payload_rank
-            node_op = self._node_op
-            node_payload = self._node_payload
-            offsets = self._node_off
-            buffer = self._node_child
-
-            def sort_key(node_id: int):
-                return (op_rank[node_op[node_id]],
-                        buffer[offsets[node_id]:offsets[node_id + 1]],
-                        payload_rank[node_payload[node_id]])
-
             cached = sorted({canonical(node_id)
                              for node_id in self._classes[root].node_ids},
-                            key=sort_key)
+                            key=self._node_sort_key())
             self._enode_cache[root] = cached
         return cached
+
+    def _node_sort_key(self):
+        """Key realising :func:`~repro.egraph.egraph.enode_sort_key` over
+        node ids: ``(op rank, children, payload rank)``."""
+        op_rank = self._op_rank
+        payload_rank = self._payload_rank
+        node_op = self._node_op
+        node_payload = self._node_payload
+        offsets = self._node_off
+        buffer = self._node_child
+
+        def sort_key(node_id: int):
+            return (op_rank[node_op[node_id]],
+                    buffer[offsets[node_id]:offsets[node_id + 1]],
+                    payload_rank[node_payload[node_id]])
+
+        return sort_key
 
     def _op_spans(self, root: int) -> Dict[int, Tuple[int, int]]:
         """Map op-code -> contiguous ``[lo, hi)`` span in the class's sorted
@@ -425,7 +543,10 @@ class DenseEGraph:
         find = self._find
         key = (op_id, payload_id) + tuple(find(child)
                                           for child in node.children)
-        node_id = self._node_ids.get(key)
+        node_ids = self._node_ids
+        if node_ids is None:
+            node_ids = self._index_nodes()
+        node_id = node_ids.get(key)
         if node_id is None:
             return None
         found = self._hashcons.get(node_id)
@@ -453,9 +574,7 @@ class DenseEGraph:
             return self._find(existing)
         class_id = len(self._uf)
         self._uf.append(class_id)
-        eclass = _DenseClass(class_id, self)
-        eclass.node_ids.add(node_id)
-        self._classes[class_id] = eclass
+        self._classes[class_id] = _DenseClass(class_id, self, {node_id}, [])
         self._seq[class_id] = class_id  # fresh ids are already monotone
         self._hashcons[node_id] = class_id
         offsets = self._node_off
@@ -465,8 +584,11 @@ class DenseEGraph:
             pairs = classes[buffer[index]].parent_pairs
             pairs.append(node_id)
             pairs.append(class_id)
-        self._op_classes.setdefault(self._node_op[node_id],
-                                    set()).add(class_id)
+        op_classes = self._op_classes
+        if op_classes is not None:
+            # (a deferred index picks the new class up when it is built)
+            op_classes.setdefault(self._node_op[node_id],
+                                  set()).add(class_id)
         self._dirty.add(class_id)
         # A fresh node lives in a fresh class: no other class's canonical
         # node list (or op spans) can change, so only the order/count
@@ -622,14 +744,28 @@ class DenseEGraph:
         op_id = self._op_ids.get(op)
         if op_id is None:
             return set()
-        ids = self._op_classes.get(op_id)
+        op_classes = self._op_classes
+        if op_classes is None:
+            op_classes = self._index_ops()
+        ids = op_classes.get(op_id)
         if not ids:
             return set()
         find = self._find
         canonical = {find(class_id) for class_id in ids}
         if len(canonical) != len(ids):
-            self._op_classes[op_id] = set(canonical)
+            op_classes[op_id] = set(canonical)
         return canonical
+
+    def _index_ops(self) -> Dict[int, Set[int]]:
+        """Build the operator index from the class contents (deferred by
+        :meth:`from_columns` and :meth:`from_state`)."""
+        node_op = self._node_op
+        op_classes: Dict[int, Set[int]] = {}
+        for class_id, eclass in self._classes.items():
+            for op_id in set(map(node_op.__getitem__, eclass.node_ids)):
+                op_classes.setdefault(op_id, set()).add(class_id)
+        self._op_classes = op_classes
+        return op_classes
 
     def parent_classes(self, class_id: int) -> Set[int]:
         eclass = self._classes.get(self._find(class_id))
@@ -659,13 +795,7 @@ class DenseEGraph:
         node_payload = self._node_payload
         offsets = self._node_off
         buffer = self._node_child
-        op_rank = self._op_rank
-        payload_rank = self._payload_rank
-
-        def sort_key(node_id: int):
-            return (op_rank[node_op[node_id]],
-                    buffer[offsets[node_id]:offsets[node_id + 1]],
-                    payload_rank[node_payload[node_id]])
+        sort_key = self._node_sort_key()
 
         for eclass in self._classes.values():
             kept: Dict[Tuple, int] = {}
@@ -1039,23 +1169,216 @@ class DenseEGraph:
         graph._uf = list(state["parents_array"])
         intern = graph._intern_enode
         for class_id, (nodes, parents) in state["classes"].items():
-            eclass = _DenseClass(class_id, graph)
-            eclass.node_ids = {intern(node) for node in nodes}
+            node_ids = {intern(node) for node in nodes}
             flat: List[int] = []
             for node, parent_class in parents:
                 flat.append(intern(node))
                 flat.append(parent_class)
-            eclass.parent_pairs = flat
-            graph._classes[class_id] = eclass
-            for node_id in eclass.node_ids:
-                graph._op_classes.setdefault(graph._node_op[node_id],
-                                             set()).add(class_id)
+            graph._classes[class_id] = _DenseClass(class_id, graph,
+                                                   node_ids, flat)
+        graph._op_classes = None
         graph._hashcons = {intern(node): class_id
                            for node, class_id in state["hashcons"].items()}
         graph._pending = list(state["pending"])
         graph._clean = bool(state["clean"])
         graph._dirty = set(state["dirty"])
         graph._seq = dict(state["seq"])
+        return graph
+
+    def to_columns(self) -> Dict[str, object]:
+        """Encode the complete state as flat columns (the snapshot wire form).
+
+        The e-node table is renumbered in a canonical order — classes
+        ascending, each class's nodes by the int-domain
+        :func:`~repro.egraph.egraph.enode_sort_key`, then its parent list,
+        then the hashcons in insertion order — so the columns depend only
+        on the e-graph's observable state, never on internal node ids:
+        both engines (the object engine via :func:`as_engine`) produce
+        identical columns for identical state.  Operators and payloads are
+        tabled in order of first use.  Classes are implicit: they are the
+        roots of the (fully path-compressed) union-find array, ascending.
+        ``sizes`` declares the length of every column whose length no
+        other column implies, so a truncated column never decodes.  See
+        ``docs/serialization.md`` for the column table.
+        """
+        find = self._find
+        uf = [find(item) for item in range(len(self._uf))]
+        class_ids = sorted(self._classes)
+        if class_ids != _roots(uf):
+            raise ValueError("e-classes out of sync with union-find roots")
+        classes = self._classes
+        sort_key = self._node_sort_key()
+        class_nodes: List[int] = []
+        class_node_off = [0]
+        parent_nodes: List[int] = []
+        parent_classes: List[int] = []
+        class_parent_off = [0]
+        visits: List[int] = []
+        for class_id in class_ids:
+            eclass = classes[class_id]
+            nodes = sorted(eclass.node_ids, key=sort_key)
+            parents = eclass.parent_pairs[0::2]
+            class_nodes += nodes
+            class_node_off.append(len(class_nodes))
+            parent_nodes += parents
+            parent_classes += eclass.parent_pairs[1::2]
+            class_parent_off.append(len(parent_nodes))
+            visits += nodes
+            visits += parents
+        hashcons_nodes = list(self._hashcons)
+        visits += hashcons_nodes
+        order = list(dict.fromkeys(visits))
+        renumber = dict(zip(order, range(len(order)))).__getitem__
+        op_table, node_op = _tabled(
+            list(map(self._node_op.__getitem__, order)))
+        payload_table, node_payload = _tabled(
+            list(map(self._node_payload.__getitem__, order)))
+        offsets = self._node_off
+        buffer = self._node_child
+        node_off = [0]
+        node_child: List[int] = []
+        for node_id in order:
+            node_child += buffer[offsets[node_id]:offsets[node_id + 1]]
+            node_off.append(len(node_child))
+        dirty = sorted(self._dirty)
+        return {
+            "sizes": {"uf": len(uf), "node_op": len(order),
+                      "hashcons_nodes": len(hashcons_nodes),
+                      "dirty": len(dirty), "pending": len(self._pending)},
+            "uf": uf,
+            "ops": [self._op_names[op_id] for op_id in op_table],
+            "payloads": [self._payloads[payload_id]
+                         for payload_id in payload_table],
+            "node_op": node_op,
+            "node_payload": node_payload,
+            "node_off": node_off,
+            "node_child": node_child,
+            "class_node_off": class_node_off,
+            "class_nodes": list(map(renumber, class_nodes)),
+            "class_parent_off": class_parent_off,
+            "class_parent_nodes": list(map(renumber, parent_nodes)),
+            "class_parent_classes": parent_classes,
+            "hashcons_nodes": list(map(renumber, hashcons_nodes)),
+            "hashcons_classes": list(self._hashcons.values()),
+            "seq": [self._seq[class_id] for class_id in class_ids],
+            "dirty": dirty,
+            "pending": list(self._pending),
+            "clean": self._clean,
+        }
+
+    @classmethod
+    def from_columns(cls, columns: Dict) -> "DenseEGraph":
+        """Rebuild an e-graph from :meth:`to_columns` output.
+
+        The columns become the node table as they are (wire node index ==
+        node id), so no :class:`ENode` is built.  Every column is checked
+        first — lengths, monotone offsets, index ranges, operator arities,
+        table types and uniqueness, and that the union-find array is
+        path-compressed (so ``find`` cannot loop) — and a malformed input
+        raises ``KeyError``, ``TypeError`` or ``ValueError`` before any
+        graph exists.  The node interning table and the operator index are
+        built on first use: a warm restore that only extracts needs
+        neither.
+        """
+        sizes = columns["sizes"]
+        if type(sizes) is not dict:
+            raise TypeError("'sizes' must be an object")
+        uf = _int_column(columns, "uf", length=sizes["uf"],
+                         high=sizes["uf"])
+        size = len(uf)
+        if list(map(uf.__getitem__, uf)) != uf:
+            raise ValueError("union-find array is not path-compressed")
+        ops = columns["ops"]
+        payloads = columns["payloads"]
+        if type(ops) is not list or type(payloads) is not list:
+            raise TypeError("operator/payload tables must be lists")
+        if not set(map(type, ops)) <= {str}:
+            raise TypeError("operator names must be strings")
+        if not set(map(type, payloads)) <= set(PAYLOAD_TYPES):
+            raise TypeError("payloads must be JSON scalars")
+        op_ids = dict(zip(ops, range(len(ops))))
+        payload_ids = dict(zip(payloads, range(len(payloads))))
+        if len(op_ids) != len(ops) or len(payload_ids) != len(payloads):
+            raise ValueError("duplicate operator or payload table entry")
+        node_op = _int_column(columns, "node_op", length=sizes["node_op"],
+                              high=len(ops))
+        count = len(node_op)
+        node_payload = _int_column(columns, "node_payload", length=count,
+                                   high=len(payloads))
+        node_off = _offset_column(columns, "node_off", count)
+        node_child = _int_column(columns, "node_child",
+                                 length=node_off[-1], high=size)
+        for op_id, arity in sorted(set(zip(node_op, map(
+                sub, islice(node_off, 1, None), node_off)))):
+            expected = OPERATOR_ARITIES.get(ops[op_id])
+            if expected is not None and expected != arity:
+                raise ValueError(f"operator {ops[op_id]!r} expects "
+                                 f"{expected} children, got {arity}")
+        class_ids = _roots(uf)
+        class_node_off = _offset_column(columns, "class_node_off",
+                                        len(class_ids))
+        class_nodes = _int_column(columns, "class_nodes",
+                                  length=class_node_off[-1], high=count)
+        class_parent_off = _offset_column(columns, "class_parent_off",
+                                          len(class_ids))
+        parent_nodes = _int_column(columns, "class_parent_nodes",
+                                   length=class_parent_off[-1], high=count)
+        parent_classes = _int_column(columns, "class_parent_classes",
+                                     length=class_parent_off[-1], high=size)
+        hashcons_nodes = _int_column(columns, "hashcons_nodes",
+                                     length=sizes["hashcons_nodes"],
+                                     high=count)
+        hashcons_classes = _int_column(columns, "hashcons_classes",
+                                       length=len(hashcons_nodes), high=size)
+        seq = _int_column(columns, "seq", length=len(class_ids))
+        if seq and min(seq) < 0:
+            raise ValueError("column 'seq' has a negative entry")
+        dirty = _int_column(columns, "dirty", length=sizes["dirty"],
+                            high=size)
+        if not all(map(lt, dirty, islice(dirty, 1, None))):
+            raise ValueError("column 'dirty' is not sorted")
+        pending = _int_column(columns, "pending", length=sizes["pending"],
+                              high=size)
+        clean = columns["clean"]
+        if type(clean) is not bool:
+            raise TypeError("'clean' must be a bool")
+        hashcons = dict(zip(hashcons_nodes, hashcons_classes))
+        if len(hashcons) != len(hashcons_nodes):
+            raise ValueError("duplicate hashcons entry")
+
+        with _gc_paused():
+            graph = cls()
+            graph._uf = list(uf)
+            graph._op_names = list(ops)
+            graph._op_ids = op_ids
+            graph._rank_ops()
+            graph._payloads = list(payloads)
+            graph._payload_ids = payload_ids
+            graph._rank_payloads()
+            graph._node_op = list(node_op)
+            graph._node_payload = list(node_payload)
+            graph._node_off = list(node_off)
+            graph._node_child = list(node_child)
+            graph._node_ids = None
+            graph._node_obj = [None] * count
+            graph._node_canon = [-1] * count
+            graph._canon_stamp = [-1] * count
+            pairs = [0] * (2 * len(parent_nodes))
+            pairs[0::2] = parent_nodes
+            pairs[1::2] = parent_classes
+            graph._op_classes = None
+            classes = graph._classes
+            for class_id, node_low, node_high, parent_low, parent_high in zip(
+                    class_ids, class_node_off, islice(class_node_off, 1, None),
+                    class_parent_off, islice(class_parent_off, 1, None)):
+                classes[class_id] = _DenseClass(
+                    class_id, graph, set(class_nodes[node_low:node_high]),
+                    pairs[2 * parent_low:2 * parent_high])
+            graph._hashcons = hashcons
+            graph._pending = list(pending)
+            graph._clean = clean
+            graph._dirty = set(dirty)
+            graph._seq = dict(zip(class_ids, seq))
         return graph
 
     def dump(self, limit: int = 50) -> str:  # pragma: no cover - debugging aid

@@ -467,10 +467,11 @@ class EGraph:
         and are rebuilt by :meth:`from_state`.
 
         Collections that are sets in memory are handed out sorted so the
-        exported state (and any file written from it) is independent of
-        ``PYTHONHASHSEED``.  The wire encoding lives in
-        :mod:`repro.store.codec`; this method only detaches the state from
-        the live object (nodes are shared — :class:`ENode` is immutable).
+        exported state is independent of ``PYTHONHASHSEED``.  This state is
+        the bridge between the engines (:func:`~repro.egraph.as_engine`);
+        snapshots are encoded from the dense engine's arrays
+        (:meth:`~repro.egraph.DenseEGraph.to_columns`).  Nodes are shared
+        with the live object — :class:`ENode` is immutable.
         """
         classes = {}
         for class_id in sorted(self._classes):

@@ -7,14 +7,16 @@ and a TTL'd heartbeat.  Workers claim the lease on a job's ``final_key``
 before computing it, so multiple hosts' fleets carve up a sweep with no
 coordinator beyond the shared filesystem:
 
-* **claim** — ``os.open(O_CREAT | O_EXCL)``: the filesystem picks
-  exactly one winner per slot; losers back off to other keys;
+* **claim** — the complete sidecar is hard-linked into place, which
+  fails when it exists (like ``O_CREAT | O_EXCL``): the filesystem picks
+  exactly one winner per slot, and no claimant ever sees a half-written
+  sidecar; losers back off to other keys;
 * **heartbeat** — the owner periodically rewrites the sidecar
   (atomic temp + rename) with a fresh timestamp, first re-reading it to
   detect that someone took the lease over (heartbeat returns ``False``
   and the deposed owner must abandon the job);
 * **takeover** — a lease whose heartbeat is older than its TTL is
-  *stale*: any worker may remove it and re-race the O_EXCL claim —
+  *stale*: any worker may remove it and re-race the exclusive claim —
   again exactly one winner.  Combined with the phase graph's
   checkpoint/resume, the successor continues the dead worker's job
   from its deepest checkpoint.
@@ -32,6 +34,7 @@ import errno
 import json
 import os
 import socket
+import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,15 +83,25 @@ class LeaseManager:
                 "heartbeat": heartbeat, "ttl": self.ttl}
 
     def _write_exclusive(self, path: Path, payload: Dict) -> bool:
-        """Create ``path`` with ``payload`` iff it does not exist."""
+        """Create ``path`` with ``payload`` iff it does not exist.
+
+        The payload goes to a private temp file that is then hard-linked
+        into place (``link`` fails when the target exists, like
+        ``O_EXCL``), so the sidecar appears complete: a racing claimant
+        can never read it half-written, take it for corrupt (hence stale)
+        and steal it.
+        """
         path.parent.mkdir(parents=True, exist_ok=True)
+        descriptor, temp = tempfile.mkstemp(dir=path.parent,
+                                            prefix=path.name, suffix=".tmp")
         try:
-            descriptor = os.open(path,
-                                 os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            with os.fdopen(descriptor, "w", encoding="utf-8") as stream:
+                json.dump(payload, stream, sort_keys=True)
+            os.link(temp, path)
         except FileExistsError:
             return False
-        with os.fdopen(descriptor, "w", encoding="utf-8") as stream:
-            json.dump(payload, stream, sort_keys=True)
+        finally:
+            os.unlink(temp)
         return True
 
     def _overwrite(self, path: Path, payload: Dict) -> None:
@@ -102,10 +115,10 @@ class LeaseManager:
     def claim(self, key: str) -> Optional[Lease]:
         """Try to acquire the lease on ``key``; ``None`` when held.
 
-        Fresh claims race on ``O_EXCL`` creation — exactly one caller
+        Fresh claims race on exclusive creation — exactly one caller
         wins.  A stale lease (heartbeat older than its TTL, or an
         unreadable sidecar) is removed and the claim retried once; the
-        unlink/recreate window re-races through ``O_EXCL`` again, so
+        unlink/recreate window re-races through the exclusive create, so
         concurrent takeovers still elect a single winner.
         """
         path = self.store.lease_path_for(key)

@@ -40,7 +40,11 @@ from ..store import ArtifactStore
 from .jobs import TERMINAL_STATES, JobService
 
 _MAX_BODY = 32 * 1024 * 1024
+#: Longest request or header line; also the stream reader's buffer limit,
+#: so an over-long line surfaces as a 400 instead of a reader error.
 _MAX_HEADER_LINE = 64 * 1024
+#: Most header lines one request may carry.
+_MAX_HEADERS = 100
 
 #: How often the events endpoint re-reads the job record.
 _EVENT_POLL_SECONDS = 0.2
@@ -80,7 +84,8 @@ class ServiceServer:
     async def start(self) -> None:
         """Bind and start accepting (resolves ``port=0`` to the real one)."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
+            self._handle_connection, self.host, self.port,
+            limit=_MAX_HEADER_LINE)
         sockets = self._server.sockets or []
         if sockets:
             self.port = sockets[0].getsockname()[1]
@@ -152,9 +157,18 @@ class ServiceServer:
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
 
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError:
+            # The stream limit is _MAX_HEADER_LINE: readline reports an
+            # over-long line as ValueError (after discarding it).
+            raise _BadRequest("header line too long") from None
+
     async def _read_head(self, reader: asyncio.StreamReader
                          ) -> Tuple[str, str, Dict]:
-        request_line = await reader.readline()
+        request_line = await self._read_line(reader)
         if not request_line:
             raise _BadRequest("empty request")
         try:
@@ -163,12 +177,14 @@ class ServiceServer:
         except ValueError:
             raise _BadRequest("malformed request line") from None
         headers: Dict = {}
+        lines = 0
         while True:
-            line = await reader.readline()
-            if len(line) > _MAX_HEADER_LINE:
-                raise _BadRequest("header line too long")
+            line = await self._read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
+            lines += 1
+            if lines > _MAX_HEADERS:
+                raise _BadRequest("too many headers")
             name, _sep, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         return method.upper(), target, headers

@@ -15,6 +15,7 @@ enforce that contract from three directions:
   as an uninterrupted run.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -42,6 +43,7 @@ from repro.egraph import (
 from repro.generators import csa_multiplier
 from repro.opt import post_mapping_flow
 from repro.service import JobService, ServiceWorker
+from repro.store import KIND_SATURATED, ArtifactStore, aig_to_wire
 from repro.store.codec import egraph_to_wire
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
@@ -226,7 +228,66 @@ def _strip_telemetry(row: dict) -> dict:
             if key not in ("engine_reported", "counted_ops")}
 
 
+_RESTORE_OPTIONS = dict(r1_iterations=2, r2_iterations=2)
+
+
+def _netlist_sha(result) -> str:
+    wire = json.dumps(aig_to_wire(result.extracted_aig), sort_keys=True)
+    return hashlib.sha256(wire.encode("utf-8")).hexdigest()
+
+
+def _saturated_payload_bytes(store: ArtifactStore, key: str) -> bytes:
+    """Canonical bytes of a ``saturated-pipeline`` payload, with the
+    runner reports' wall-clock fields (``total_time``, per-iteration
+    ``elapsed``) zeroed — the only run-to-run variation it may carry."""
+    payload = store.get(key, expected_kind=KIND_SATURATED)
+    for field in ("r1_report", "r2_report"):
+        payload[field]["total_time"] = 0
+        for iteration in payload[field]["iterations"]:
+            iteration["elapsed"] = 0
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+@pytest.fixture(scope="class")
+def cold_width8(tmp_path_factory):
+    """Width-8 cold runs: dense with refine_rounds 0 into one store,
+    python with refine_rounds 2 into another."""
+    aig = post_mapping_flow(csa_multiplier(8).aig)
+    root = tmp_path_factory.mktemp("cold-width8")
+    runs = {}
+    for engine, rounds in (("dense", 0), ("python", 2)):
+        store = ArtifactStore(root / engine)
+        pipeline = BoolEPipeline(BoolEOptions(**_RESTORE_OPTIONS,
+                                              refine_rounds=rounds,
+                                              engine=engine), store=store)
+        runs[engine] = (store, pipeline.run(aig))
+    return aig, runs
+
+
 class TestPipelineEngineEquivalence:
+    def test_saturated_objects_byte_identical_across_engines(
+            self, cold_width8):
+        aig, runs = cold_width8
+        key = BoolEPipeline(BoolEOptions(**_RESTORE_OPTIONS)).cache_key(aig)
+        assert (_saturated_payload_bytes(runs["dense"][0], key)
+                == _saturated_payload_bytes(runs["python"][0], key))
+
+    @pytest.mark.parametrize("store_engine", ["dense", "python"])
+    @pytest.mark.parametrize("refine_rounds", [0, 2])
+    def test_warm_restore_is_dense_and_reconstructs_cold_netlist(
+            self, cold_width8, store_engine, refine_rounds):
+        """A restore from either engine's snapshot yields a DenseEGraph
+        whose reconstructed netlist is the cold run's, byte for byte."""
+        aig, runs = cold_width8
+        cold = {0: runs["dense"][1], 2: runs["python"][1]}[refine_rounds]
+        warm = BoolEPipeline(
+            BoolEOptions(**_RESTORE_OPTIONS, refine_rounds=refine_rounds),
+            store=runs[store_engine][0]).run(aig)
+        assert warm.cache_hit
+        assert isinstance(warm.construction.egraph, DenseEGraph)
+        assert _netlist_sha(warm) == _netlist_sha(cold)
+        assert warm.num_exact_fas == cold.num_exact_fas
+
     def test_bit_identical_across_engines_and_hash_seeds(self):
         """dense(seed A), dense(seed B) and python(seed C) all produce the
         same saturated artifact bytes, ban schedule included."""

@@ -11,6 +11,7 @@ and resumes from its checkpoint bit-identically.
 
 import json
 import os
+import socket
 import subprocess
 import sys
 import time
@@ -367,6 +368,46 @@ class TestServiceHTTP:
             with pytest.raises(ServiceError) as excinfo:
                 client.submit(bad)
             assert excinfo.value.status == 400
+
+    @staticmethod
+    def _raw_exchange(server, request: bytes) -> bytes:
+        """Send raw request bytes, return the full raw reply."""
+        with socket.create_connection((server.host, server.port),
+                                      timeout=10) as connection:
+            connection.sendall(request)
+            chunks = []
+            while True:
+                chunk = connection.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        return b"".join(chunks)
+
+    def test_overlong_header_line_is_400(self, running_server):
+        request = (b"GET /healthz HTTP/1.1\r\nX-Big: "
+                   + b"a" * 70_000 + b"\r\n\r\n")
+        reply = self._raw_exchange(running_server, request)
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"header line too long" in reply
+        # The server survived: the next request is served normally.
+        client = ServiceClient(running_server.host, running_server.port)
+        assert client.healthz() == {"ok": True}
+
+    def test_overlong_request_line_is_400(self, running_server):
+        request = b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n"
+        reply = self._raw_exchange(running_server, request)
+        assert reply.startswith(b"HTTP/1.1 400 ")
+
+    def test_too_many_headers_is_400(self, running_server):
+        request = (b"GET /healthz HTTP/1.1\r\n"
+                   + b"X-Same: 1\r\n" * 101 + b"\r\n")
+        reply = self._raw_exchange(running_server, request)
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert b"too many headers" in reply
+        at_cap = (b"GET /healthz HTTP/1.1\r\n"
+                  + b"X-Same: 1\r\n" * 100 + b"\r\n")
+        assert self._raw_exchange(running_server, at_cap).startswith(
+            b"HTTP/1.1 200 ")
 
     def test_cold_submit_worker_done_then_warm_resubmit(
             self, running_server, tmp_path):

@@ -10,24 +10,30 @@ content-addressed store semantics (put/get, index, verify, GC) and the
 pipeline/batch cache integration.
 """
 
+import functools
 import gzip
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import BatchJob, BatchPipeline, BoolEOptions, BoolEPipeline, run_boole
 from repro.core.construct import aig_to_egraph
 from repro.core.extraction import BoolEExtractor
 from repro.core.fa_structure import insert_fa_structures
+from repro.core.phases import _DECODE_ERRORS, InsertFAPhase, PhaseContext
 from repro.core.rules_basic import basic_rules
 from repro.core.rules_xor_maj import identification_rules
 from repro.egraph import (
     BackoffScheduler,
+    DenseEGraph,
     EGraph,
     ENode,
     Op,
@@ -37,6 +43,7 @@ from repro.egraph import (
 from repro.generators import csa_multiplier, ripple_carry_adder
 from repro.opt import post_mapping_flow
 from repro.store import (
+    KIND_SATURATED,
     ArtifactStore,
     SnapshotError,
     SnapshotVersionError,
@@ -171,6 +178,181 @@ class TestSnapshotFiles:
         save_egraph(tmp_path / "graph.json.gz", EGraph())
         leftovers = [p for p in tmp_path.iterdir() if "tmp" in p.name]
         assert leftovers == []
+
+
+class TestCorruptSnapshots:
+    """Damaged gzip streams are unreadable snapshots, never reader crashes:
+    truncation (EOFError inside gzip) and corrupt deflate data (zlib.error)
+    both surface as SnapshotError."""
+
+    def _damaged(self, tmp_path, damage):
+        path = save_egraph(tmp_path / "graph.json.gz", _saturated_egraph())
+        path.write_bytes(damage(path.read_bytes()))
+        return path
+
+    @pytest.mark.parametrize("keep", [0.25, 0.5, 0.9])
+    def test_truncated_gzip_raises_snapshot_error(self, tmp_path, keep):
+        path = self._damaged(tmp_path,
+                             lambda data: data[:int(len(data) * keep)])
+        with pytest.raises(SnapshotError):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("where", [10, 11, 0.5, -6])
+    def test_bit_flipped_gzip_raises_snapshot_error(self, tmp_path, where):
+        def flip(data):
+            data = bytearray(data)
+            index = int(len(data) * where) if isinstance(where, float) \
+                else where
+            data[index] ^= 0x5A
+            return bytes(data)
+
+        path = self._damaged(tmp_path, flip)
+        with pytest.raises(SnapshotError):
+            read_snapshot(path)
+
+    def test_truncated_object_reported_collected_and_recomputed(
+            self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        aig = _mapped_csa3()
+        pipeline = BoolEPipeline(BoolEOptions(r1_iterations=2,
+                                              r2_iterations=2), store=store)
+        cold = pipeline.run(aig)
+        key = pipeline.cache_key(aig)
+        path = store.path_for(key)
+        intact = path.read_bytes()
+        egraph_wire = store.get(key)["egraph"]
+
+        # A run degrades the unreadable artifact to a miss and recomputes.
+        path.write_bytes(intact[:len(intact) // 2])
+        healed = pipeline.run(aig)
+        assert not healed.cache_hit
+        assert healed.fa_blocks == cold.fa_blocks
+        assert store.get(key)["egraph"] == egraph_wire   # overwritten
+
+        # verify lists it as unreadable; gc removes it.
+        path.write_bytes(intact[:len(intact) // 2])
+        assert store.verify()["unreadable"] == [str(path)]
+        assert store.gc() == [key]
+        assert not store.contains(key)
+
+
+@functools.lru_cache(maxsize=None)
+def _saturated_payload_text() -> str:
+    """Canonical JSON of a small ``saturated-pipeline`` payload."""
+    with tempfile.TemporaryDirectory() as root:
+        store = ArtifactStore(root)
+        pipeline = BoolEPipeline(BoolEOptions(r1_iterations=2,
+                                              r2_iterations=2), store=store)
+        aig = _mapped_csa3()
+        pipeline.run(aig)
+        payload = store.get(pipeline.cache_key(aig),
+                            expected_kind=KIND_SATURATED)
+    return json.dumps(payload, sort_keys=True)
+
+
+def _column_bounds(wire):
+    """Exclusive upper bound of every bounded int column of ``wire``."""
+    classes, nodes = len(wire["uf"]), len(wire["node_op"])
+    bounds = {name: classes for name in
+              ("uf", "node_child", "class_parent_classes",
+               "hashcons_classes", "dirty", "pending")}
+    bounds.update({name: nodes for name in
+                   ("class_nodes", "class_parent_nodes", "hashcons_nodes")})
+    bounds["node_op"] = len(wire["ops"])
+    bounds["node_payload"] = len(wire["payloads"])
+    return bounds
+
+
+_WRONG_COLUMN = ["0", 1.5, None, {}, True, 7]
+_WRONG_INT = ["1", 1.0, None, [], {}, True, False]
+_WRONG_TABLE_ENTRY = [1.5, [], {}]
+_OFFSET_COLUMNS = ("node_off", "class_node_off", "class_parent_off")
+
+
+def _mutate(wire, data):
+    """Apply one malformation drawn by ``data`` to the e-graph columns."""
+    lists = sorted(name for name, value in wire.items()
+                   if isinstance(value, list) and value)
+    kind = data.draw(st.sampled_from(
+        ["drop", "truncate", "out_of_range", "swap_column", "swap_entry"]))
+    if kind == "drop":
+        del wire[data.draw(st.sampled_from(sorted(wire)))]
+    elif kind == "truncate":
+        name = data.draw(st.sampled_from(lists))
+        cut = data.draw(st.integers(1, len(wire[name])))
+        del wire[name][-cut:]
+    elif kind == "out_of_range":
+        bounds = _column_bounds(wire)
+        name = data.draw(st.sampled_from(
+            sorted(set(lists) & (set(bounds) | {"seq", *_OFFSET_COLUMNS}))))
+        column = wire[name]
+        index = data.draw(st.integers(0, len(column) - 1))
+        if name in _OFFSET_COLUMNS:
+            wrong = [-1, column[-1] + 1]
+        else:
+            wrong = [-1] + ([bounds[name]] if name in bounds else [])
+        column[index] = data.draw(st.sampled_from(wrong))
+    elif kind == "swap_column":
+        name = data.draw(st.sampled_from(sorted(wire)))
+        wire[name] = data.draw(st.sampled_from(
+            [wrong for wrong in _WRONG_COLUMN
+             if type(wrong) is not type(wire[name])]))
+    else:
+        name = data.draw(st.sampled_from(lists))
+        column = wire[name]
+        index = data.draw(st.integers(0, len(column) - 1))
+        column[index] = data.draw(st.sampled_from(
+            _WRONG_TABLE_ENTRY if name in ("ops", "payloads")
+            else _WRONG_INT))
+
+
+class TestColumnDecodeFuzz:
+    """Bounded fuzzers for the snapshot decoders (tier-1)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_malformed_columns_raise_and_leave_context_untouched(
+            self, data):
+        payload = json.loads(_saturated_payload_text())
+        _mutate(payload["egraph"], data)
+        with pytest.raises(SnapshotError):
+            egraph_from_wire(payload["egraph"])
+
+        pipeline = BoolEPipeline(BoolEOptions(r1_iterations=2,
+                                              r2_iterations=2))
+        ctx = PhaseContext()
+        ctx["aig"] = aig = _mapped_csa3()
+        before = dict(ctx.state)
+        with pytest.raises(_DECODE_ERRORS):
+            InsertFAPhase(pipeline).from_wire(ctx, payload)
+        assert ctx.state == before and ctx["aig"] is aig
+
+    def test_intact_payload_decodes_to_dense(self):
+        payload = json.loads(_saturated_payload_text())
+        egraph = egraph_from_wire(payload["egraph"])
+        assert isinstance(egraph, DenseEGraph)
+        assert egraph_to_wire(egraph) == payload["egraph"]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_damaged_files_raise_or_read_identically(self, data):
+        with tempfile.TemporaryDirectory() as root:
+            path = save_egraph(Path(root) / "graph.json.gz",
+                               _saturated_egraph())
+            intact = path.read_bytes()
+            damaged = bytearray(intact)
+            if data.draw(st.booleans()):
+                del damaged[data.draw(st.integers(0, len(damaged) - 1)):]
+            else:
+                index = data.draw(st.integers(0, len(damaged) - 1))
+                damaged[index] ^= 1 << data.draw(st.integers(0, 7))
+            path.write_bytes(bytes(damaged))
+            try:
+                document = read_snapshot(path)
+            except SnapshotError:
+                return
+            # Only bits gzip ignores (header mtime/XFL/OS) may survive.
+            assert document == json.loads(gzip.decompress(intact))
 
 
 class TestSchedulerRoundTrip:
@@ -598,6 +780,15 @@ class TestCommandLine:
                               "--dry-run")
         assert collected.returncode == 0
         assert key in collected.stdout
+
+    def test_verify_reports_truncated_object_and_exits_zero(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        key = "cd" * 20
+        path = store.put(key, {"x": list(range(1000))}, kind="egraph")
+        path.write_bytes(path.read_bytes()[:40])
+        verified = self._cli(tmp_path, "verify")
+        assert verified.returncode == 0, verified.stderr
+        assert json.loads(verified.stdout)["unreadable"] == [str(path)]
 
     def test_missing_key_inspect_fails(self, tmp_path):
         result = self._cli(tmp_path, "inspect", "ef" * 20)
