@@ -1,20 +1,21 @@
-"""Backend comparison: the ISSUE-5 acceptance sweep, cold and warm.
+"""Backend comparison: an 8-circuit sweep, cold and warm.
 
-Runs the same 8-circuit width-4/8 job mix through the serial, thread and
-process backends of :class:`~repro.core.BatchPipeline` and prints a
-comparison table:
+Runs the same 8-circuit width-4/8 job mix through the serial and process
+backends of :class:`~repro.core.BatchPipeline` and prints a comparison
+table:
 
 * **cold** — fresh store per backend: every job saturates.  This is where
   the process backend's true parallelism pays (on multi-core hosts; on a
   single core the pickle + pool overhead makes it roughly break even with
-  threads — the table records ``os.cpu_count()`` so numbers are
+  serial — the table records ``os.cpu_count()`` so numbers are
   comparable).
 * **warm** — second run against the same store: every job is served
-  inline from the saturated + extraction artifacts, so all backends
+  inline from the saturated + extraction artifacts, so both backends
   converge to snapshot-load time and the pool never spins up.
 
-The cross-backend determinism acceptance is asserted, not just printed:
-all three backends must produce identical deterministic aggregates.
+Both acceptance properties are asserted, not just printed: the backends
+produce identical deterministic aggregates, and on a multi-core host the
+process backend beats serial on the cold sweep.
 
 Numbers from this harness are recorded in ``docs/performance.md``.
 """
@@ -35,7 +36,7 @@ from repro.opt import post_mapping_flow
 COLUMNS = ["backend", "mode", "wall_s", "sum_runtime_s", "jobs_cached",
            "throughput"]
 
-BACKENDS = ["serial", "thread", "process"]
+BACKENDS = ["serial", "process"]
 
 
 def sweep_jobs():
@@ -90,12 +91,11 @@ def test_backend_comparison(tmp_path):
     for backend, aggregate in aggregates.items():
         assert aggregate == reference, (backend, aggregate, reference)
 
-    # The other acceptance property: the process backend beats threads on
-    # the cold sweep.  Pure-Python saturation cannot overlap under the
-    # GIL, so this needs real cores — on a single-core host the pool
-    # overhead makes the backends tie and the assertion would only
+    # The other acceptance property: the process backend beats serial on
+    # the cold sweep.  That needs real cores — on a single-core host the
+    # pool overhead makes the backends tie and the assertion would only
     # measure noise, hence the gate (CI runners are multi-vCPU).
     if cores >= 2:
-        assert cold_wall["process"] < cold_wall["thread"], cold_wall
+        assert cold_wall["process"] < cold_wall["serial"], cold_wall
     else:
-        print(f"single core: skipping process<thread assertion {cold_wall}")
+        print(f"single core: skipping process<serial assertion {cold_wall}")

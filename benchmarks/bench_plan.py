@@ -92,14 +92,14 @@ def test_plan_predicts_execution_and_prefix_win(benchmark, tmp_path):
     for item in cold.items:
         # Leaders run cold; dependents are planned against the overlay
         # that includes their leader's write, so they predict a hit.
-        expect_hit = item.prefix_leader is not None
+        expect_hit = item.kind == "dependent"
         assert item.plan.predicts_cache_hit == expect_hit, item.name
 
     report = benchmark.pedantic(lambda: batch.run(jobs),
                                 rounds=1, iterations=1)
     assert report.num_failed == 0
     for item_plan, item in zip(cold.items, report.items):
-        if item_plan.duplicate_of is not None:
+        if item_plan.kind == "duplicate":
             continue
         assert item.cached == item_plan.plan.predicts_cache_hit
         assert (item.extraction_cached

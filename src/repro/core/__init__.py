@@ -1,6 +1,7 @@
 """BoolE core: rulesets, construction, saturation, FA pairing and extraction."""
 
 from .batch import (
+    SCHEDULES,
     BatchItemPlan,
     BatchItemResult,
     BatchJob,
@@ -40,11 +41,18 @@ from .phases import (
     PipelinePlan,
     boole_phases,
 )
-from .pipeline import BoolEOptions, BoolEPipeline, BoolEResult, run_boole
+from .pipeline import (
+    BoolEOptions,
+    BoolEPipeline,
+    BoolEResult,
+    PipelineCache,
+    run_boole,
+)
 from .rules_basic import basic_rules, full_basic_rules, lightweight_basic_rules
 from .rules_xor_maj import identification_rules, maj_rules, ruleset_summary, xor_rules
 
 __all__ = [
+    "SCHEDULES",
     "BatchItemPlan",
     "BatchItemResult",
     "BatchJob",
@@ -77,6 +85,7 @@ __all__ = [
     "boole_phases",
     "BoolEOptions",
     "BoolEPipeline",
+    "PipelineCache",
     "BoolEResult",
     "run_boole",
     "basic_rules",

@@ -1,52 +1,47 @@
 """Batch driver: run many netlists through :class:`BoolEPipeline` at once.
 
-``BatchPipeline`` executes a set of :class:`BatchJob` items on a worker
-pool, applies per-circuit resource limits (each job may carry its own
+``BatchPipeline`` executes a set of :class:`BatchJob` items, applies
+per-circuit resource limits (each job may carry its own
 :class:`BoolEOptions`), isolates failures (one broken circuit never aborts
 the batch), and aggregates everything into a :class:`BatchReport` suitable
 for the benchmark harness.
 
-Three executor backends are supported:
+Every run first computes a :class:`BatchPlan` with :func:`plan_batch` —
+each job's :class:`~repro.core.phases.PipelinePlan` against the store,
+with zero execution — and the plan gives each job exactly one schedule
+(see :data:`SCHEDULES`): ``inline`` jobs are fully warm against the store
+and are served on the calling thread; ``duplicate`` jobs collapse onto an
+earlier job's final content key and carry its result; ``dependent`` jobs
+restore a saturated prefix that an earlier ``pool`` job (their leader)
+writes, and so start only after it; ``pool`` jobs start right away.  The
+service's ``JobService.submit_sweep`` reads the same classification, so a
+sweep is scheduled identically in-process and on the fleet.
+
+Two executor backends drain that plan:
 
 * ``"process"`` (default) — a ``ProcessPoolExecutor`` on a **forkserver**
-  context.  True parallelism for the pure-Python pipeline.  Workers are
+  context, true parallelism for the pure-Python pipeline.  Workers are
   initialised once with the batch's store root and default options, so the
   parsed rulesets and the store handle are built per *worker*, not per
-  job; jobs are submitted in **chunks** so thousands-of-circuit sweeps pay
-  one pickle round-trip per chunk instead of per circuit.  Results travel
-  back as :meth:`~repro.core.pipeline.BoolEResult.lightweight` copies —
-  reports, counts, the reconstructed netlist and timings, everything
-  except the e-graph — so ``keep_results=True`` works on every backend.
-  If a worker dies (OOM-killed, segfault, machine reboot), the broken pool
-  is rebuilt and the undone jobs are **requeued** (up to ``retries``
-  times); with a store configured the retried jobs resume from whatever
-  phase artifacts and ``kind="checkpoint"`` snapshots the dead worker
-  already persisted, so only the genuinely unfinished phase re-runs.
-* ``"thread"`` — a ``ThreadPoolExecutor``.  The pipeline is pure Python,
-  so threads mostly interleave rather than parallelise under the GIL, but
-  nothing needs to be picklable and results carry the full
-  :class:`BoolEResult` objects (e-graph included).
-* ``"serial"`` — run every job inline on the calling thread, reusing one
+  job.  Every ``pool`` job is submitted up front and each dependent as
+  soon as its leader's future resolves (if the leader failed, the
+  dependent saturates for itself).  Results travel back as
+  :meth:`~repro.core.pipeline.BoolEResult.lightweight` copies — reports,
+  counts, the reconstructed netlist and timings, everything except the
+  e-graph.  If a worker dies (OOM-killed, segfault), the broken pool is
+  rebuilt and the undone jobs are **requeued** (up to ``retries`` times);
+  with a store configured they resume from whatever phase artifacts and
+  ``kind="checkpoint"`` snapshots the dead worker already persisted.
+* ``"serial"`` — run every job on the calling thread in plan order (which
+  is topological: a leader always precedes its dependents), reusing one
   pipeline per distinct options object.  The reference backend for
   determinism comparisons and the cheapest for small batches.
 
-All three backends produce bit-identical summaries and aggregates for the
-same job list (``tests/test_batch.py`` holds this across backends and
-``PYTHONHASHSEED`` values).
-
-Scheduling is **plan-driven**: every run first computes a
-:class:`BatchPlan` (see :meth:`BatchPipeline.plan`) — each job's
-:class:`~repro.core.phases.PipelinePlan` against the store, with zero
-execution.  The plan decides dispatch: jobs warm against the store run
-inline on the calling thread (a cheap load instead of a saturation);
-jobs collapsing onto the same final content key execute once and the
-duplicates carry the shared result; and jobs whose saturated prefix an
-earlier cold job will produce are held back to a second wave, so a
-shared prefix (same saturation, different ``refine_rounds`` / cost
-models) is saturated exactly once per sweep.  Inside a worker the phase
-graph applies the same logic per *phase*: a job whose snapshot is warm
-but whose extraction artifact is not computes only extraction, so only
-genuinely new phases ever cross a process boundary.
+Both backends produce bit-identical summaries and aggregates for the same
+job list (``tests/test_batch.py`` holds this across ``PYTHONHASHSEED``
+values).  Inside a worker the phase graph applies the same warm/cold
+logic per *phase*: a job whose snapshot is warm but whose extraction
+artifact is not computes only extraction.
 """
 
 from __future__ import annotations
@@ -55,32 +50,19 @@ import dataclasses
 import multiprocessing
 import os
 import time
-from concurrent.futures import (
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..aig import AIG
 from ..store import ArtifactStore
 from .phases import PipelinePlan
-from .pipeline import BoolEOptions, BoolEPipeline, BoolEResult
+from .pipeline import BoolEOptions, BoolEPipeline, BoolEResult, PipelineCache
 
 __all__ = [
+    "SCHEDULES",
     "BatchItemPlan",
     "BatchItemResult",
     "BatchJob",
@@ -90,14 +72,19 @@ __all__ = [
     "plan_batch",
 ]
 
-#: Auto-chunking splits the cold-job list into roughly this many chunks
-#: per worker, balancing pickle amortisation against tail latency.
-_CHUNKS_PER_WORKER = 4
+#: The schedule classes :func:`plan_batch` assigns, one per job:
+#: ``error`` (planning failed; run anyway so the failure is reported as
+#: the job's own item), ``duplicate`` (same final key as an earlier job;
+#: its result is cloned), ``inline`` (fully warm against the store right
+#: now; served on the calling thread / the service's front door),
+#: ``dependent`` (restores the saturated prefix an earlier ``pool`` job
+#: writes; starts after that leader) and ``pool`` (starts right away).
+SCHEDULES = ("error", "duplicate", "inline", "dependent", "pool")
 
 #: Test-only fault injection: when this environment variable names a path
-#: that does not exist yet, the first chunk processed by any process
-#: worker creates it and hard-kills the worker (``os._exit``), simulating
-#: an OOM-kill mid-batch.  Used by the requeue tests; never set it in
+#: that does not exist yet, the first job run by any process worker
+#: creates it and hard-kills the worker (``os._exit``), simulating an
+#: OOM-kill mid-batch.  Used by the requeue tests; never set it in
 #: production.
 _KILL_ENV = "_REPRO_BATCH_KILL_WORKER_ONCE"
 
@@ -129,7 +116,7 @@ class BatchItemResult:
         summary: the :meth:`BoolEResult.summary` numbers (empty on failure).
         error: the formatted exception when ``ok`` is False.
         result: the :class:`BoolEResult` when ``keep_results=True`` — the
-            full object on the serial/thread backends and for store-warm
+            full object on the serial backend and for store-warm
             inline jobs, a :meth:`~BoolEResult.lightweight` copy (reports,
             counts, reconstructed netlist; no e-graph) from process
             workers.
@@ -150,8 +137,8 @@ class BatchItemResult:
             key, ran one and cloned the outcome (``result`` is the *same*
             object, deliberately).
         prefix_shared: True when the planner scheduled this job behind a
-            leader that saturates their shared prefix, so this job did
-            extraction-only work.
+            leader that saturates their shared prefix and the job
+            completed by restoring that snapshot (extraction-only work).
     """
 
     name: str
@@ -176,24 +163,20 @@ class BatchItemPlan:
         name: the job's label.
         plan: the job's :class:`~repro.core.phases.PipelinePlan` (``None``
             when planning itself failed — bad options, broken netlist).
-        error: the captured planning failure, if any.  The job is still
-            scheduled cold so execution reports the failure as its own
-            item, exactly as before.
-        duplicate_of: name of the earlier job this one collapses onto
-            (same final content key — interchangeable results).
-        prefix_leader: name of the earlier cold job that will saturate
-            this job's shared prefix; this job is dispatched only after
-            the leader completes and then does extraction-only work.
-        inline: True when the job is warm against the *real* store right
-            now and will be served on the calling thread.
+        error: the captured planning failure, if any.
+        kind: the job's schedule class, one of :data:`SCHEDULES`.
+        leader: for ``duplicate`` the earlier job this one collapses onto,
+            for ``dependent`` the earlier job that saturates the shared
+            prefix; ``None`` otherwise.
+        leader_index: the position of ``leader`` in the plan.
     """
 
     name: str
     plan: Optional[PipelinePlan] = None
     error: Optional[str] = None
-    duplicate_of: Optional[str] = None
-    prefix_leader: Optional[str] = None
-    inline: bool = False
+    kind: str = "pool"
+    leader: Optional[str] = None
+    leader_index: Optional[int] = None
 
     @property
     def final_key(self) -> Optional[str]:
@@ -201,16 +184,12 @@ class BatchItemPlan:
 
     @property
     def schedule(self) -> str:
-        """Human-readable dispatch decision for this job."""
-        if self.error is not None:
-            return "error"
-        if self.duplicate_of is not None:
-            return f"duplicate:{self.duplicate_of}"
-        if self.inline:
-            return "inline"
-        if self.prefix_leader is not None:
-            return f"after:{self.prefix_leader}"
-        return "pool"
+        """Wire form of the schedule (``after:<leader>`` for dependents)."""
+        if self.kind == "duplicate":
+            return f"duplicate:{self.leader}"
+        if self.kind == "dependent":
+            return f"after:{self.leader}"
+        return self.kind
 
     def to_json(self) -> Dict:
         return {
@@ -246,41 +225,42 @@ class BatchPlan:
     def num_jobs(self) -> int:
         return len(self.items)
 
+    def _count(self, *kinds: str) -> int:
+        """Jobs whose schedule class is one of ``kinds``."""
+        return sum(1 for item in self.items if item.kind in kinds)
+
     @property
     def num_warm(self) -> int:
-        """Jobs warm against the real store (served inline, no pool)."""
-        return sum(1 for item in self.items if item.inline)
+        """Jobs fully warm against the real store (served inline)."""
+        return self._count("inline")
 
     @property
     def num_fully_warm(self) -> int:
         """Jobs predicted to execute no phase body at all."""
         return sum(1 for item in self.items
                    if item.plan is not None and item.plan.is_fully_warm
-                   and item.duplicate_of is None)
+                   and item.kind != "duplicate")
 
     @property
     def num_deduped(self) -> int:
         """Jobs collapsed onto an earlier job's identical final key."""
-        return sum(1 for item in self.items
-                   if item.duplicate_of is not None)
+        return self._count("duplicate")
 
     @property
     def num_prefix_shared(self) -> int:
         """Jobs scheduled behind a leader that saturates their prefix."""
-        return sum(1 for item in self.items
-                   if item.prefix_leader is not None)
+        return self._count("dependent")
 
     @property
     def num_cold(self) -> int:
-        """Jobs dispatched to the pool (includes prefix dependents)."""
-        return sum(1 for item in self.items
-                   if item.duplicate_of is None and not item.inline)
+        """Jobs that execute (includes prefix dependents)."""
+        return self._count("error", "dependent", "pool")
 
     @property
     def num_saturations(self) -> int:
         """Distinct saturations the sweep will actually run."""
         return sum(1 for item in self.items
-                   if item.plan is not None and item.duplicate_of is None
+                   if item.plan is not None and item.kind != "duplicate"
                    and not item.plan.predicts_cache_hit)
 
     def summary(self) -> Dict[str, float]:
@@ -447,17 +427,13 @@ class BatchReport:
 # ----------------------------------------------------------------------
 # Worker bodies (module-level so the process backend can pickle them)
 # ----------------------------------------------------------------------
-def _options_cache_key(options: Optional[BoolEOptions]):
-    return None if options is None else options.cache_token()
-
-
-def _run_one(cache: "_PipelineCache", job: BatchJob,
+def _run_one(cache: PipelineCache, job: BatchJob,
              keep_result: bool, lighten: bool) -> BatchItemResult:
     """Run one job, capturing any failure.
 
     Pipeline construction happens *inside* the capture: a job whose
     options are invalid (bad refine_rounds, conflicting match caps) must
-    fail alone, never abort the batch or take its chunk-mates with it.
+    fail alone, never abort the batch.
     """
     start = time.perf_counter()
     try:
@@ -481,33 +457,6 @@ def _run_one(cache: "_PipelineCache", job: BatchJob,
         resumed_phase=result.resumed_phase)
 
 
-class _PipelineCache:
-    """One pipeline per distinct options object, store handle shared.
-
-    Reusing a pipeline reuses its parsed rulesets and memoized
-    options/ruleset fingerprints — in a process worker that means the
-    read-only ruleset initialisation happens once per worker instead of
-    once per job.
-    """
-
-    def __init__(self, default_options: Optional[BoolEOptions],
-                 store_root: Optional[str]) -> None:
-        self.default_options = default_options
-        self.store_root = store_root
-        self.store = (ArtifactStore(store_root)
-                      if store_root is not None else None)
-        self._pipelines: Dict[object, BoolEPipeline] = {}
-
-    def pipeline_for(self, options: Optional[BoolEOptions]) -> BoolEPipeline:
-        options = options or self.default_options
-        key = _options_cache_key(options)
-        pipeline = self._pipelines.get(key)
-        if pipeline is None:
-            pipeline = BoolEPipeline(options, store=self.store)
-            self._pipelines[key] = pipeline
-        return pipeline
-
-
 #: Per-process worker state, filled by :func:`_process_worker_init`.
 _WORKER: Dict[str, object] = {}
 
@@ -523,7 +472,7 @@ def _process_worker_init(store_root: Optional[str],
     the test-only kill switch, resolved in the *parent* because the
     forkserver daemon freezes its environment when it starts.
     """
-    cache = _PipelineCache(default_options, store_root)
+    cache = PipelineCache(default_options, store_root)
     cache.pipeline_for(None)
     _WORKER["cache"] = cache
     _WORKER["fault_marker"] = fault_marker
@@ -542,27 +491,10 @@ def _maybe_inject_worker_fault() -> None:
     os._exit(17)
 
 
-def _run_process_chunk(jobs: List[BatchJob],
-                       keep_results: bool) -> List[BatchItemResult]:
-    """Worker body: run a chunk of jobs against the per-worker cache."""
+def _run_process_job(job: BatchJob, keep_results: bool) -> BatchItemResult:
+    """Worker body: run one job against the per-worker pipeline cache."""
     _maybe_inject_worker_fault()
-    cache = _WORKER["cache"]
-    return [_run_one(cache, job, keep_results, lighten=True)
-            for job in jobs]
-
-
-def _run_thread_job(job: BatchJob, default_options: Optional[BoolEOptions],
-                    keep_result: bool,
-                    store_root: Optional[str]) -> BatchItemResult:
-    """Thread-pool body: per-job cache (rulesets are not shared between
-    concurrently running saturations)."""
-    cache = _PipelineCache(default_options, store_root)
-    return _run_one(cache, job, keep_result, lighten=False)
-
-
-def _chunked(indices: Sequence[int], size: int) -> List[List[int]]:
-    return [list(indices[start:start + size])
-            for start in range(0, len(indices), size)]
+    return _run_one(_WORKER["cache"], job, keep_results, lighten=True)
 
 
 def plan_batch(jobs: Sequence[BatchJob],
@@ -571,14 +503,16 @@ def plan_batch(jobs: Sequence[BatchJob],
                store: Optional[ArtifactStore]) -> BatchPlan:
     """Plan a job list with the prefix-sharing store overlay.
 
-    The shared scheduling brain of :meth:`BatchPipeline.plan` and the
-    service's ``JobService.submit_sweep``: jobs are planned in submission
+    The one place a job's schedule is decided, for
+    :meth:`BatchPipeline.run` and the service's
+    ``JobService.submit_sweep`` alike: jobs are planned in submission
     order against one read of the store index *plus* an overlay of what
-    earlier planned jobs will have written, so a sweep sharing one
-    saturated prefix plans as one cold leader and N-1 dependents, and
-    jobs collapsing onto the same final content key are marked as
-    duplicates of the first.  ``pipeline_for`` maps a job's options to a
-    (cached) :class:`BoolEPipeline`; the store is only probed read-only.
+    earlier planned jobs will have written, and each gets one class of
+    :data:`SCHEDULES`.  A sweep sharing one saturated prefix plans as one
+    ``pool`` leader and N-1 ``dependent`` jobs; jobs collapsing onto the
+    same final content key are ``duplicate`` of the first.
+    ``pipeline_for`` maps a job's options to a (cached)
+    :class:`BoolEPipeline`; the store is only probed read-only.
     """
     started = time.perf_counter()
     batch = BatchPlan()
@@ -587,10 +521,10 @@ def plan_batch(jobs: Sequence[BatchJob],
     # a later job runs: later plans see their predecessors' warmth.
     overlay_writes: set = set()
     overlay_deletes: set = set()
-    # base_key → name of the cold job that will write it first.
-    prefix_writer: Dict[str, str] = {}
-    seen_final: Dict[str, str] = {}
-    for job in jobs:
+    # base_key → index of the pool job that will write it first.
+    prefix_writer: Dict[str, int] = {}
+    seen_final: Dict[str, int] = {}
+    for index, job in enumerate(jobs):
         try:
             pipeline = pipeline_for(job.options)
             plan = pipeline.plan(
@@ -599,39 +533,40 @@ def plan_batch(jobs: Sequence[BatchJob],
                 assume_absent=tuple(sorted(overlay_deletes)),
                 kinds=kinds)
         except Exception as error:  # noqa: BLE001 - bad options/netlist
-            # Schedule it cold; the worker-side capture turns the
-            # same failure into this job's own error item.
+            # Run it anyway; the worker-side capture turns the same
+            # failure into this job's own error item.
             batch.items.append(BatchItemPlan(
-                name=job.name,
+                name=job.name, kind="error",
                 error=f"{type(error).__name__}: {error}"))
             continue
         item = BatchItemPlan(name=job.name, plan=plan)
+        batch.items.append(item)
         final_key = plan.final_key
         canonical = seen_final.get(final_key) if final_key else None
         if canonical is not None:
             # Same final content key: interchangeable results.  No
             # overlay updates — the canonical job already made them.
-            item.duplicate_of = canonical
-            batch.items.append(item)
+            item.kind = "duplicate"
+            item.leader, item.leader_index = jobs[canonical].name, canonical
             continue
         if final_key:
-            seen_final[final_key] = job.name
-        if plan.predicts_cache_hit:
-            leader = (prefix_writer.get(plan.base_key)
-                      if plan.base_key else None)
-            if leader is not None:
-                # Warm only via the overlay: the prefix does not
-                # exist yet — its writer must run first.
-                item.prefix_leader = leader
-            else:
-                item.inline = True
+            seen_final[final_key] = index
+        leader = (prefix_writer.get(plan.base_key)
+                  if plan.base_key and plan.predicts_cache_hit else None)
+        if leader is not None:
+            # Warm only via the overlay: the prefix does not exist yet —
+            # its writer must run first.  Checked before warmth, which is
+            # judged against the overlay too.
+            item.kind = "dependent"
+            item.leader, item.leader_index = jobs[leader].name, leader
+        elif plan.is_fully_warm:
+            item.kind = "inline"
         if store is not None:
             overlay_writes.update(plan.planned_writes)
             overlay_deletes.update(plan.planned_deletes)
             if (plan.base_key and plan.base_key in plan.planned_writes
                     and plan.base_key not in prefix_writer):
-                prefix_writer[plan.base_key] = job.name
-        batch.items.append(item)
+                prefix_writer[plan.base_key] = index
     batch.plan_seconds = time.perf_counter() - started
     return batch
 
@@ -647,19 +582,17 @@ class BatchPipeline:
 
     Args:
         options: default :class:`BoolEOptions` for jobs that carry none.
-        max_workers: pool size (``None`` = executor default; ignored by
-            the serial backend).
-        executor: ``"process"`` (default), ``"thread"`` or ``"serial"``
-            (see module docstring).
+        max_workers: pool size (``None`` = one per CPU, at most one per
+            job; ignored by the serial backend).
+        executor: ``"process"`` (default) or ``"serial"`` (see module
+            docstring).
         keep_results: attach a :class:`BoolEResult` to each item — the
-            full object on serial/thread, a lightweight copy (reports +
-            counts + reconstructed netlist, no e-graph) from process
-            workers.
+            full object on serial and for inline jobs, a lightweight copy
+            (reports + counts + reconstructed netlist, no e-graph) from
+            process workers.
         store: artifact store (or its directory path) consulted before
-            dispatch; jobs with a warm saturated snapshot bypass the pool
-            entirely, and pool workers reuse the store per phase.
-        chunk_size: jobs per process-pool submission (``None`` = automatic
-            from the batch and pool size).
+            dispatch; fully warm jobs bypass the pool entirely, and pool
+            workers reuse the store per phase.
         retries: times a broken process pool is rebuilt and the undone
             jobs requeued before they are reported as failures.
     """
@@ -669,17 +602,13 @@ class BatchPipeline:
                  executor: str = "process",
                  keep_results: bool = True,
                  store: Union[ArtifactStore, str, Path, None] = None,
-                 chunk_size: Optional[int] = None,
                  retries: int = 1) -> None:
-        if executor not in ("serial", "thread", "process"):
+        if executor not in ("serial", "process"):
             raise ValueError(f"unknown executor backend {executor!r}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         self.options = options
         self.max_workers = max_workers
         self.executor = executor
         self.keep_results = keep_results
-        self.chunk_size = chunk_size
         self.retries = max(0, retries)
         if isinstance(store, ArtifactStore):
             self.store_root: Optional[str] = str(store.root)
@@ -693,15 +622,13 @@ class BatchPipeline:
         """Plan the whole sweep up front, executing nothing.
 
         Every job gets a :class:`~repro.core.phases.PipelinePlan`
-        (per-phase keys + warm/cold classifications against the store);
-        on top, jobs collapsing to the same final key are marked as
-        duplicates and jobs whose saturated prefix an earlier cold job
-        will produce are folded behind that leader.  The store is only
+        (per-phase keys + warm/cold classifications against the store)
+        and a schedule class (see :func:`plan_batch`).  The store is only
         probed read-only — a plan never mutates anything.
         """
         normalized = [self._normalize(job, index)
                       for index, job in enumerate(jobs)]
-        cache = _PipelineCache(self.options, self.store_root)
+        cache = PipelineCache(self.options, self.store_root)
         return plan_batch(normalized, cache.pipeline_for, cache.store)
 
     def run(self, jobs: Iterable[Union[BatchJob, AIG]]) -> BatchReport:
@@ -711,12 +638,11 @@ class BatchPipeline:
         AIG (falling back to their position in the batch).  Item order in
         the report matches submission order regardless of completion order.
 
-        Scheduling is plan-driven (:meth:`plan`): warm jobs are served
-        inline on this thread while the pool works on the cold ones;
-        jobs collapsing to the same final key execute once and share the
-        result; and jobs whose saturated prefix a cold leader produces
-        are dispatched in a second wave after the leaders finish, so a
-        shared prefix is saturated exactly once per sweep.
+        Scheduling follows the plan (:meth:`plan`): inline jobs are served
+        on this thread while the pool works on the rest, duplicates share
+        their canonical job's result, and each dependent starts once its
+        prefix leader has finished, so a shared prefix is saturated
+        exactly once per sweep.
         """
         normalized = [self._normalize(job, index)
                       for index, job in enumerate(jobs)]
@@ -725,203 +651,148 @@ class BatchPipeline:
             return report
 
         start = time.perf_counter()
-        results: Dict[int, BatchItemResult] = {}
-        probe_cache = _PipelineCache(self.options, self.store_root)
-        plan = plan_batch(normalized, probe_cache.pipeline_for,
-                          probe_cache.store)
+        cache = PipelineCache(self.options, self.store_root)
+        plan = plan_batch(normalized, cache.pipeline_for, cache.store)
         report.plan = plan
-
-        inline: List[int] = []
-        wave1: List[int] = []
-        wave2: List[int] = []
-        duplicates: Dict[int, int] = {}
-        final_to_index: Dict[str, int] = {}
-        for index, item in enumerate(plan.items):
-            final_key = item.final_key
-            if item.duplicate_of is not None and final_key:
-                duplicates[index] = final_to_index[final_key]
-                continue
-            if final_key:
-                final_to_index[final_key] = index
-            if item.inline:
-                inline.append(index)
-            elif item.prefix_leader is not None:
-                wave2.append(index)
-            else:
-                wave1.append(index)
-
         if self.executor == "serial":
-            for index in inline + wave1 + wave2:
-                results[index] = _run_one(probe_cache, normalized[index],
-                                          self.keep_results, lighten=False)
-        elif self.executor == "thread":
-            self._run_thread(normalized, inline, wave1, wave2, results,
-                             probe_cache)
+            results = {index: self._run_here(cache, normalized[index])
+                       for index, item in enumerate(plan.items)
+                       if item.kind != "duplicate"}
         else:
-            self._run_process(normalized, inline, wave1, wave2, results,
-                              probe_cache)
+            results = self._run_process(normalized, plan, cache)
 
-        for index in wave2:
-            result = results.get(index)
-            if result is not None:
-                result.prefix_shared = True
-        for index, canonical in duplicates.items():
-            source = results[canonical]
-            # The result object is shared on purpose (satellite contract:
-            # both items carry the one execution's result); only the
-            # per-item identity fields are fresh.
-            results[index] = dataclasses.replace(
-                source,
-                name=normalized[index].name,
-                summary=dict(source.summary),
-                deduped_from=source.name)
+        for index, item in enumerate(plan.items):
+            if item.kind == "dependent":
+                # Only a dependent that really restored its leader's
+                # prefix shared it; a failed one, or one whose leader
+                # failed, saturated for itself or not at all.
+                result = results[index]
+                result.prefix_shared = result.ok and result.cached
+            elif item.kind == "duplicate":
+                source = results[item.leader_index]
+                # The result object is shared on purpose (both items
+                # carry the one execution's result); only the per-item
+                # identity fields are fresh.
+                results[index] = dataclasses.replace(
+                    source,
+                    name=normalized[index].name,
+                    summary=dict(source.summary),
+                    deduped_from=source.name)
 
         report.items = [results[index] for index in range(len(normalized))]
         report.wall_time = time.perf_counter() - start
         return report
 
     # ------------------------------------------------------------------
-    def _serve_inline(self, normalized: List[BatchJob], inline: List[int],
-                      results: Dict[int, BatchItemResult],
-                      probe_cache: _PipelineCache) -> None:
-        """Serve store-warm jobs on the calling thread."""
-        for index in inline:
-            results[index] = _run_one(probe_cache, normalized[index],
-                                      self.keep_results, lighten=False)
+    def _run_here(self, cache: PipelineCache, job: BatchJob
+                  ) -> BatchItemResult:
+        """Run one job on the calling thread."""
+        return _run_one(cache, job, self.keep_results, lighten=False)
 
-    def _run_thread(self, normalized: List[BatchJob], inline: List[int],
-                    wave1: List[int], wave2: List[int],
-                    results: Dict[int, BatchItemResult],
-                    probe_cache: _PipelineCache) -> None:
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            # Wave 2 (prefix dependents) is submitted only after wave 1
-            # completes: the leaders must have persisted the shared
-            # saturated artifacts the dependents restore from.
-            for wave_index, wave in enumerate((wave1, wave2)):
-                futures: Dict[Future, int] = {
-                    pool.submit(_run_thread_job, normalized[index],
-                                self.options, self.keep_results,
-                                self.store_root): index
-                    for index in wave}
-                if wave_index == 0:
-                    # Cached jobs are served while the pool chews on the
-                    # misses.
-                    self._serve_inline(normalized, inline, results,
-                                       probe_cache)
-                for future in as_completed(futures):
-                    index = futures[future]
-                    try:
-                        results[index] = future.result()
-                    except Exception as error:  # noqa: BLE001 - crashed
-                        results[index] = BatchItemResult(
-                            name=normalized[index].name, ok=False,
-                            error=f"{type(error).__name__}: {error}")
+    def _run_process(self, jobs: List[BatchJob], plan: BatchPlan,
+                     cache: PipelineCache) -> Dict[int, BatchItemResult]:
+        """Drain the plan on a process pool, rebuilding it if it breaks.
 
-    def _pool_size(self, pending: int) -> int:
-        if self.max_workers is not None:
-            return self.max_workers
-        return min(pending, os.cpu_count() or 1)
-
-    def _chunk_size_for(self, pending: int, workers: int) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
-        return max(1, pending // max(1, workers * _CHUNKS_PER_WORKER))
-
-    def _run_process(self, normalized: List[BatchJob], inline: List[int],
-                     wave1: List[int], wave2: List[int],
-                     results: Dict[int, BatchItemResult],
-                     probe_cache: _PipelineCache) -> None:
+        Inline jobs are served on this thread while the first pool works.
+        After a pool break everything undone is requeued on a fresh pool:
+        a finished leader already warmed the store for its dependents, and
+        a failed one just means they saturate for themselves.
+        """
+        results: Dict[int, BatchItemResult] = {}
+        inline = [index for index, item in enumerate(plan.items)
+                  if item.kind == "inline"]
+        pooled = [index for index, item in enumerate(plan.items)
+                  if item.kind in ("error", "dependent", "pool")]
         method = ("forkserver" if "forkserver"
                   in multiprocessing.get_all_start_methods() else "spawn")
         mp_context = multiprocessing.get_context(method)
-        # Wave 2 (prefix dependents) is dispatched only after wave 1: the
-        # leaders must have persisted the shared saturated artifacts the
-        # dependents restore from.  After a pool break everything still
-        # pending is lumped into one wave — finished leaders already
-        # warmed the store, and an unfinished one just means its
-        # dependents saturate for themselves on retry.
-        waves: List[List[int]] = [list(wave1), list(wave2)]
         attempt = 0
-        served_inline = False
         while True:
-            pending = [index for wave in waves for index in wave
-                       if index not in results]
+            pending = [index for index in pooled if index not in results]
             if not pending:
-                if not served_inline:
-                    self._serve_inline(normalized, inline, results,
-                                       probe_cache)
-                return
-            workers = self._pool_size(len(pending))
-            chunk_size = self._chunk_size_for(len(pending), workers)
-            try:
-                with ProcessPoolExecutor(
-                        max_workers=workers,
-                        mp_context=mp_context,
-                        initializer=_process_worker_init,
-                        initargs=(self.store_root, self.options,
-                                  os.environ.get(_KILL_ENV))) as pool:
-                    for wave in waves:
-                        todo = [index for index in wave
-                                if index not in results]
-                        futures: Dict[Future, List[int]] = {
-                            pool.submit(_run_process_chunk,
-                                        [normalized[i] for i in chunk],
-                                        self.keep_results): chunk
-                            for chunk in _chunked(todo, chunk_size)}
-                        if not served_inline:
-                            # Cached jobs are served while the pool chews
-                            # on the misses.
-                            self._serve_inline(normalized, inline, results,
-                                               probe_cache)
-                            served_inline = True
-                        broken = False
-                        for future in as_completed(futures):
-                            chunk = futures[future]
-                            try:
-                                items = future.result()
-                            except BrokenProcessPool:
-                                broken = True
-                                continue  # requeued below
-                            except Exception as error:  # noqa: BLE001
-                                for index in chunk:
-                                    results[index] = BatchItemResult(
-                                        name=normalized[index].name,
-                                        ok=False,
-                                        error=(f"{type(error).__name__}: "
-                                               f"{error}"),
-                                        attempts=attempt + 1)
-                                continue
-                            for index, item in zip(chunk, items):
-                                item.attempts = attempt + 1
-                                results[index] = item
-                        if broken:
-                            # Don't dispatch the next wave on a dead
-                            # pool; rebuild and requeue instead.
-                            raise BrokenProcessPool(
-                                "worker pool broke mid-wave")
-            except BrokenProcessPool:
-                pass
-            pending = [index for wave in waves for index in wave
-                       if index not in results]
-            if not pending:
-                continue  # loop exits at the top
-            # A worker died hard and took its chunk(s) with it: rebuild
-            # the pool and requeue.  With a store configured the retried
-            # jobs resume from the phase artifacts and checkpoints the
-            # dead worker already persisted.
-            attempt += 1
+                break
             if attempt > self.retries:
                 for index in pending:
                     results[index] = BatchItemResult(
-                        name=normalized[index].name, ok=False,
+                        name=jobs[index].name, ok=False,
                         error="worker process pool broke "
                               f"(after {attempt} attempt(s))",
                         attempts=attempt)
-                if not served_inline:
-                    self._serve_inline(normalized, inline, results,
-                                       probe_cache)
+                break
+            attempt += 1
+            workers = self.max_workers or min(len(pending),
+                                              os.cpu_count() or 1)
+            with ProcessPoolExecutor(
+                    max_workers=workers,
+                    mp_context=mp_context,
+                    initializer=_process_worker_init,
+                    initargs=(self.store_root, self.options,
+                              os.environ.get(_KILL_ENV))) as pool:
+                self._drain(pool, jobs, plan, pending, attempt, results,
+                            inline, cache)
+            inline = []
+        for index in inline:  # nothing went to the pool
+            results[index] = self._run_here(cache, jobs[index])
+        return results
+
+    def _drain(self, pool: ProcessPoolExecutor, jobs: List[BatchJob],
+               plan: BatchPlan, pending: List[int], attempt: int,
+               results: Dict[int, BatchItemResult], inline: List[int],
+               cache: PipelineCache) -> None:
+        """Submit ``pending`` in dependency order and collect the results.
+
+        A dependent whose leader is still pending waits for the leader's
+        future; everything else is submitted at once.  Between inline jobs
+        (served on this thread) finished futures are collected, so a
+        dependent is released as soon as its leader resolves.  Once the pool
+        breaks nothing more is submitted: the remaining futures fail fast
+        and the caller requeues whatever has no result.
+        """
+        futures: Dict[Future, int] = {}
+        waiting: Dict[int, List[int]] = {}
+        broken = False
+
+        def submit(index: int) -> None:
+            nonlocal broken
+            if broken:
                 return
-            waves = [pending]
+            try:
+                futures[pool.submit(_run_process_job, jobs[index],
+                                    self.keep_results)] = index
+            except BrokenProcessPool:
+                broken = True
+
+        def collect(done: Iterable[Future]) -> None:
+            nonlocal broken
+            for future in done:
+                index = futures.pop(future)
+                try:
+                    item_result = future.result()
+                except BrokenProcessPool:
+                    broken = True
+                    continue
+                except Exception as error:  # noqa: BLE001 - pickling etc.
+                    item_result = BatchItemResult(
+                        name=jobs[index].name, ok=False,
+                        error=f"{type(error).__name__}: {error}")
+                item_result.attempts = attempt
+                results[index] = item_result
+                for dependent in waiting.pop(index, []):
+                    submit(dependent)
+
+        todo = set(pending)
+        for index in pending:
+            item = plan.items[index]
+            if item.kind == "dependent" and item.leader_index in todo:
+                waiting.setdefault(item.leader_index, []).append(index)
+            else:
+                submit(index)
+        for index in inline:
+            results[index] = self._run_here(cache, jobs[index])
+            # Release the dependents of leaders that finished meanwhile.
+            collect(wait(futures, timeout=0).done)
+        while futures:
+            collect(wait(futures, return_when=FIRST_COMPLETED).done)
 
     @staticmethod
     def _normalize(job: Union[BatchJob, AIG], index: int) -> BatchJob:

@@ -56,7 +56,8 @@ from .phases import PhaseContext, PhaseGraph, PipelinePlan, boole_phases
 from .rules_basic import basic_rules
 from .rules_xor_maj import identification_rules
 
-__all__ = ["BoolEOptions", "BoolEResult", "BoolEPipeline", "run_boole"]
+__all__ = ["BoolEOptions", "BoolEResult", "BoolEPipeline", "PipelineCache",
+           "run_boole"]
 
 #: Default initial per-rule match budget of the pipeline (wider than the
 #: raw :class:`RunnerLimits` default because the R2 identification rules
@@ -460,6 +461,34 @@ def _as_store(store: Union[ArtifactStore, str, Path, None]
     if store is None or isinstance(store, ArtifactStore):
         return store
     return ArtifactStore(store)
+
+
+class PipelineCache:
+    """One :class:`BoolEPipeline` per distinct options, one shared store.
+
+    Keyed on :meth:`BoolEOptions.cache_token`.  Reusing a pipeline reuses
+    its parsed rulesets and memoized options/ruleset fingerprints, so the
+    batch planner, every batch worker process and the service's front
+    door pay that read-only set-up once per options set, not per job.
+    """
+
+    def __init__(self, defaults: Optional[BoolEOptions] = None,
+                 store: Union[ArtifactStore, str, Path, None] = None
+                 ) -> None:
+        self.defaults = defaults if defaults is not None else BoolEOptions()
+        self.store = _as_store(store)
+        self._pipelines: Dict[Tuple[object, ...], BoolEPipeline] = {}
+
+    def pipeline_for(self, options: Optional[BoolEOptions] = None
+                     ) -> BoolEPipeline:
+        """The cached pipeline for ``options`` (``None`` = the defaults)."""
+        resolved = options if options is not None else self.defaults
+        token = resolved.cache_token()
+        pipeline = self._pipelines.get(token)
+        if pipeline is None:
+            pipeline = BoolEPipeline(resolved, store=self.store)
+            self._pipelines[token] = pipeline
+        return pipeline
 
 
 def run_boole(aig: AIG, options: Optional[BoolEOptions] = None, *,

@@ -31,13 +31,21 @@ from __future__ import annotations
 
 import dataclasses
 import time
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..aig import AIG
-from ..core import BatchJob, BatchPlan, BoolEOptions, BoolEPipeline, \
-    plan_batch
+from ..core import (
+    SCHEDULES,
+    BatchJob,
+    BatchPlan,
+    BoolEOptions,
+    BoolEPipeline,
+    PipelineCache,
+    plan_batch,
+)
 from ..core.phases import PipelinePlan
 from ..store import (
     KIND_CHECKPOINT,
@@ -71,10 +79,9 @@ SWEEP_DONE = "done"
 SWEEP_FAILED = "failed"
 SWEEP_TERMINAL_STATES = frozenset({SWEEP_DONE, SWEEP_FAILED})
 
-#: Schedule classes a sweep item can land in: served inline from the
-#: warm store, queued as an independent cold leader, queued behind a
-#: prefix leader (dependency-gated), or collapsed onto a canonical job.
-SWEEP_SCHEDULES = ("inline", "pool", "dependent", "duplicate")
+#: Schedule classes a sweep item can land in — :data:`repro.core.SCHEDULES`
+#: minus ``error`` (a member that fails to plan rejects the whole sweep).
+SWEEP_SCHEDULES = tuple(kind for kind in SCHEDULES if kind != "error")
 
 #: Netlist generators a spec may name instead of shipping an AIG.
 SPEC_ARCHES = ("rca", "csa", "booth", "wallace")
@@ -84,9 +91,37 @@ _MAX_WIDTH = 64
 #: client error, not a fleet-sized denial of service.
 _MAX_SWEEP_JOBS = 256
 
-#: BoolEOptions fields a spec may override over the wire.
-_OPTION_FIELDS = frozenset(
-    spec_field.name for spec_field in dataclasses.fields(BoolEOptions))
+def _wire_types(hint: object) -> Tuple[type, ...]:
+    """The JSON value types a ``BoolEOptions`` field annotation accepts."""
+    args = typing.get_args(hint)
+    accepted = args if args else (hint,)
+    if float in accepted:
+        accepted = accepted + (int,)
+    return tuple(kind for kind in accepted if isinstance(kind, type))
+
+
+#: BoolEOptions fields a spec may override over the wire, with the JSON
+#: value types each accepts (``NoneType`` for the optional ones).
+_OPTION_TYPES: Dict[str, Tuple[type, ...]] = {
+    name: _wire_types(hint)
+    for name, hint in typing.get_type_hints(BoolEOptions).items()}
+
+
+def _check_options(options: Dict) -> None:
+    """Reject unknown fields and mistyped or invalid option values."""
+    unknown = sorted(set(options) - set(_OPTION_TYPES))
+    if unknown:
+        raise ValueError(f"unknown option fields: {', '.join(unknown)}")
+    for name, value in sorted(options.items()):
+        accepted = _OPTION_TYPES[name]
+        # bool is an int subclass, but true is not an iteration budget.
+        if not isinstance(value, accepted) or (
+                isinstance(value, bool) and bool not in accepted):
+            kinds = " or ".join(sorted(
+                "null" if kind is type(None) else kind.__name__
+                for kind in accepted))
+            raise ValueError(f"option {name} must be {kinds}")
+    BoolEOptions(**options)  # the range checks of __post_init__
 
 
 def job_key(final_key: str) -> str:
@@ -166,9 +201,7 @@ class JobSpec:
         options = request.get("options", {})
         if not isinstance(options, dict):
             raise ValueError("options must be an object")
-        unknown = sorted(set(options) - _OPTION_FIELDS)
-        if unknown:
-            raise ValueError(f"unknown option fields: {', '.join(unknown)}")
+        _check_options(options)
         name = request.get("name", "")
         if not isinstance(name, str):
             raise ValueError("name must be a string")
@@ -179,8 +212,12 @@ class JobSpec:
                 raise ValueError("aig must be a wire object")
             # Round-trip now so malformed netlists fail at submission,
             # not inside a worker.
-            aig = aig_from_wire(wire)
-            return cls(aig_wire=aig_to_wire(aig), options=dict(options),
+            try:
+                aig_wire = aig_to_wire(aig_from_wire(wire))
+            except (KeyError, TypeError, ValueError) as error:
+                raise ValueError(f"malformed aig wire: "
+                                 f"{type(error).__name__}: {error}") from None
+            return cls(aig_wire=aig_wire, options=dict(options),
                        name=name or "submitted-aig")
 
         arch = request.get("arch")
@@ -487,31 +524,13 @@ class JobService:
         self.store = (store if isinstance(store, ArtifactStore)
                       else ArtifactStore(store))
         self.defaults = options if options is not None else BoolEOptions()
-        self._pipelines: Dict[Tuple[object, ...], BoolEPipeline] = {}
+        self.pipelines = PipelineCache(self.defaults, self.store)
 
     # ------------------------------------------------------------------
     # Pipeline / planning
     # ------------------------------------------------------------------
-    def pipeline_for_options(self,
-                             options: Optional[BoolEOptions]
-                             ) -> BoolEPipeline:
-        """One cached pipeline per distinct resolved options object.
-
-        Keyed on :meth:`~repro.core.BoolEOptions.cache_token`, the same
-        identity the batch overlay planner uses, so sweep planning and
-        single-job submission share pipelines (and their parsed rulesets
-        and memoized fingerprints).
-        """
-        resolved = options if options is not None else self.defaults
-        token = resolved.cache_token()
-        pipeline = self._pipelines.get(token)
-        if pipeline is None:
-            pipeline = BoolEPipeline(resolved, store=self.store)
-            self._pipelines[token] = pipeline
-        return pipeline
-
     def pipeline_for(self, spec: JobSpec) -> BoolEPipeline:
-        return self.pipeline_for_options(spec.build_options(self.defaults))
+        return self.pipelines.pipeline_for(spec.build_options(self.defaults))
 
     def plan_spec(self, spec: JobSpec,
                   aig: Optional[AIG] = None
@@ -749,15 +768,17 @@ class JobService:
                    ) -> Tuple[List[BatchJob], BatchPlan]:
         """Batch-plan the specs: one store-index read plus the overlay.
 
-        Delegates to :func:`repro.core.plan_batch` — the same scheduling
-        brain :class:`~repro.core.BatchPipeline` uses in-process — with
-        this service's pipeline cache, so a sweep sharing one saturated
-        prefix plans as one cold leader and N-1 dependents.
+        Delegates to :func:`repro.core.plan_batch` — which decides every
+        job's schedule class for :class:`~repro.core.BatchPipeline` too —
+        with this service's pipeline cache, so a sweep sharing one
+        saturated prefix plans as one ``pool`` leader and N-1
+        ``dependent`` jobs.
         """
         jobs = [BatchJob(name=spec.name, aig=spec.build_aig(),
                          options=spec.build_options(self.defaults))
                 for spec in specs]
-        return jobs, plan_batch(jobs, self.pipeline_for_options, self.store)
+        return jobs, plan_batch(jobs, self.pipelines.pipeline_for,
+                                self.store)
 
     def _enqueue_sweep_member(self, spec: JobSpec, plan: PipelinePlan,
                               now: float, *, sweep_id: str,
@@ -794,8 +815,8 @@ class JobService:
     def submit_sweep(self, request: Dict) -> Dict:
         """Plan a whole sweep once, server-side, and materialise it.
 
-        The batch overlay planner classifies every member against one
-        read of the store index; the classification *is* the schedule:
+        :func:`repro.core.plan_batch` classifies every member against one
+        read of the store index; its schedule class *is* the schedule:
 
         * ``inline`` — fully warm against the store right now, served on
           the front door (one snapshot load, no worker);
@@ -831,21 +852,16 @@ class JobService:
             if item_plan is None:  # pragma: no cover - errors raised above
                 raise RuntimeError(f"missing plan for {item.name}")
             final_key = finals[item.name]
+            schedule = item.kind
             depends_on: List[str] = []
-            if item.duplicate_of is not None:
-                # Same final key as the canonical member — same job id,
-                # so its record (and result) is already the dedup target.
-                schedule = "duplicate"
-            elif item_plan.is_fully_warm:
-                schedule = "inline"
+            if schedule == "inline":
                 self._serve_warm(spec, job.aig, item_plan, now,
                                  sweep_id=sweep_id)
-            else:
-                if item.prefix_leader is not None:
-                    schedule = "dependent"
-                    depends_on = [finals[item.prefix_leader]]
-                else:
-                    schedule = "pool"
+            elif schedule != "duplicate":
+                # A duplicate has the canonical member's final key — the
+                # same job id, so that record is already its dedup target.
+                if item.leader is not None:
+                    depends_on = [finals[item.leader]]
                 self._enqueue_sweep_member(
                     spec, item_plan, now, sweep_id=sweep_id,
                     depends_on=depends_on, priority=job_priority,

@@ -45,6 +45,10 @@ _MAX_BODY = 32 * 1024 * 1024
 _MAX_HEADER_LINE = 64 * 1024
 #: Most header lines one request may carry.
 _MAX_HEADERS = 100
+#: Seconds a client gets to send its whole request (head and body); a
+#: client that stalls longer is answered 408 and disconnected, so it
+#: cannot hold a handler open indefinitely.
+_READ_TIMEOUT = 30.0
 
 #: How often the events endpoint re-reads the job record.
 _EVENT_POLL_SECONDS = 0.2
@@ -52,7 +56,8 @@ _EVENT_POLL_SECONDS = 0.2
 _EVENT_STREAM_TIMEOUT = 300.0
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            405: "Method Not Allowed", 413: "Payload Too Large",
+            405: "Method Not Allowed", 408: "Request Timeout",
+            413: "Payload Too Large",
             500: "Internal Server Error"}
 
 
@@ -139,11 +144,15 @@ class ServiceServer:
                                  writer: asyncio.StreamWriter) -> None:
         try:
             try:
-                method, path, headers = await self._read_head(reader)
-                body = await self._read_body(reader, headers)
+                method, path, body = await asyncio.wait_for(
+                    self._read_request(reader), _READ_TIMEOUT)
             except _BadRequest as error:
                 await self._send_json(writer, error.status,
                                       {"error": str(error)})
+                return
+            except asyncio.TimeoutError:
+                await self._send_json(writer, 408,
+                                      {"error": "request timed out"})
                 return
             except (asyncio.IncompleteReadError, ConnectionError):
                 return
@@ -165,6 +174,11 @@ class ServiceServer:
             # The stream limit is _MAX_HEADER_LINE: readline reports an
             # over-long line as ValueError (after discarding it).
             raise _BadRequest("header line too long") from None
+
+    async def _read_request(self, reader: asyncio.StreamReader
+                            ) -> Tuple[str, str, bytes]:
+        method, path, headers = await self._read_head(reader)
+        return method, path, await self._read_body(reader, headers)
 
     async def _read_head(self, reader: asyncio.StreamReader
                          ) -> Tuple[str, str, Dict]:

@@ -1,10 +1,11 @@
 """Tests for the BatchPipeline driver.
 
-Covers the three executor backends (serial / thread / process), the
-lightweight-result contract of the process backend (``keep_results`` is
-no longer silently disabled — workers ship reports + counts + the
-reconstructed netlist, just not the e-graph), chunked submission,
-broken-pool requeue, and the headline determinism property: all three
+Covers the two executor backends (serial / process), the lightweight-
+result contract of the process backend (workers ship reports + counts +
+the reconstructed netlist, just not the e-graph), the dependency-gated
+drain of the plan (each dependent starts as soon as its own leader
+finishes; snapshot-warm, extraction-cold jobs run on the pool),
+broken-pool requeue, and the headline determinism property: both
 backends produce bit-identical report aggregates for the same job list,
 across ``PYTHONHASHSEED`` values (subprocess cases).
 """
@@ -24,8 +25,9 @@ from repro.core import (
     BoolEOptions,
     BoolEPipeline,
 )
-from repro.core.batch import _chunked
 from repro.generators import csa_multiplier, ripple_carry_adder
+from repro.opt import post_mapping_flow
+from repro.store import ArtifactStore
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -42,15 +44,14 @@ def small_jobs():
 
 class TestBatchPipeline:
     def test_batch_matches_serial_results(self):
-        report = BatchPipeline(max_workers=2, executor="thread").run(
-            small_jobs())
+        report = BatchPipeline(executor="serial").run(small_jobs())
         assert report.num_failed == 0
         assert [item.name for item in report.items] == ["rca3", "rca4", "csa2"]
         serial = BoolEPipeline(FAST).run(ripple_carry_adder(4)[0])
         batch = report.item("rca4")
         assert batch.summary["exact_fas"] == serial.summary()["exact_fas"]
         assert batch.summary["paired_fas"] == serial.summary()["paired_fas"]
-        assert batch.result is not None  # thread backend keeps full results
+        assert batch.result is not None  # serial backend keeps full results
         assert batch.result.construction is not None
 
     def test_accepts_bare_aigs(self):
@@ -62,7 +63,7 @@ class TestBatchPipeline:
     def test_failure_is_isolated(self):
         jobs = [BatchJob("bad", aig=None),
                 BatchJob("rca3", ripple_carry_adder(3)[0], options=FAST)]
-        report = BatchPipeline(max_workers=2, executor="thread").run(jobs)
+        report = BatchPipeline(executor="serial").run(jobs)
         assert report.num_failed == 1
         assert report.num_ok == 1
         (name, error), = report.failures()
@@ -73,15 +74,14 @@ class TestBatchPipeline:
     def test_failure_is_isolated_in_process_workers(self):
         jobs = [BatchJob("bad", aig=None),
                 BatchJob("rca3", ripple_carry_adder(3)[0], options=FAST)]
-        report = BatchPipeline(max_workers=1, executor="process",
-                               chunk_size=1).run(jobs)
+        report = BatchPipeline(max_workers=1, executor="process").run(jobs)
         assert report.num_failed == 1
         assert report.item("rca3").ok
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_bad_job_options_fail_alone(self, backend):
         """Invalid per-job options (pipeline construction raises) must
-        fail that job only — never abort the batch or poison chunk-mates.
+        fail that job only — never abort the batch or poison its worker.
         BoolEOptions validates at construction, so simulate options that
         went bad afterwards (mutation skips __post_init__); the extractor
         still rejects them when the job's pipeline is built."""
@@ -90,8 +90,7 @@ class TestBatchPipeline:
         jobs = [BatchJob("bad-options", ripple_carry_adder(3)[0],
                          options=bad),
                 BatchJob("rca3", ripple_carry_adder(3)[0], options=FAST)]
-        report = BatchPipeline(executor=backend, max_workers=1,
-                               chunk_size=2).run(jobs)
+        report = BatchPipeline(executor=backend, max_workers=1).run(jobs)
         assert report.num_failed == 1
         (name, error), = report.failures()
         assert name == "bad-options"
@@ -104,14 +103,14 @@ class TestBatchPipeline:
         jobs = [BatchJob("plain", ripple_carry_adder(3)[0], options=FAST),
                 BatchJob("no-extract", ripple_carry_adder(3)[0],
                          options=no_extract)]
-        report = BatchPipeline(FAST, executor="thread").run(jobs)
+        report = BatchPipeline(FAST, executor="serial").run(jobs)
         assert report.num_failed == 0
         assert report.item("plain").result.extracted_aig is not None
         assert report.item("no-extract").result.extracted_aig is None
 
     def test_aggregate_and_throughput(self):
-        report = BatchPipeline(max_workers=2, keep_results=False,
-                               executor="thread").run(small_jobs())
+        report = BatchPipeline(keep_results=False,
+                               executor="serial").run(small_jobs())
         totals = report.aggregate()
         assert totals["exact_fas"] == sum(
             item.summary["exact_fas"] for item in report.items)
@@ -137,10 +136,6 @@ class TestBatchPipeline:
     def test_rejects_unknown_backend(self):
         with pytest.raises(ValueError):
             BatchPipeline(executor="fleet")
-
-    def test_rejects_bad_chunk_size(self):
-        with pytest.raises(ValueError):
-            BatchPipeline(chunk_size=0)
 
     def test_rejects_unknown_job_type(self):
         with pytest.raises(TypeError):
@@ -174,29 +169,14 @@ class TestBatchPipeline:
         assert report.items[0].result is None
 
 
-class TestChunking:
-    def test_chunked_partitions_in_order(self):
-        assert _chunked([1, 2, 3, 4, 5], 2) == [[1, 2], [3, 4], [5]]
-        assert _chunked([], 3) == []
-        assert _chunked([7], 5) == [[7]]
-
-    def test_explicit_chunk_size_round_trips_all_jobs(self):
-        jobs = small_jobs()
-        report = BatchPipeline(max_workers=2, executor="process",
-                               chunk_size=2).run(jobs)
-        assert report.num_failed == 0
-        assert [item.name for item in report.items] == [job.name
-                                                        for job in jobs]
-
-
 class TestBackendEquivalence:
-    def test_three_backends_bit_identical(self):
-        """serial, thread and process runs of the same jobs agree exactly
-        on every per-item summary and on the aggregate."""
+    def test_serial_and_process_bit_identical(self):
+        """Serial and process runs of the same jobs agree exactly on every
+        per-item summary and on the aggregate."""
         jobs = small_jobs()
         reports = {
             backend: BatchPipeline(max_workers=2, executor=backend).run(jobs)
-            for backend in ("serial", "thread", "process")}
+            for backend in ("serial", "process")}
         reference = reports["serial"]
         assert reference.num_failed == 0
         ref_summaries = [
@@ -214,22 +194,102 @@ class TestBackendEquivalence:
                     == reference.deterministic_aggregate()), backend
 
 
+def _refine_options(refine_rounds):
+    return BoolEOptions(r1_iterations=2, r2_iterations=2, count_npn=False,
+                        refine_rounds=refine_rounds)
+
+
+class TestDependencyDrain:
+    """The process backend drains the plan's dependency DAG: pool jobs
+    start at once, each dependent as soon as its own leader is done."""
+
+    def test_dependents_do_not_wait_for_an_unrelated_leader(self, tmp_path):
+        """A skewed sweep — one wide leader, one narrow leader with two
+        narrow dependents, two workers: the narrow dependents finish (and
+        write their extraction artifacts) while the wide leader still
+        runs, instead of queueing behind it."""
+        wide = post_mapping_flow(csa_multiplier(7).aig)
+        narrow = ripple_carry_adder(3)[0]
+        jobs = [BatchJob("wide", wide, options=_refine_options(0))] + [
+            BatchJob(f"narrow-r{rounds}", narrow,
+                     options=_refine_options(rounds))
+            for rounds in (0, 1, 2)]
+        report = BatchPipeline(executor="process", max_workers=2,
+                               store=str(tmp_path)).run(jobs)
+        assert report.num_failed == 0, report.failures()
+        assert [item.schedule for item in report.plan.items] == [
+            "pool", "pool", "after:narrow-r0", "after:narrow-r0"]
+        store = ArtifactStore(tmp_path)
+
+        def written(name):
+            key = report.plan.item(name).plan.extraction_key
+            assert store.probe(key, expected_kind="extraction"), name
+            return store.path_for(key).stat().st_mtime_ns
+
+        for name in ("narrow-r1", "narrow-r2"):
+            assert report.item(name).prefix_shared
+            assert written(name) < written("wide"), name
+
+    def test_snapshot_warm_extraction_cold_runs_on_the_pool(self, tmp_path):
+        """Jobs whose saturated snapshot is in the store but whose
+        extraction is not still compute extraction: they are planned
+        ``pool`` and run on the workers (lightweight results), not one
+        after another on the calling thread.  Only the fully warm job is
+        served inline, on the calling thread, while the pool works."""
+        aig = ripple_carry_adder(3)[0]
+        BoolEPipeline(_refine_options(0), store=tmp_path).run(aig)
+        jobs = [BatchJob(f"r{rounds}", aig, options=_refine_options(rounds))
+                for rounds in (0, 1, 2)]
+        batch = BatchPipeline(executor="process", max_workers=2,
+                              store=str(tmp_path))
+        assert [item.kind for item in batch.plan(jobs).items] == [
+            "inline", "pool", "pool"]
+        report = batch.run(jobs)
+        assert report.num_failed == 0, report.failures()
+        warm = report.item("r0")
+        assert warm.cached and warm.extraction_cached
+        assert warm.result.construction is not None  # the calling thread
+        for name in ("r1", "r2"):
+            item = report.item(name)
+            assert item.cached and not item.extraction_cached
+            assert item.result.construction is None  # a worker ran it
+
+
 class TestWorkerRequeue:
     def test_killed_worker_requeues_jobs(self, tmp_path, monkeypatch):
-        """A worker hard-killed mid-chunk (simulating an OOM kill) breaks
+        """A worker hard-killed mid-job (simulating an OOM kill) breaks
         the pool; the driver rebuilds it and requeues the undone jobs."""
         marker = tmp_path / "kill-once"
         monkeypatch.setenv("_REPRO_BATCH_KILL_WORKER_ONCE", str(marker))
         jobs = [BatchJob("rca3", ripple_carry_adder(3)[0], options=FAST),
                 BatchJob("rca4", ripple_carry_adder(4)[0], options=FAST)]
         report = BatchPipeline(executor="process", max_workers=1,
-                               chunk_size=1, retries=2).run(jobs)
+                               retries=2).run(jobs)
         assert marker.exists()  # the fault actually fired
         assert report.num_failed == 0
         assert report.num_requeued >= 1
         serial = BatchPipeline(executor="serial").run(jobs)
         assert (report.deterministic_aggregate()
                 == serial.deterministic_aggregate())
+
+    def test_unrun_dependent_is_not_prefix_shared(self, tmp_path,
+                                                 monkeypatch):
+        """A dependent that never ran — the pool broke under its leader
+        and retries are exhausted — failed; it did not share a prefix."""
+        marker = tmp_path / "kill-once"
+        monkeypatch.setenv("_REPRO_BATCH_KILL_WORKER_ONCE", str(marker))
+        aig = ripple_carry_adder(3)[0]
+        jobs = [BatchJob(f"r{rounds}", aig, options=_refine_options(rounds))
+                for rounds in (0, 1)]
+        report = BatchPipeline(executor="process", max_workers=1,
+                               retries=0, store=str(tmp_path / "store")
+                               ).run(jobs)
+        assert marker.exists()
+        assert report.plan.item("r1").kind == "dependent"
+        assert report.num_failed == 2
+        assert all("pool broke" in error for _, error in report.failures())
+        assert not report.item("r1").prefix_shared
+        assert report.num_prefix_shared == 0
 
     def test_retries_exhausted_reports_failures(self, tmp_path, monkeypatch):
         """With retries=0, the jobs a dead worker took down are reported
@@ -277,7 +337,7 @@ class TestCrossBackendDeterminismProperty:
         the sweep produces the same aggregate JSON."""
         results = {
             (backend, seed): _sweep_subprocess(backend, seed)
-            for backend, seed in (("serial", 0), ("thread", 12345),
+            for backend, seed in (("serial", 0), ("serial", 12345),
                                   ("process", 98765))}
         values = set(results.values())
         assert len(values) == 1, results
@@ -290,7 +350,7 @@ class TestDedupAcrossBackends:
     every backend (the deeper single-backend checks live in
     ``test_plan.py``)."""
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_non_semantic_twins_share_one_result(self, backend, tmp_path):
         aig, _ = ripple_carry_adder(3)
         twin = BoolEOptions(checkpoint_every=50, r1_iterations=2,

@@ -258,8 +258,8 @@ class TestPipelinePlan:
         batch_plan = BatchPipeline(store=str(tmp_path)).plan(
             [BatchJob("warm", aig, options=BoolEOptions(**OPTIONS)),
              BatchJob("cold", _mapped(2), options=BoolEOptions(**OPTIONS))])
-        assert batch_plan.item("warm").inline
-        assert not batch_plan.item("cold").inline
+        assert batch_plan.item("warm").kind == "inline"
+        assert batch_plan.item("cold").kind == "pool"
 
     def test_plan_mutates_nothing(self, tmp_path):
         """Planning leaves the store byte- and mtime-identical — it must
@@ -303,7 +303,7 @@ class TestBatchPlanFolding:
         monkeypatch.setattr("repro.core.phases.aig_to_egraph", counting)
         batch = BatchPipeline(executor="serial", store=str(tmp_path))
         plan = batch.plan(jobs)
-        assert plan.item("b").duplicate_of == "a"
+        assert plan.item("b").leader == "a"
         assert plan.item("b").schedule == "duplicate:a"
         assert plan.num_deduped == 1
 
@@ -368,7 +368,7 @@ class TestBatchPlanFolding:
                         "saturated-pipeline"]
 
     def test_shared_prefix_on_process_backend(self, tmp_path):
-        """Wave ordering holds under the process pool: dependents only
+        """Dependency gating holds under the process pool: dependents only
         dispatch after their leader persisted the prefix, so they report
         cache hits; results match a serial reference bit-exactly."""
         aig = _mapped()
@@ -385,6 +385,31 @@ class TestBatchPlanFolding:
                                store=str(tmp_path / "serial")).run(jobs)
         assert (report.deterministic_aggregate()
                 == serial.deterministic_aggregate())
+
+    def test_overlay_warm_twin_waits_for_its_leader(self, tmp_path):
+        """A saturation-only twin of an extracting leader is fully warm
+        only through the overlay (the leader has not written the prefix
+        yet), so it is scheduled behind the leader, not inline — and both
+        backends saturate the prefix once and agree on ``cached``."""
+        aig = _mapped()
+        jobs = [BatchJob("full", aig, options=BoolEOptions(**OPTIONS)),
+                BatchJob("sat-only", aig,
+                         options=BoolEOptions(extract=False, **OPTIONS))]
+        plan = BatchPipeline(store=str(tmp_path / "plan")).plan(jobs)
+        assert plan.item("full").schedule == "pool"
+        assert plan.item("sat-only").schedule == "after:full"
+        assert plan.num_saturations == 1
+
+        for executor in ("serial", "process"):
+            report = BatchPipeline(executor=executor, max_workers=2,
+                                   store=str(tmp_path / executor)).run(jobs)
+            assert report.num_failed == 0, executor
+            assert not report.item("full").cached, executor
+            assert report.item("sat-only").cached, executor
+            assert report.item("sat-only").prefix_shared, executor
+            kinds = sorted(entry.kind for entry in
+                           ArtifactStore(tmp_path / executor).entries())
+            assert kinds == ["extraction", "saturated-pipeline"], executor
 
     def test_plan_failure_stays_isolated(self, tmp_path):
         """A job whose options break pipeline construction gets an error
@@ -509,9 +534,9 @@ report = batch.run(jobs)
 lines = []
 for item_plan, item in zip(plan.items, report.items):
     assert item.ok, (item.name, item.error)
-    if item_plan.duplicate_of is not None:
-        canonical = report.item(item_plan.duplicate_of)
-        assert item.deduped_from == item_plan.duplicate_of, item.name
+    if item_plan.kind == "duplicate":
+        canonical = report.item(item_plan.leader)
+        assert item.deduped_from == item_plan.leader, item.name
         assert item.summary == canonical.summary, item.name
         lines.append({"name": item.name,
                       "schedule": item_plan.schedule})

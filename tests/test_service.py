@@ -18,6 +18,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import BatchItemResult, BatchJob, BatchPipeline, \
     BatchReport, BoolEOptions, BoolEPipeline
@@ -42,6 +44,7 @@ from repro.service import (
     job_key,
     sweep_key,
 )
+from repro.service.jobs import _expand_generator
 from repro.store import KIND_JOB, KIND_SWEEP, ArtifactStore
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
@@ -115,6 +118,40 @@ class TestJobSpec:
     def test_rejects_malformed_requests(self, bad):
         with pytest.raises(ValueError):
             JobSpec.from_request(bad)
+
+    @pytest.mark.parametrize("options", [
+        {"refine_rounds": [1]},
+        {"r1_iterations": "abc"},
+        {"r1_iterations": None},
+        {"r1_iterations": True},
+        {"count_npn": 1},
+        {"time_limit": "60"},
+        {"engine": 3},
+        {"refine_rounds": -1},
+        {"checkpoint_every": 0},
+        {"engine": "gpu"},
+    ])
+    def test_rejects_invalid_option_values(self, options):
+        """Option values are type- and range-checked at the front door,
+        so a bad value is a ValueError (HTTP 400), never a TypeError or a
+        queued job that can only fail in a worker."""
+        with pytest.raises(ValueError):
+            JobSpec.from_request(fast_request(options=options))
+
+    def test_accepts_well_typed_option_values(self):
+        options = {"time_limit": 30, "match_limit": None,
+                   "checkpoint_every": None, "engine": "python",
+                   "refine_rounds": 2, "incremental": False}
+        spec = JobSpec.from_request(fast_request(options=options))
+        assert spec.build_options().time_limit == 30
+        assert spec.build_options().engine == "python"
+
+    def test_malformed_aig_wire_is_a_value_error(self):
+        with pytest.raises(ValueError, match="malformed aig wire"):
+            JobSpec.from_request({"aig": {"name": "x"}})
+        with pytest.raises(ValueError, match="malformed aig wire"):
+            JobSpec.from_request({"aig": {"name": "x", "inputs": [[[1], "a"]],
+                                          "gates": [], "outputs": []}})
 
     def test_options_merge_over_defaults(self):
         spec = JobSpec.from_request(fast_request())
@@ -369,6 +406,24 @@ class TestServiceHTTP:
                 client.submit(bad)
             assert excinfo.value.status == 400
 
+    def test_invalid_option_values_400_on_jobs_and_sweeps(
+            self, running_server):
+        client = ServiceClient(running_server.host, running_server.port)
+        for options in ({"refine_rounds": [1]}, {"r1_iterations": "abc"},
+                        {"r1_iterations": None}):
+            request = fast_request(options=options)
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(request)
+            assert excinfo.value.status == 400
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit_sweep({"jobs": [request]})
+            assert excinfo.value.status == 400
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit_sweep({"generator": {
+                    "archs": ["csa"], "widths": [3], "options": options}})
+            assert excinfo.value.status == 400
+        assert client.stats()["queue_depth"] == 0
+
     @staticmethod
     def _raw_exchange(server, request: bytes) -> bytes:
         """Send raw request bytes, return the full raw reply."""
@@ -397,6 +452,32 @@ class TestServiceHTTP:
         request = b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n"
         reply = self._raw_exchange(running_server, request)
         assert reply.startswith(b"HTTP/1.1 400 ")
+
+    def test_stalled_request_is_408(self, running_server, monkeypatch):
+        """A client that sends part of a request and stalls is answered
+        408 and disconnected once the read timeout passes."""
+        monkeypatch.setattr("repro.service.server._READ_TIMEOUT", 0.3)
+        with socket.create_connection((running_server.host,
+                                       running_server.port),
+                                      timeout=10) as connection:
+            connection.sendall(b"GET /healthz HTTP/1.1\r\n")
+            started = time.monotonic()
+            chunks = []
+            while True:
+                chunk = connection.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        reply = b"".join(chunks)
+        assert reply.startswith(b"HTTP/1.1 408 "), reply
+        assert time.monotonic() - started < 5.0
+        # A stalled body is bounded by the same timeout.
+        stalled_body = (b"POST /jobs HTTP/1.1\r\nContent-Length: 100\r\n"
+                        b"\r\n{")
+        assert self._raw_exchange(running_server, stalled_body).startswith(
+            b"HTTP/1.1 408 ")
+        client = ServiceClient(running_server.host, running_server.port)
+        assert client.healthz() == {"ok": True}
 
     def test_too_many_headers_is_400(self, running_server):
         request = (b"GET /healthz HTTP/1.1\r\n"
@@ -676,6 +757,71 @@ class TestSweepExpansion:
                 {"jobs": [fast_request()] * 257})
 
 
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 70)
+                 | st.floats(allow_nan=True) | st.text(max_size=4))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner,
+                                     max_size=3)),
+    max_leaves=6)
+_OPTION_NAMES = sorted(
+    name for name in BoolEOptions.__dataclass_fields__)
+_FUZZ_OPTIONS = st.dictionaries(
+    st.sampled_from(_OPTION_NAMES) | st.text(max_size=4), _JSON_VALUES,
+    max_size=3)
+_FUZZ_ARCH = st.sampled_from(["rca", "csa", "booth", "wallace"]) \
+    | _JSON_VALUES
+#: Valid widths stay tiny: a fuzz example that parses builds the netlist.
+_FUZZ_WIDTH = st.integers(-1, 3) | _JSON_VALUES.filter(
+    lambda value: not isinstance(value, int) or isinstance(value, bool))
+_FUZZ_WIRE = st.fixed_dictionaries(
+    {}, optional={"name": _JSON_VALUES,
+                  "inputs": st.lists(_JSON_VALUES, max_size=3),
+                  "gates": st.lists(_JSON_VALUES, max_size=3),
+                  "outputs": st.lists(_JSON_VALUES, max_size=3)})
+_FUZZ_REQUEST = st.fixed_dictionaries(
+    {}, optional={"arch": _FUZZ_ARCH, "width": _FUZZ_WIDTH,
+                  "mapped": st.booleans() | _JSON_SCALARS,
+                  "name": _JSON_SCALARS, "options": _FUZZ_OPTIONS
+                  | _JSON_VALUES, "aig": _FUZZ_WIRE | _JSON_VALUES}
+) | _JSON_VALUES
+_FUZZ_GENERATOR = st.fixed_dictionaries(
+    {}, optional={"arch": _FUZZ_ARCH,
+                  "archs": st.lists(_FUZZ_ARCH, max_size=2) | _JSON_VALUES,
+                  "widths": st.lists(_FUZZ_WIDTH, max_size=2)
+                  | _JSON_VALUES,
+                  "mapped": st.booleans() | _JSON_SCALARS,
+                  "options": _FUZZ_OPTIONS | _JSON_VALUES,
+                  "option_sets": st.lists(_FUZZ_OPTIONS, max_size=2)
+                  | _JSON_VALUES,
+                  "bogus": _JSON_SCALARS}) | _JSON_VALUES
+
+
+class TestFrontDoorFuzz:
+    """Arbitrary JSON through the request parsers: every input either
+    parses or raises ``ValueError`` (the server's 400), nothing else."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_FUZZ_REQUEST)
+    def test_job_request_parses_or_value_error(self, request):
+        try:
+            spec = JobSpec.from_request(request)
+        except ValueError:
+            return
+        spec.build_options()
+
+    @settings(max_examples=80, deadline=None)
+    @given(_FUZZ_GENERATOR)
+    def test_generator_parses_or_value_error(self, generator):
+        try:
+            entries = _expand_generator(generator)
+            for entry in entries:
+                JobSpec.from_request(entry)
+        except ValueError:
+            return
+
+
 class TestSweepKey:
     def test_order_insensitive_and_distinct(self):
         finals = ["ab" * 32, "cd" * 32]
@@ -741,6 +887,25 @@ class TestSweepSubmission:
         assert len(service.records()) == 3
         for record in service.records():
             assert record.sweep_id == response["sweep_id"]
+
+    def test_overlay_warm_twin_is_dependent_not_inline(self, tmp_path):
+        """A saturation-only twin of an extracting leader is warm only
+        through the planner's overlay: it must queue behind the leader,
+        not be served on the front door before the prefix exists."""
+        service = JobService(tmp_path / "store")
+        twin = fast_request(width=2)
+        twin["options"] = dict(twin["options"], extract=False)
+        response = service.submit_sweep(
+            {"jobs": [fast_request(width=2), twin]})
+        assert response["counts"] == {"inline": 0, "pool": 1,
+                                      "dependent": 1, "duplicate": 0}
+        leader, dependent = response["jobs"]
+        assert dependent["schedule"] == "dependent"
+        assert dependent["depends_on"] == [leader["final_key"]]
+        assert service.stats()["saturation"]["runs"] == 0
+        ServiceWorker(service.store,
+                      poll_interval=0.01).run_forever(idle_timeout=1.0)
+        assert service.stats()["saturation"]["runs"] == 1
 
     def test_duplicate_members_collapse(self, tmp_path):
         service = JobService(tmp_path / "store")
