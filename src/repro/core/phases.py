@@ -757,7 +757,7 @@ class SaturatePhase(_BoolEPhase):
             prior["construction"], egraph, ctx["aig"])
         reports = {field: report_from_wire(wire)
                    for field, wire in prior["reports"].items()}
-        checkpoint = checkpoint_from_wire(payload["runner"])
+        checkpoint = checkpoint_from_wire(payload["runner"], egraph)
         ctx["construction"] = construction
         for field, report in reports.items():
             ctx[field] = report

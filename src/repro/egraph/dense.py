@@ -54,7 +54,7 @@ from __future__ import annotations
 import gc
 from contextlib import contextmanager
 from itertools import compress, islice
-from operator import countOf, eq, itemgetter, le, lt, sub
+from operator import countOf, eq, le, lt, sub
 from typing import (
     AbstractSet,
     Dict,
@@ -76,7 +76,8 @@ from .pattern import (
     Pattern,
     PatternNode,
     PatternVar,
-    Subst,
+    Row,
+    Slots,
 )
 
 __all__ = ["DenseEGraph", "as_engine", "ENGINES", "DEFAULT_ENGINE",
@@ -260,12 +261,15 @@ class DenseEGraph:
             Dict[int, Tuple[List[Tuple[int, ...]], int]]] = {}
         self._class_order: Optional[List[int]] = None
         self._num_canonical: Optional[int] = None
+        # candidate_classes memo, valid for one (epoch, class count).
+        self._candidates_key: Tuple[int, int] = (-1, -1)
+        self._candidates: Dict[str, Set[int]] = {}
         # Compiled matcher/builder programs, keyed by ``id(pattern)``.
         # Each entry keeps a strong reference to its pattern, which pins
         # the id for the graph's lifetime (patterns hash recursively, so
         # hashing them on every search would dominate small searches).
         self._match_programs: Dict[int, Tuple[Pattern, List[Tuple],
-                                              List[Tuple[str, int]]]] = {}
+                                              Slots]] = {}
         self._build_programs: Dict[int, Tuple[Pattern, List[Tuple]]] = {}
         #: E-nodes scanned by the batched matcher (in-memory observability
         #: only; never serialized).
@@ -741,6 +745,22 @@ class DenseEGraph:
         return list(self._ordered_class_ids())
 
     def candidate_classes(self, op: str) -> Set[int]:
+        """Canonical ids of every class that may hold an ``op`` node.
+
+        Memoised per ``(union epoch, class count)``: a round's search makes
+        no union and no insertion, so every rule of the round shares one
+        answer per operator.  Callers must treat the set as read-only.
+        """
+        key = (self._epoch, len(self._classes))
+        if key != self._candidates_key:
+            self._candidates_key = key
+            self._candidates = {}
+        found = self._candidates.get(op)
+        if found is None:
+            found = self._candidates[op] = self._scan_candidates(op)
+        return found
+
+    def _scan_candidates(self, op: str) -> Set[int]:
         op_id = self._op_ids.get(op)
         if op_id is None:
             return set()
@@ -825,8 +845,7 @@ class DenseEGraph:
     # ------------------------------------------------------------------
     # Batched e-matching
     # ------------------------------------------------------------------
-    def _compile_match(self, pattern: Pattern
-                       ) -> Tuple[List[Tuple], List[Tuple[str, int]]]:
+    def _compile_match(self, pattern: Pattern) -> Tuple[List[Tuple], Slots]:
         """Compile a pattern into a pre-order program over row slots.
 
         Instructions (executed over a table of int-tuple rows):
@@ -841,23 +860,23 @@ class DenseEGraph:
 
         Slots are allocated in pattern pre-order, so slot index == position
         in the row tuple, and executing the steps in order reproduces the
-        recursive matcher's depth-first match order exactly.
+        recursive matcher's depth-first match order exactly.  The returned
+        ``slots`` map each variable to its first slot; callers share it and
+        must not mutate it.
         """
         cached = self._match_programs.get(id(pattern))
         if cached is not None:
             return cached[1], cached[2]
         steps: List[Tuple] = []
-        var_slots: List[Tuple[str, int]] = []
-        bound: Dict[str, int] = {}
+        var_slots: Slots = {}
         slot_count = 1
 
         def walk(node: Pattern, slot: int) -> None:
             nonlocal slot_count
             if isinstance(node, PatternVar):
-                previous = bound.get(node.name)
+                previous = var_slots.get(node.name)
                 if previous is None:
-                    bound[node.name] = slot
-                    var_slots.append((node.name, slot))
+                    var_slots[node.name] = slot
                 else:
                     steps.append(("check", slot, previous))
                 return
@@ -985,62 +1004,51 @@ class DenseEGraph:
             roots = ancestors & roots
         return self.sorted_by_seq(roots)
 
-    def plan_search(self, plan: MatchPlan,
-                    restrict: Optional[AbstractSet[int]] = None
-                    ) -> Iterator[Tuple[int, Subst]]:
-        """Batched drop-in for :meth:`MatchPlan.search` on this engine.
+    def search_rows(self, plan: MatchPlan,
+                    restrict: Optional[AbstractSet[int]] = None,
+                    limit: Optional[int] = None) -> Tuple[List[Row], Slots]:
+        """Match ``plan`` and return its rows as the matcher built them.
 
-        Yields exactly the ``(root, substitution)`` stream the recursive
-        matcher would produce, in the same order; candidate roots are
-        processed in chunks so callers that stop consuming (budget
-        exceeded) do not pay for the rest of the e-graph.
+        Each row holds the root class in slot 0 and each pattern
+        variable's class at ``slots[name]``; the rows come in exactly the
+        order of :meth:`MatchPlan.search`'s match stream.  Candidate roots
+        are matched in chunks of ``_ROOT_CHUNK``, and with a ``limit`` the
+        search stops after the chunk that takes the row count past it, so
+        a rule over budget pays for no more of the e-graph than that
+        (callers trim the surplus rows of the last chunk).
         """
         pattern = plan.pattern
         if isinstance(pattern, PatternVar):
-            classes: Iterable[int] = (self.class_ids() if restrict is None
-                                      else self.sorted_by_seq(restrict))
-            name = pattern.name
-            for class_id in classes:
-                yield class_id, {name: class_id}
-            return
-        steps, var_slots = self._compile_match(pattern)
+            classes = (self.class_ids() if restrict is None
+                       else self.sorted_by_seq(restrict))
+            if limit is not None:
+                classes = classes[:limit + 1]
+            return [(class_id,) for class_id in classes], {pattern.name: 0}
+        steps, slots = self._compile_match(pattern)
         roots = self._candidate_roots(plan, restrict)
         run = self._run_match
-        if len(var_slots) == 1:
-            name0, slot0 = var_slots[0]
-            for start in range(0, len(roots), _ROOT_CHUNK):
-                seed = [(root,)
-                        for root in roots[start:start + _ROOT_CHUNK]]
-                for row in run(steps, seed):
-                    yield row[0], {name0: row[slot0]}
-            return
-        names = tuple(name for name, _ in var_slots)
-        # itemgetter needs two slots to return a tuple; zero-var (ground)
-        # patterns fall back to the comprehension, which yields {}.
-        if len(var_slots) < 2:
-            for start in range(0, len(roots), _ROOT_CHUNK):
-                seed = [(root,)
-                        for root in roots[start:start + _ROOT_CHUNK]]
-                for row in run(steps, seed):
-                    yield row[0], {name: row[slot]
-                                   for name, slot in var_slots}
-            return
-        pick = itemgetter(*(slot for _, slot in var_slots))
+        rows: List[Row] = []
         for start in range(0, len(roots), _ROOT_CHUNK):
-            seed = [(root,) for root in roots[start:start + _ROOT_CHUNK]]
-            for row in run(steps, seed):
-                yield row[0], dict(zip(names, pick(row)))
+            rows += run(steps,
+                        [(root,) for root in roots[start:start + _ROOT_CHUNK]])
+            if limit is not None and len(rows) > limit:
+                break
+        return rows, slots
 
     def _compile_build(self, pattern: Pattern) -> List[Tuple]:
         """Compile a rule right-hand side into a post-order stack program.
 
         Instructions (executed over a stack of class ids):
 
-        * ``("var", name)`` — push ``subst[name]``;
+        * ``("var", name)`` — push the variable's class (:meth:`apply_rows`
+          resolves ``name`` to its row slot first);
         * ``("leaf", op_id, payload_id)`` — add a leaf node, push its
           class;
         * ``("node", op_id, payload_id, arity)`` — pop ``arity`` children
-          (mapped through find), add the node, push its class.
+          (mapped through find), add the node, push its class;
+        * ``("simple", op_id, payload_id, names, wraps)`` — the whole
+          program when the RHS is one operator over variables under zero
+          or more unary operators ``wraps`` (innermost first).
 
         Post-order emission interns ops/payloads in the same order the
         recursive instantiation would, and arity errors surface at
@@ -1067,47 +1075,102 @@ class DenseEGraph:
                           self._intern_payload(None), len(node.children)))
 
         walk(pattern)
-        if (len(steps) > 1 and steps[-1][0] == "node"
-                and steps[-1][3] == len(steps) - 1
-                and all(step[0] == "var" for step in steps[:-1])):
-            # One operator over pattern variables is the dominant rule
-            # shape; collapse it to a single instruction so instantiation
-            # skips the stack machine entirely.
-            _, op_id, payload_id, arity = steps[-1]
+        # One operator over pattern variables, possibly under unary
+        # operators (a negated output), is the dominant rule shape; collapse
+        # it to a single instruction so instantiation skips the stack
+        # machine entirely.
+        body = steps
+        wraps: List[Tuple[int, int]] = []
+        while (len(body) > 2 and body[-1][0] == "node" and body[-1][3] == 1
+               and body[-2][0] == "node"):
+            wraps.insert(0, body[-1][1:3])
+            body = body[:-1]
+        if (len(body) > 1 and body[-1][0] == "node"
+                and body[-1][3] == len(body) - 1
+                and all(step[0] == "var" for step in body[:-1])):
+            _, op_id, payload_id, arity = body[-1]
             steps = [("simple", op_id, payload_id,
-                      tuple(step[1] for step in steps[:-1]))]
+                      tuple(step[1] for step in body[:-1]), tuple(wraps))]
         self._build_programs[id(pattern)] = (pattern, steps)
         return steps
 
-    def instantiate_pattern(self, pattern: Pattern, subst: Subst) -> int:
-        """Instantiate a rule right-hand side without building ENodes."""
-        cached = self._build_programs.get(id(pattern))
-        if cached is not None:
-            steps = cached[1]
-        else:
-            steps = self._compile_build(pattern)
+    def apply_rows(self, build: Pattern, rows: Iterable[Row],
+                   slots: Slots) -> int:
+        """Instantiate ``build`` for every row, union it with the row's
+        root (slot 0) in row order, and return the number of unions that
+        merged two classes.
+
+        The build program is resolved against ``slots`` once per call, so
+        each row costs one find per child, one interning lookup and one
+        union — no substitution dict and no :class:`ENode`.
+        """
+        cached = self._build_programs.get(id(build))
+        steps = cached[1] if cached is not None else self._compile_build(build)
+        try:
+            steps = [(step[0], slots[step[1]]) if step[0] == "var"
+                     else step[:3] + (tuple(slots[name] for name in step[3]),
+                                      step[4])
+                     if step[0] == "simple" else step for step in steps]
+        except KeyError as error:
+            raise KeyError(f"pattern variable {error.args[0]} unbound "
+                           "during instantiation") from error
+        parent = self._uf
+        find = self._find
+        union = self.union
+        add_node = self._add_node
+        hashcons_get = self._hashcons.get
+        unions = 0
+        first = steps[0]
+        if first[0] == "simple":
+            # One operator over pattern variables, the dominant rule shape:
+            # intern the node straight from the row.
+            _, op_id, payload_id, picks, wraps = first
+            intern_node = self._intern_node
+            node_ids = self._node_ids
+            if node_ids is None:
+                node_ids = self._index_nodes()
+            node_get = node_ids.get
+            binary = len(picks) == 2
+            left, right = picks if binary else (0, 0)
+            for row in rows:
+                if binary:
+                    a = row[left]
+                    if parent[a] != a:
+                        a = find(a)
+                    b = row[right]
+                    if parent[b] != b:
+                        b = find(b)
+                    node_id = node_get((op_id, payload_id, a, b))
+                    if node_id is None:
+                        node_id = intern_node(op_id, payload_id, (a, b))
+                else:
+                    node_id = intern_node(op_id, payload_id, tuple(
+                        [find(row[slot]) for slot in picks]))
+                new_class = hashcons_get(node_id)
+                if new_class is None or parent[new_class] != new_class:
+                    new_class = add_node(node_id)
+                for wrap_op, wrap_payload in wraps:
+                    # add_node returned a canonical class: no find needed.
+                    node_id = node_get((wrap_op, wrap_payload, new_class))
+                    if node_id is None:
+                        node_id = intern_node(wrap_op, wrap_payload,
+                                              (new_class,))
+                    new_class = hashcons_get(node_id)
+                    if new_class is None or parent[new_class] != new_class:
+                        new_class = add_node(node_id)
+                if union(row[0], new_class):
+                    unions += 1
+            return unions
+        for row in rows:
+            if union(row[0], self._run_build(steps, row)):
+                unions += 1
+        return unions
+
+    def _run_build(self, steps: List[Tuple], row: Row) -> int:
+        """Execute a slot-resolved stack build program for one row."""
         find = self._find
         intern_node = self._intern_node
         add_node = self._add_node
-        first = steps[0]
-        if first[0] == "simple":
-            parent = self._uf
-            children: List[int] = []
-            append_child = children.append
-            try:
-                for name in first[3]:
-                    child = subst[name]
-                    append_child(child if parent[child] == child
-                                 else find(child))
-            except KeyError as error:
-                raise KeyError(
-                    f"pattern variable {name} unbound during "
-                    "instantiation") from error
-            node_id = intern_node(first[1], first[2], tuple(children))
-            existing = self._hashcons.get(node_id)
-            if existing is not None and parent[existing] == existing:
-                return existing
-            return add_node(node_id)
         stack: List[int] = []
         append = stack.append
         for step in steps:
@@ -1122,13 +1185,7 @@ class DenseEGraph:
                     del stack[-arity:]
                 append(add_node(intern_node(op_id, payload_id, children)))
             elif kind == "var":
-                name = step[1]
-                try:
-                    append(subst[name])
-                except KeyError as error:
-                    raise KeyError(
-                        f"pattern variable {name} unbound during "
-                        "instantiation") from error
+                append(row[step[1]])
             else:  # leaf
                 append(add_node(intern_node(step[1], step[2], ())))
         return stack[0]

@@ -30,9 +30,20 @@ pipeline a pure function of its input.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from .enode import ENode, Op
+from .pattern import MatchPlan, Pattern, Row, Slots, instantiate, pattern_vars
 from .unionfind import UnionFind
 
 __all__ = ["EClass", "EGraph", "enode_sort_key"]
@@ -389,6 +400,36 @@ class EGraph:
         if len(canonical) != len(ids):
             self._op_classes[op] = set(canonical)
         return canonical
+
+    def search_rows(self, plan: MatchPlan,
+                    restrict: Optional[AbstractSet[int]] = None,
+                    limit: Optional[int] = None) -> Tuple[List[Row], Slots]:
+        """:meth:`MatchPlan.search` as match rows (the engine-neutral form
+        :func:`~repro.egraph.rewrite.apply_rules` consumes).
+
+        Row ``(root, c1, c2, ...)`` binds the plan's variables in
+        :func:`pattern_vars` order; ``slots`` names their positions.  With
+        a ``limit`` the stream is consumed up to ``limit + 1`` matches.
+        """
+        names = pattern_vars(plan.pattern)
+        slots = {name: index for index, name in enumerate(names, 1)}
+        rows: List[Row] = []
+        for root, subst in plan.search(self, restrict):
+            rows.append((root, *[subst[name] for name in names]))
+            if limit is not None and len(rows) > limit:
+                break
+        return rows, slots
+
+    def apply_rows(self, build: Pattern, rows: Iterable[Row],
+                   slots: Slots) -> int:
+        """Instantiate ``build`` per row and union it with the row's root;
+        returns the number of unions that merged two classes."""
+        unions = 0
+        for row in rows:
+            subst = {name: row[slot] for name, slot in slots.items()}
+            if self.union(row[0], instantiate(self, build, subst)):
+                unions += 1
+        return unions
 
     def parent_classes(self, class_id: int) -> Set[int]:
         """Canonical ids of the classes whose e-nodes use ``class_id`` as a child."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import (
+    TYPE_CHECKING,
     AbstractSet,
     Dict,
     Iterable,
@@ -21,8 +22,10 @@ from typing import (
     Union,
 )
 
-from .egraph import EGraph
 from .enode import ENode, Op
+
+if TYPE_CHECKING:  # egraph.py imports this module for the row adapter
+    from .egraph import EGraph
 
 __all__ = [
     "Pattern",
@@ -32,9 +35,17 @@ __all__ = [
     "compile_pattern",
     "parse_pattern",
     "Subst",
+    "Row",
+    "Slots",
 ]
 
 Subst = Dict[str, int]
+
+#: One match as the engines hand it from search to apply: the root class in
+#: position 0, every pattern variable's class at the position ``Slots``
+#: gives it (other positions are matcher scratch).
+Row = Tuple[int, ...]
+Slots = Dict[str, int]
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,22 @@ scheduler remembers, per rule, the dirty classes the rule did not get to
 search while banned, so delta matching stays complete without ever falling
 back to a full rescan.
 
+Matches are int rows from search to union.  Both engines expose the same
+two methods, and a round is one loop over them:
+
+* ``search_rows(plan, restrict, limit) -> (rows, slots)`` returns a
+  rule's matches as the matcher built them — a tuple per match, root
+  class in position 0, each pattern variable's class at ``slots[name]``.
+  ``limit`` is the rule's remaining budget: the search stops as soon as
+  one match past it exists.
+* ``apply_rows(build, rows, slots) -> unions`` instantiates the rule's
+  right-hand side per row and unions it with the row's root.
+
+The dense engine never builds a :data:`~repro.egraph.pattern.Subst` on
+this path; the object engine's adapter builds one per row.  Only rules
+with an ``applier`` or a ``condition`` see a ``Subst``, built from the
+row, so their callable signatures are unchanged.
+
 Determinism: matches are generated in a stable order (candidate roots
 ascend by e-class insertion seq, e-nodes within a class by
 :func:`~repro.egraph.egraph.enode_sort_key`), so any truncation — the
@@ -28,6 +44,7 @@ deprecated flat cap included — removes a deterministic suffix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import (
     AbstractSet,
     Callable,
@@ -45,9 +62,10 @@ from .egraph import EGraph
 from .pattern import (
     MatchPlan,
     Pattern,
+    Row,
+    Slots,
     Subst,
     compile_pattern,
-    instantiate,
     parse_pattern,
     pattern_vars,
 )
@@ -322,8 +340,8 @@ class BackoffScheduler:
             "ban_growth": self.ban_growth,
             "iteration": self.iteration,
             "rules": {
-                name: (state.times_banned, state.banned_until,
-                       None if state.pending is None else sorted(state.pending))
+                name: [state.times_banned, state.banned_until,
+                       None if state.pending is None else sorted(state.pending)]
                 for name, state in sorted(self._states.items())
             },
         }
@@ -392,25 +410,37 @@ class _DirtyFrontier:
         return self._levels[height]
 
 
-def _iter_matches(egraph: EGraph, rule: Rewrite,
-                  frontier: Optional[_DirtyFrontier]
-                  ) -> Iterator[Tuple[Pattern, int, Subst]]:
-    """Yield the condition-filtered matches of one rule in stable order.
+def _substs(rows: Iterable[Row], slots: Slots) -> Iterator[Subst]:
+    """One :data:`Subst` per row, for appliers and conditions."""
+    names = tuple(slots)
+    if len(names) < 2:  # itemgetter returns a tuple only for two or more
+        for row in rows:
+            yield {name: row[slot] for name, slot in slots.items()}
+        return
+    pick = itemgetter(*slots.values())
+    for row in rows:
+        yield dict(zip(names, pick(row)))
 
-    An engine exposing ``plan_search`` (the dense engine's batched matcher)
-    executes the compiled plan itself; the match stream it yields is
-    identical, match for match, to :meth:`MatchPlan.search`.
-    """
-    plan_search = getattr(egraph, "plan_search", None)
-    for plan, build in rule.plans():
-        restrict = None if frontier is None else frontier.at(plan.height)
-        matches = (plan.search(egraph, restrict) if plan_search is None
-                   else plan_search(plan, restrict))
-        for class_id, subst in matches:
-            if rule.condition is not None and not rule.condition(
-                    egraph, class_id, subst):
-                continue
-            yield build, class_id, subst
+
+def _passing(egraph: EGraph, rule: Rewrite, rows: List[Row],
+             slots: Slots) -> List[Row]:
+    """The rows of ``rule``'s matches that its ``condition`` accepts."""
+    return [row for row, subst in zip(rows, _substs(rows, slots))
+            if rule.condition(egraph, row[0], subst)]
+
+
+def _apply(egraph: EGraph, rule: Rewrite, build: Pattern, rows: List[Row],
+           slots: Slots) -> int:
+    """Apply one rule's rows in order; returns the number of unions."""
+    if rule.applier is None:
+        return egraph.apply_rows(build, rows, slots)
+    applier = rule.applier
+    union = egraph.union
+    unions = 0
+    for row, subst in zip(rows, _substs(rows, slots)):
+        if union(row[0], applier(egraph, subst)):
+            unions += 1
+    return unions
 
 
 def apply_rules(egraph: EGraph, rules: Sequence[Rewrite],
@@ -465,7 +495,7 @@ def apply_rules(egraph: EGraph, rules: Sequence[Rewrite],
                        else _DirtyFrontier(egraph, dirty_set))
 
     stats: Dict[str, RuleStats] = {}
-    planned: List[Tuple[Rewrite, Pattern, int, Subst]] = []
+    planned: List[Tuple[Rewrite, Pattern, List[Row], Slots]] = []
     for rule in rules:
         rule_stats = stats.setdefault(rule.name, RuleStats())
         if scheduler is not None and scheduler.is_banned(rule.name):
@@ -487,44 +517,46 @@ def apply_rules(egraph: EGraph, rules: Sequence[Rewrite],
                 frontier = _DirtyFrontier(egraph, rule_dirty)
             budget = scheduler.budget(rule.name)
 
-        matches: List[Tuple[Pattern, int, Subst]] = []
-        exceeded = False
-        for match in _iter_matches(egraph, rule, frontier):
-            if (max_matches_per_rule is not None
-                    and len(matches) >= max_matches_per_rule):
-                # Deprecated flat cap (no scheduler): keep the deterministic
-                # seq-ordered prefix and stop searching at the cap.
-                rule_stats.capped = True
+        # Search each plan for at most the rule's remaining allowance:
+        # one match past it is enough to know the rule is over.
+        cap = budget if budget is not None else max_matches_per_rule
+        found: List[Tuple[Pattern, List[Row], Slots]] = []
+        count = 0
+        over = False
+        for plan, build in rule.plans():
+            restrict = None if frontier is None else frontier.at(plan.height)
+            if rule.condition is None:
+                rows, slots = egraph.search_rows(
+                    plan, restrict, None if cap is None else cap - count)
+            else:  # the allowance counts matches that pass the condition
+                rows, slots = egraph.search_rows(plan, restrict)
+                rows = _passing(egraph, rule, rows, slots)
+            count += len(rows)
+            if cap is not None and count > cap:
+                over = rule_stats.capped = True
+                # Keep the deterministic seq-ordered prefix up to the cap
+                # (only the deprecated flat cap applies it).
+                del rows[len(rows) - (count - cap):]
+                count = cap
+            found.append((build, rows, slots))
+            if over:
                 break
-            matches.append(match)
-            if budget is not None and len(matches) > budget:
-                exceeded = True
-                break
-        if exceeded:
+        if over and budget is not None:
             # Egg-style back-off: applying a partial match set would make the
             # result depend on which matches happened to come first, so drop
             # them all, ban the rule, and remember what it failed to search.
             scheduler.ban(rule.name, rule_dirty)
-            rule_stats.capped = True
             continue
         if scheduler is not None:
             scheduler.clear_debt(rule.name)
-        rule_stats.matches += len(matches)
-        planned.extend((rule, build, class_id, subst)
-                       for build, class_id, subst in matches)
+        rule_stats.matches += count
+        planned.extend((rule, build, rows, slots)
+                       for build, rows, slots in found if rows)
 
-    instantiate_pattern = getattr(egraph, "instantiate_pattern", None)
-    for rule, build, class_id, subst in planned:
+    for rule, build, rows, slots in planned:
         rule_stats = stats[rule.name]
-        if rule.applier is not None:
-            new_class = rule.applier(egraph, subst)
-        elif instantiate_pattern is not None:
-            new_class = instantiate_pattern(build, subst)
-        else:
-            new_class = instantiate(egraph, build, subst)
-        rule_stats.applications += 1
-        if egraph.union(class_id, new_class):
-            rule_stats.unions += 1
+        rule_stats.applications += len(rows)
+        rule_stats.unions += _apply(egraph, rule, build, rows, slots)
 
     egraph.rebuild()
 
@@ -552,30 +584,22 @@ def _verify_delta_complete(egraph: EGraph, rules: Sequence[Rewrite],
     # Gather first, mutate after: the frontier's canonical ids and the
     # full-scan search must not observe the verification's own unions.
     pending = _DirtyFrontier(egraph, egraph.peek_dirty(), exact=True)
-    suspects: List[Tuple[Rewrite, Pattern, int, Subst]] = []
+    suspects: List[Tuple[Rewrite, Pattern, List[Row], Slots]] = []
     for rule in rules:
         if scheduler is not None and (scheduler.is_banned(rule.name)
                                       or scheduler.has_debt(rule.name)):
             continue
         for plan, build in rule.plans():
-            for class_id, subst in plan.search(egraph, None):
-                if rule.condition is not None and not rule.condition(
-                        egraph, class_id, subst):
-                    continue
-                if class_id in pending.at(plan.height):
-                    continue  # pending: this round created it, next round sees it
-                suspects.append((rule, build, class_id, subst))
-    missed: List[str] = []
-    instantiate_pattern = getattr(egraph, "instantiate_pattern", None)
-    for rule, build, class_id, subst in suspects:
-        if rule.applier is not None:
-            new_class = rule.applier(egraph, subst)
-        elif instantiate_pattern is not None:
-            new_class = instantiate_pattern(build, subst)
-        else:
-            new_class = instantiate(egraph, build, subst)
-        if egraph.union(class_id, new_class):
-            missed.append(rule.name)
+            rows, slots = egraph.search_rows(plan)
+            if rule.condition is not None:
+                rows = _passing(egraph, rule, rows, slots)
+            # pending: this round created it, next round sees it
+            fresh = pending.at(plan.height)
+            rows = [row for row in rows if row[0] not in fresh]
+            if rows:
+                suspects.append((rule, build, rows, slots))
+    missed = [rule.name for rule, build, rows, slots in suspects
+              if _apply(egraph, rule, build, rows, slots)]
     egraph.rebuild()
     if missed:
         raise AssertionError(

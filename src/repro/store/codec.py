@@ -43,15 +43,19 @@ import os
 import tempfile
 import warnings
 import zlib
+from itertools import chain
+from operator import countOf, itemgetter
 from pathlib import Path
-from typing import (TYPE_CHECKING, Dict, Hashable, List, Optional,
-                    Sequence, Tuple, Union)
+from typing import (TYPE_CHECKING, AbstractSet, Any, Callable, Dict,
+                    Hashable, Iterable, List, Optional, Sequence, Tuple,
+                    Union)
 
 from ..aig import AIG, AndGate
 
 if TYPE_CHECKING:  # import cycle: repro.core imports repro.store
     from ..core.extraction import BoolEExtraction
 from ..egraph import (
+    OPERATOR_ARITIES,
     BackoffScheduler,
     DenseEGraph,
     EGraph,
@@ -61,6 +65,7 @@ from ..egraph import (
     RunnerCheckpoint,
     RunnerLimits,
     RunnerReport,
+    StopReason,
     as_engine,
 )
 from ..egraph.dense import PAYLOAD_TYPES
@@ -203,23 +208,143 @@ class _NodeTable:
         return index
 
 
-def _decode_payload(wire: Sequence) -> Hashable:
-    tag, value = wire
-    if tag == "b":
-        return bool(value)
-    if tag == "s":
-        return str(value)
-    if tag == "i":
-        return int(value)
-    raise SnapshotError(f"unknown payload tag {tag!r}")
+# ----------------------------------------------------------------------
+# Strict wire readers
+# ----------------------------------------------------------------------
+# The report, checkpoint and extraction decoders accept exactly what their
+# encoders write: exact JSON types (a ``bool`` is not an ``int``), ids in
+# range, tables in first-use order.  Anything else raises SnapshotError
+# before a decoded object exists, so the phase executor treats the
+# artifact as a miss and recomputes.
 
 
-def _decode_nodes(wire: Dict) -> List[ENode]:
-    ops = wire["ops"]
-    payloads = [_decode_payload(entry) for entry in wire["payloads"]]
-    return [ENode(ops[op_i], tuple(children),
-                  None if payload_i < 0 else payloads[payload_i])
-            for op_i, children, payload_i in wire["nodes"]]
+def _fields(wire: Any, names: Sequence[str], what: str) -> Dict:
+    if type(wire) is not dict or wire.keys() != set(names):
+        raise SnapshotError(f"{what} must be an object with fields "
+                            f"{sorted(names)}")
+    return wire
+
+
+def _list(value: Any, what: str, length: Optional[int] = None) -> List:
+    if type(value) is not list or (length is not None
+                                   and len(value) != length):
+        raise SnapshotError(f"{what} must be a list"
+                            + ("" if length is None else f" of {length}"))
+    return value
+
+
+def _int(value: Any, what: str, low: int = 0,
+         high: Optional[int] = None) -> int:
+    if type(value) is not int or value < low or (high is not None
+                                                 and value >= high):
+        raise SnapshotError(f"{what} must be an int in [{low}, "
+                            f"{'inf' if high is None else high})")
+    return value
+
+
+def _ints(value: Any, what: str, low: int = 0,
+          high: Optional[int] = None) -> List[int]:
+    """A list of ints in ``[low, high)``, checked with O(n) builtins."""
+    column = _list(value, what)
+    if countOf(map(type, column), int) != len(column) or (column and (
+            min(column) < low or (high is not None
+                                  and max(column) >= high))):
+        raise SnapshotError(f"{what} must be ints in [{low}, "
+                            f"{'inf' if high is None else high})")
+    return column
+
+
+def _columns(value: Any, what: str, width: int) -> List[List]:
+    """A list of ``width``-entry lists, transposed into ``width`` columns."""
+    rows = _list(value, what)
+    if countOf(map(type, rows), list) != len(rows) or not set(
+            map(len, rows)) <= {width}:
+        raise SnapshotError(f"{what} must be lists of {width}")
+    return [list(map(itemgetter(index), rows)) for index in range(width)]
+
+
+def _of(value: Any, kind: type, what: str) -> Any:
+    if type(value) is not kind:
+        raise SnapshotError(f"{what} must be a {kind.__name__}")
+    return value
+
+
+def _number(value: Any, what: str) -> float:
+    if type(value) not in (int, float):
+        raise SnapshotError(f"{what} must be a number")
+    return value
+
+
+def _optional(value: Any, read: Callable, *args: Any) -> Any:
+    return None if value is None else read(value, *args)
+
+
+def _ascending(ids: List[int], what: str) -> List[int]:
+    if any(map(int.__ge__, ids, ids[1:])):
+        raise SnapshotError(f"{what} must be strictly ascending")
+    return ids
+
+
+def _first_use(indices: Iterable[int], count: int, what: str) -> None:
+    """An interning table lists its entries in order of first use."""
+    if list(dict.fromkeys(indices)) != list(range(count)):
+        raise SnapshotError(f"{what} table is not in first-use order")
+
+
+def _known_classes(egraph: Any, ids: Iterable[int], what: str, *,
+                   canonical: bool) -> None:
+    """Every id must be allocated in ``egraph`` (and a current class when
+    ``canonical``)."""
+    for class_id in ids:
+        try:
+            root = egraph.find(class_id)
+        except IndexError:
+            root = None
+        if root is None or (canonical and root != class_id):
+            raise SnapshotError(f"{what} names unknown class {class_id}")
+
+
+def _payload(wire: Any) -> Hashable:
+    tag, value = _list(wire, "payload", 2)
+    kind = {"b": bool, "s": str, "i": int}.get(tag) if type(tag) is str \
+        else None
+    if kind is None:
+        raise SnapshotError(f"unknown payload tag {tag!r}")
+    return _of(value, kind, "payload value")
+
+
+def _nodes(wire: Dict, classes: AbstractSet[int]) -> List[ENode]:
+    """Decode a :class:`_NodeTable` (ops, payloads, nodes) exactly."""
+    ops = _list(wire["ops"], "operator table")
+    if countOf(map(type, ops), str) != len(ops) or len(set(ops)) != len(ops):
+        raise SnapshotError("operator table must hold distinct names")
+    payload_wires = _list(wire["payloads"], "payload table")
+    payloads = [_payload(entry) for entry in payload_wires]
+    if len(set(map(tuple, payload_wires))) != len(payloads):
+        raise SnapshotError("duplicate payload table entry")
+    op_indices, children, payload_indices = _columns(
+        wire["nodes"], "node table", 3)
+    _ints(op_indices, "node operator", high=len(ops))
+    _ints(payload_indices, "node payload", low=-1, high=len(payloads))
+    if countOf(map(type, children), list) != len(children) or not (
+            classes.issuperset(_ints(list(chain.from_iterable(children)),
+                                     "node child"))):
+        raise SnapshotError("node children must be lists of classes")
+    for op_index, arity in sorted(set(zip(op_indices, map(len, children)))):
+        expected = OPERATOR_ARITIES.get(ops[op_index])
+        if expected is not None and expected != arity:
+            raise SnapshotError(f"operator {ops[op_index]!r} expects "
+                                f"{expected} children")
+    _first_use(op_indices, len(ops), "operator")
+    _first_use([index for index in payload_indices if index >= 0],
+               len(payloads), "payload")
+    nodes = [ENode(ops[op_index], tuple(kids),
+                   None if payload_index < 0 else payloads[payload_index])
+             for op_index, kids, payload_index
+             in zip(op_indices, children, payload_indices)]
+    if len(set(nodes)) != len(nodes):
+        raise SnapshotError("duplicate node table entry")
+    return nodes
 
 
 # ----------------------------------------------------------------------
@@ -309,16 +434,38 @@ def extraction_from_wire(wire: Dict, egraph: EGraph) -> "BoolEExtraction":
     e-graph the extraction was computed on; ``egraph`` must be that graph
     (typically just deserialized from the sibling ``saturated-pipeline``
     artifact, or recomputed — determinism makes the ids line up either way).
+    Anything :func:`extraction_to_wire` would not have written for that
+    graph — a wrong type, an index or class out of range, an ``fa_mask``
+    beyond ``fa_index``, a table out of first-use order — raises
+    :class:`SnapshotError`.
     """
     # Deferred: repro.core imports repro.store at module level; importing it
     # lazily here breaks the cycle (this function only runs long after both
     # packages are loaded).
     from ..core.extraction import BoolEExtraction, CostEntry
 
-    nodes = _decode_nodes(wire)
-    fa_index = tuple(wire["fa_index"])
+    _fields(wire, ("ops", "payloads", "nodes", "fa_index", "entries"),
+            "extraction")
+    classes = set(egraph.class_ids())
+    nodes = _nodes(wire, classes)
+    fa_index = tuple(_ints(wire["fa_index"], "fa_index"))
+    if len(set(fa_index)) != len(fa_index) or not classes.issuperset(
+            fa_index):
+        raise SnapshotError("fa_index must list distinct classes")
+    class_ids, node_indices, sizes, fa_masks = _columns(
+        wire["entries"], "extraction entries", 4)
+    if not classes.issuperset(_ints(class_ids, "entry class")):
+        raise SnapshotError("entry class is not a class")
+    _ascending(class_ids, "entry classes")
+    _ints(node_indices, "entry node", high=len(nodes))
+    _ints(sizes, "entry size")
+    if max(_ints(fa_masks, "entry fa_mask"), default=0).bit_length() > len(
+            fa_index):
+        raise SnapshotError("entry fa_mask exceeds fa_index")
+    _first_use(node_indices, len(nodes), "node")
     extraction = BoolEExtraction(egraph=egraph, fa_index=fa_index)
-    for class_id, node_index, size, fa_mask in wire["entries"]:
+    for class_id, node_index, size, fa_mask in zip(
+            class_ids, node_indices, sizes, fa_masks):
         extraction.entries[class_id] = CostEntry(
             fa_mask=fa_mask, size=size, node=nodes[node_index],
             fa_index=fa_index)
@@ -336,9 +483,21 @@ def scheduler_to_wire(scheduler: Optional[BackoffScheduler]) -> Optional[Dict]:
 
 
 def scheduler_from_wire(wire: Optional[Dict]) -> Optional[BackoffScheduler]:
-    """Decode :func:`scheduler_to_wire` output."""
+    """Decode :func:`scheduler_to_wire` output (strictly; see above)."""
     if wire is None:
         return None
+    _fields(wire, ("match_limit", "ban_length", "budget_growth",
+                   "ban_growth", "iteration", "rules"), "scheduler")
+    for name in ("match_limit", "ban_length", "budget_growth", "ban_growth"):
+        _int(wire[name], f"scheduler {name}", low=1)
+    _int(wire["iteration"], "scheduler iteration", low=-1)
+    for name, state in _of(wire["rules"], dict, "scheduler rules").items():
+        times_banned, banned_until, pending = _list(state, "rule state", 3)
+        _int(times_banned, "rule times_banned")
+        _int(banned_until, "rule banned_until", low=-1)
+        _optional(pending, _ints, "rule debt")
+        if pending is not None:
+            _ascending(pending, "rule debt")
     return BackoffScheduler.from_state(wire)
 
 
@@ -371,27 +530,64 @@ def report_to_wire(report: RunnerReport) -> Dict:
     }
 
 
+#: Every stop reason a report may carry.
+_STOP_REASONS = frozenset(value for name, value in vars(StopReason).items()
+                          if name.isupper())
+
+_ITERATION_FIELDS = ("index", "num_classes", "num_nodes", "unions",
+                     "elapsed", "frontier_size", "banned_rules",
+                     "rule_stats")
+
+
+def _rule_stats(values: Any) -> RuleStats:
+    matches, applications, unions, capped, banned = _list(
+        values, "rule stats", 5)
+    return RuleStats(matches=_int(matches, "rule matches"),
+                     applications=_int(applications, "rule applications"),
+                     unions=_int(unions, "rule unions"),
+                     capped=_of(capped, bool, "rule capped"),
+                     banned=_of(banned, bool, "rule banned"))
+
+
+def _iteration_report(entry: Any) -> IterationReport:
+    _fields(entry, _ITERATION_FIELDS, "iteration report")
+    for name in _list(entry["banned_rules"], "banned rules"):
+        _of(name, str, "banned rule name")
+    return IterationReport(
+        index=_int(entry["index"], "iteration index"),
+        num_classes=_int(entry["num_classes"], "iteration num_classes"),
+        num_nodes=_int(entry["num_nodes"], "iteration num_nodes"),
+        unions=_int(entry["unions"], "iteration unions"),
+        elapsed=_number(entry["elapsed"], "iteration elapsed"),
+        rule_stats={_of(name, str, "rule name"): _rule_stats(values)
+                    for name, values in _of(entry["rule_stats"], dict,
+                                            "rule stats").items()},
+        frontier_size=_optional(entry["frontier_size"], _int,
+                                "frontier size"),
+        banned_rules=list(entry["banned_rules"]),
+    )
+
+
 def report_from_wire(wire: Dict) -> RunnerReport:
-    """Decode :func:`report_to_wire` output."""
-    report = RunnerReport(stop_reason=wire["stop_reason"],
-                          total_time=wire["total_time"],
-                          scheduler_stats=dict(wire["scheduler_stats"]))
-    for entry in wire["iterations"]:
-        report.iterations.append(IterationReport(
-            index=entry["index"],
-            num_classes=entry["num_classes"],
-            num_nodes=entry["num_nodes"],
-            unions=entry["unions"],
-            elapsed=entry["elapsed"],
-            rule_stats={
-                name: RuleStats(matches=values[0], applications=values[1],
-                                unions=values[2], capped=values[3],
-                                banned=values[4])
-                for name, values in entry["rule_stats"].items()
-            },
-            frontier_size=entry["frontier_size"],
-            banned_rules=list(entry["banned_rules"]),
-        ))
+    """Decode :func:`report_to_wire` output.
+
+    Strict: a field of the wrong JSON type or out of range raises
+    :class:`SnapshotError`.
+    """
+    _fields(wire, ("stop_reason", "total_time", "scheduler_stats",
+                   "iterations"), "report")
+    if _of(wire["stop_reason"], str, "stop reason") not in _STOP_REASONS:
+        raise SnapshotError(f"unknown stop reason {wire['stop_reason']!r}")
+    scheduler_stats = {
+        _of(name, str, "rule name"): _int(times, "times banned")
+        for name, times in _of(wire["scheduler_stats"], dict,
+                               "scheduler stats").items()}
+    report = RunnerReport(
+        stop_reason=wire["stop_reason"],
+        total_time=_number(wire["total_time"], "total time"),
+        scheduler_stats=scheduler_stats)
+    report.iterations = [_iteration_report(entry) for entry
+                         in _list(wire["iterations"], "iterations")]
     return report
 
 
@@ -408,11 +604,24 @@ def _limits_to_wire(limits: RunnerLimits) -> Dict:
 
 
 def _limits_from_wire(wire: Dict) -> RunnerLimits:
+    _fields(wire, ("max_iterations", "max_nodes", "max_classes",
+                   "time_limit", "match_limit", "ban_length",
+                   "max_matches_per_rule"), "runner limits")
+    for name in ("max_iterations", "max_nodes", "max_classes"):
+        _int(wire[name], f"limit {name}")
+    _number(wire["time_limit"], "limit time_limit")
+    _optional(wire["match_limit"], _int, "limit match_limit", 1)
+    _int(wire["ban_length"], "limit ban_length", low=1)
+    _optional(wire["max_matches_per_rule"], _int,
+              "limit max_matches_per_rule", 1)
     with warnings.catch_warnings():
         # Restoring a checkpoint that was (legitimately) created through the
         # deprecated alias must not re-warn.
         warnings.simplefilter("ignore", DeprecationWarning)
-        return RunnerLimits(**wire)
+        try:
+            return RunnerLimits(**wire)
+        except ValueError as error:
+            raise SnapshotError(f"invalid runner limits: {error}") from None
 
 
 def checkpoint_to_wire(checkpoint: RunnerCheckpoint) -> Dict:
@@ -429,18 +638,38 @@ def checkpoint_to_wire(checkpoint: RunnerCheckpoint) -> Dict:
     }
 
 
-def checkpoint_from_wire(wire: Dict) -> RunnerCheckpoint:
-    """Decode :func:`checkpoint_to_wire` output."""
-    return RunnerCheckpoint(
-        iteration=wire["iteration"],
-        dirty=None if wire["dirty"] is None else list(wire["dirty"]),
+def checkpoint_from_wire(wire: Dict,
+                         egraph: Optional[DenseEGraph] = None
+                         ) -> RunnerCheckpoint:
+    """Decode :func:`checkpoint_to_wire` output.
+
+    Strict like :func:`report_from_wire`.  Given the checkpoint's decoded
+    ``egraph``, it also checks that the dirty frontier names current
+    classes of it and that every scheduler debt names a class id it
+    allocated — a resumed run would index the graph with them.
+    """
+    _fields(wire, ("iteration", "dirty", "incremental", "debug_check_full",
+                   "elapsed", "limits", "report", "scheduler"), "checkpoint")
+    dirty = _optional(wire["dirty"], _ints, "checkpoint dirty")
+    checkpoint = RunnerCheckpoint(
+        iteration=_int(wire["iteration"], "checkpoint iteration"),
+        dirty=None if dirty is None else list(dirty),
         limits=_limits_from_wire(wire["limits"]),
-        incremental=wire["incremental"],
-        debug_check_full=wire["debug_check_full"],
+        incremental=_of(wire["incremental"], bool, "incremental"),
+        debug_check_full=_of(wire["debug_check_full"], bool,
+                             "debug_check_full"),
         report=report_from_wire(wire["report"]),
         scheduler=scheduler_from_wire(wire["scheduler"]),
-        elapsed=wire["elapsed"],
+        elapsed=_number(wire["elapsed"], "checkpoint elapsed"),
     )
+    if egraph is not None:
+        _known_classes(egraph, dirty or (), "checkpoint dirty",
+                       canonical=True)
+        if wire["scheduler"] is not None:
+            for _, _, pending in wire["scheduler"]["rules"].values():
+                _known_classes(egraph, pending or (), "scheduler debt",
+                               canonical=False)
+    return checkpoint
 
 
 # ----------------------------------------------------------------------
@@ -552,5 +781,5 @@ def load_checkpoint(path: Union[str, Path]
     """
     document = read_snapshot(path, expected_kind=KIND_CHECKPOINT)
     payload = document["payload"]
-    return (egraph_from_wire(payload["egraph"]),
-            checkpoint_from_wire(payload["runner"]))
+    egraph = egraph_from_wire(payload["egraph"])
+    return egraph, checkpoint_from_wire(payload["runner"], egraph)

@@ -20,6 +20,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import accumulate, islice
 from pathlib import Path
 
 import pytest
@@ -31,15 +32,21 @@ from repro.core import BoolEOptions, BoolEPipeline
 from repro.core.construct import aig_to_egraph
 from repro.core.fa_structure import insert_fa_structures
 from repro.core.rules_basic import basic_rules
+from repro.core.rules_xor_maj import identification_rules
 from repro.egraph import (
     DEFAULT_ENGINE,
     ENGINES,
     DenseEGraph,
     EGraph,
+    Rewrite,
     Runner,
     RunnerLimits,
+    apply_rules,
     as_engine,
+    compile_pattern,
+    parse_pattern,
 )
+from repro.egraph.dense import _ROOT_CHUNK
 from repro.generators import csa_multiplier
 from repro.opt import post_mapping_flow
 from repro.service import JobService, ServiceWorker
@@ -146,6 +153,31 @@ def random_aigs(draw):
     return aig
 
 
+@st.composite
+def random_adder_aigs(draw):
+    """A random netlist of XOR/MAJ/full-adder cells over possibly negated
+    signals, so the R2 identification rules have XOR3/MAJ3 to find."""
+    num_inputs = draw(st.integers(min_value=3, max_value=5))
+    aig = AIG(name="rand-adders")
+    signals = [aig.add_input(f"x{i}") for i in range(num_inputs)]
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        a, b, c = (signals[draw(st.integers(0, len(signals) - 1))]
+                   ^ draw(st.integers(0, 1)) for _ in range(3))
+        cell = draw(st.sampled_from(["fa", "xor", "maj", "and"]))
+        if cell == "fa":
+            signals.extend(aig.full_adder(a, b, c))
+        elif cell == "xor":
+            signals.append(aig.xor_(aig.xor_(a, b), c))
+        elif cell == "maj":
+            signals.append(aig.or_(aig.and_(a, b),
+                                   aig.and_(c, aig.or_(a, b))))
+        else:
+            signals.append(aig.and_(a, b))
+    for index, lit in enumerate(signals[num_inputs:]):
+        aig.add_output(lit, f"f{index}")
+    return aig
+
+
 class TestDenseOracleEquivalence:
     @given(random_aigs())
     @settings(max_examples=12, deadline=None)
@@ -175,6 +207,107 @@ class TestDenseOracleEquivalence:
         Runner(limits, incremental=False).run(reference, basic_rules())
         Runner(limits, incremental=False).run(dense, basic_rules())
         assert _wire_bytes(dense) == _wire_bytes(reference)
+
+
+    @given(random_adder_aigs())
+    @settings(max_examples=10, deadline=None)
+    def test_r2_after_r1_same_stats_with_bans(self, aig):
+        """R2 on both engines after R1, with a budget small enough that
+        bans fire: identical per-iteration RuleStats and wire bytes."""
+        reference = aig_to_egraph(aig).egraph
+        dense = DenseEGraph.from_state(reference.export_state())
+        reports = {}
+        for name, graph in (("python", reference), ("dense", dense)):
+            Runner(RunnerLimits(max_iterations=4)).run(graph, basic_rules())
+            reports[name] = Runner(RunnerLimits(
+                max_iterations=6, match_limit=4, ban_length=1)).run(
+                graph, identification_rules())
+        assert _wire_bytes(dense) == _wire_bytes(reference)
+        assert _rule_stats(reports["dense"]) == _rule_stats(
+            reports["python"])
+
+    @given(random_adder_aigs())
+    @settings(max_examples=10, deadline=None)
+    def test_flat_cap_and_condition_same_stats(self, aig):
+        """The deprecated flat cap (a kept prefix, not a ban) plus a
+        ``condition`` rule, driven through ``apply_rules`` directly:
+        identical RuleStats every round and identical wire bytes."""
+        rules = identification_rules() + [Rewrite.parse(
+            "and-comm-filtered", "(& ?a ?b)", "(& ?b ?a)",
+            condition=lambda egraph, root, subst:
+                (subst["?a"] + 2 * subst["?b"] + root) % 3 != 0)]
+        reference = aig_to_egraph(aig).egraph
+        dense = DenseEGraph.from_state(reference.export_state())
+        rounds = {}
+        for name, graph in (("python", reference), ("dense", dense)):
+            Runner(RunnerLimits(max_iterations=3)).run(graph, basic_rules())
+            rounds[name] = [apply_rules(graph, rules, max_matches_per_rule=3)
+                            for _ in range(3)]
+        assert _wire_bytes(dense) == _wire_bytes(reference)
+        assert rounds["dense"] == rounds["python"]
+        for stats in rounds["dense"]:
+            for stat in stats.values():
+                assert stat.matches == stat.applications <= 3
+                assert stat.matches == 3 or not stat.capped
+
+
+def _rule_stats(report):
+    return [iteration.rule_stats for iteration in report.iterations]
+
+
+class TestSearchRowsLimit:
+    """``search_rows(limit=k)`` computes exactly the root chunks that the
+    old per-match generator computed before a caller stopped consuming at
+    its ``k + 1``-th match, so ``match_ops`` (``runner.*_ematch_ops``) is
+    unchanged."""
+
+    @staticmethod
+    def _chunks(graph, plan):
+        # The pre-row matcher's work units: one root chunk at a time.
+        steps, _ = graph._compile_match(plan.pattern)
+        roots = graph._candidate_roots(plan, None)
+        for start in range(0, len(roots), _ROOT_CHUNK):
+            seed = [(root,) for root in roots[start:start + _ROOT_CHUNK]]
+            yield graph._run_match(steps, seed)
+
+    def _generator_stream(self, graph, plan):
+        for rows in self._chunks(graph, plan):
+            yield from rows
+
+    def test_limit_matches_generator_consumption(self):
+        base = aig_to_egraph(post_mapping_flow(csa_multiplier(8).aig)).egraph
+        Runner(RunnerLimits(max_iterations=1)).run(base, basic_rules())
+        state = base.export_state()
+        plan = compile_pattern(parse_pattern("(& ?a ?b)"))
+        probe = DenseEGraph.from_state(state)
+        total = len(probe.search_rows(plan)[0])
+        # several root chunks
+        assert len(probe._candidate_roots(plan, None)) > 2 * _ROOT_CHUNK
+        # Limits landing exactly on a chunk's last row are the edge: the
+        # generator's consumer still pulls one more match from the next
+        # chunk.
+        boundaries = list(accumulate(
+            len(rows) for rows in self._chunks(probe, plan)))
+        for limit in sorted({0, 1, total // 2, total - 1, total, total + 5,
+                             *boundaries}):
+            old = DenseEGraph.from_state(state)
+            consumed = list(islice(self._generator_stream(old, plan),
+                                   limit + 1))
+            new = DenseEGraph.from_state(state)
+            rows, slots = new.search_rows(plan, None, limit)
+            assert new.match_ops == old.match_ops, limit
+            assert rows[:limit + 1] == consumed
+            assert len(rows) > limit or len(rows) == total
+        # The object engine's adapter yields the same matches.
+        python = EGraph.from_state(state)
+        rows, slots = python.search_rows(plan, None, 7)
+        assert len(rows) == 8
+        dense_rows, dense_slots = DenseEGraph.from_state(state).search_rows(
+            plan, None, 7)
+        assert [[row[slots[name]] for name in ("?a", "?b")]
+                for row in rows] == [[row[dense_slots[name]]
+                                      for name in ("?a", "?b")]
+                                     for row in dense_rows[:8]]
 
 
 # ----------------------------------------------------------------------

@@ -152,6 +152,31 @@ def _mapped(width=3):
     return post_mapping_flow(csa_multiplier(width).aig)
 
 
+def _captured_r2_checkpoint(tmp_path):
+    """Run with ``checkpoint_every=1`` and return the mid-R2 checkpoint's
+    ``(key, payload, meta)`` as a killed run would leave it behind."""
+    aig = _mapped()
+    options = BoolEOptions(checkpoint_every=1, **OPTIONS)
+    checkpoint_key = phase_checkpoint_key(
+        BoolEPipeline(options).cache_key(aig), "saturate-r2")
+    captured = {}
+    original_put = ArtifactStore.put
+
+    def capturing_put(self, key, payload, *, kind, meta=None):
+        path = original_put(self, key, payload, kind=kind, meta=meta)
+        if kind == KIND_CHECKPOINT and key not in captured:
+            captured[key] = (payload, meta)
+        return path
+
+    ArtifactStore.put = capturing_put
+    try:
+        BoolEPipeline(options, store=ArtifactStore(tmp_path)).run(aig)
+    finally:
+        ArtifactStore.put = original_put
+    assert checkpoint_key in captured, "no mid-R2 checkpoint was taken"
+    return (checkpoint_key,) + captured[checkpoint_key]
+
+
 class TestPipelinePhases:
     def test_pipeline_reports_six_phases(self):
         assert BoolEPipeline().phases == [
@@ -213,29 +238,10 @@ class TestPipelinePhases:
         options = BoolEOptions(checkpoint_every=1, **OPTIONS)
 
         reference = BoolEPipeline(BoolEOptions(**OPTIONS)).run(aig)
-
-        store = ArtifactStore(tmp_path)
-        checkpoint_key = phase_checkpoint_key(
-            BoolEPipeline(options).cache_key(aig), "saturate-r2")
-        captured = {}
-        original_put = ArtifactStore.put
-
-        def capturing_put(self, key, payload, *, kind, meta=None):
-            path = original_put(self, key, payload, kind=kind, meta=meta)
-            if kind == KIND_CHECKPOINT and key not in captured:
-                captured[key] = (payload, meta)
-            return path
-
-        ArtifactStore.put = capturing_put
-        try:
-            BoolEPipeline(options, store=store).run(aig)
-        finally:
-            ArtifactStore.put = original_put
-        assert checkpoint_key in captured, "no mid-R2 checkpoint was taken"
+        checkpoint_key, payload, meta = _captured_r2_checkpoint(tmp_path)
 
         # Fresh store holding only the checkpoint — the killed-run state.
         resume_store = ArtifactStore(tmp_path / "killed")
-        payload, meta = captured[checkpoint_key]
         resume_store.put(checkpoint_key, payload, kind=KIND_CHECKPOINT,
                          meta=meta)
 
@@ -253,6 +259,33 @@ class TestPipelinePhases:
         assert not resume_store.contains(checkpoint_key)
         warm = BoolEPipeline(options, store=resume_store).run(aig)
         assert warm.cache_hit and warm.extraction_cache_hit
+
+
+class TestMalformedCheckpoint:
+    @pytest.mark.parametrize("field, value", [
+        ("dirty", [10 ** 9]),
+        ("dirty", "abc"),
+        ("iteration", "3"),
+    ])
+    def test_malformed_runner_state_degrades_to_recompute(
+            self, tmp_path, field, value):
+        """A checkpoint whose runner state is well-formed JSON but not a
+        valid resume point is a miss: the run recomputes from scratch
+        instead of crashing mid-saturation."""
+        aig = _mapped()
+        options = BoolEOptions(checkpoint_every=1, **OPTIONS)
+        reference = BoolEPipeline(BoolEOptions(**OPTIONS)).run(aig)
+        key, payload, meta = _captured_r2_checkpoint(tmp_path / "capture")
+        payload = json.loads(json.dumps(payload))
+        payload["runner"][field] = value
+        store = ArtifactStore(tmp_path / "killed")
+        store.put(key, payload, kind=KIND_CHECKPOINT, meta=meta)
+
+        result = BoolEPipeline(options, store=store).run(aig)
+        assert result.resumed_phase is None
+        assert "construct" in result.timings
+        assert result.fa_blocks == reference.fa_blocks
+        assert result.extracted_aig.gates == reference.extracted_aig.gates
 
 
 _KILL_SCRIPT = """

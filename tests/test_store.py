@@ -43,18 +43,25 @@ from repro.egraph import (
 from repro.generators import csa_multiplier, ripple_carry_adder
 from repro.opt import post_mapping_flow
 from repro.store import (
+    KIND_EXTRACTION,
     KIND_SATURATED,
     ArtifactStore,
     SnapshotError,
     SnapshotVersionError,
+    checkpoint_from_wire,
+    checkpoint_to_wire,
     egraph_from_wire,
     egraph_to_wire,
+    extraction_from_wire,
+    extraction_to_wire,
     fingerprint_aig,
     fingerprint_options,
     fingerprint_ruleset,
     load_checkpoint,
     load_egraph,
     read_snapshot,
+    report_from_wire,
+    report_to_wire,
     save_checkpoint,
     save_egraph,
     scheduler_from_wire,
@@ -353,6 +360,156 @@ class TestColumnDecodeFuzz:
                 return
             # Only bits gzip ignores (header mtime/XFL/OS) may survive.
             assert document == json.loads(gzip.decompress(intact))
+
+
+@functools.lru_cache(maxsize=None)
+def _extraction_payload_text() -> str:
+    """Canonical JSON of a small ``extraction`` artifact payload."""
+    with tempfile.TemporaryDirectory() as root:
+        store = ArtifactStore(root)
+        BoolEPipeline(BoolEOptions(r1_iterations=2, r2_iterations=2),
+                      store=store).run(_mapped_csa3())
+        (key,) = [entry.key for entry in store.entries()
+                  if entry.kind == KIND_EXTRACTION]
+        payload = store.get(key, expected_kind=KIND_EXTRACTION)
+    return json.dumps(payload, sort_keys=True)
+
+
+@functools.lru_cache(maxsize=None)
+def _checkpoint_payload_text() -> str:
+    """Canonical JSON of ``{"egraph", "runner"}`` at the first checkpoint
+    of a run whose scheduler carries bans and search debt."""
+    egraph = aig_to_egraph(_mapped_csa3()).egraph
+    captured = []
+
+    def on_checkpoint(checkpoint):
+        if not captured and checkpoint.scheduler.stats():
+            captured.append({"egraph": egraph_to_wire(egraph),
+                             "runner": checkpoint_to_wire(checkpoint)})
+
+    Runner(RunnerLimits(max_iterations=12, match_limit=60, ban_length=1)).run(
+        egraph, basic_rules() + identification_rules(True),
+        checkpoint_every=1, on_checkpoint=on_checkpoint)
+    assert captured, "no checkpoint carried scheduler state"
+    return json.dumps(captured[0], sort_keys=True)
+
+
+_WRONG_VALUES = [-1, 10 ** 9, "1", 1.5, None, True, False, [], {}]
+
+
+def _positions(value, out):
+    """Every ``(container, key)`` pair nested under ``value``."""
+    if isinstance(value, dict):
+        items = list(value.items())
+    elif isinstance(value, list):
+        items = list(enumerate(value))
+    else:
+        items = []
+    for key, child in items:
+        out.append((value, key))
+        _positions(child, out)
+    return out
+
+
+def _mutate_wire(wire, data):
+    """Replace, delete or duplicate one value anywhere in ``wire``."""
+    field = data.draw(st.sampled_from(sorted(wire)))
+    container, key = data.draw(st.sampled_from(
+        [(wire, field)] + _positions(wire[field], [])))
+    kind = data.draw(st.sampled_from(["replace", "delete", "extend"]))
+    if kind == "replace":
+        container[key] = data.draw(st.sampled_from(_WRONG_VALUES))
+    elif kind == "delete":
+        del container[key]
+    elif isinstance(container, list):
+        container.append(json.loads(json.dumps(container[key])))
+    else:
+        container["extra"] = 0
+
+
+def _decodes_identically(decode, encode, wire):
+    """``decode(wire)`` raises SnapshotError or re-encodes to ``wire``."""
+    try:
+        decoded = decode(wire)
+    except SnapshotError:
+        return
+    assert json.loads(json.dumps(encode(decoded))) == wire
+
+
+class TestWireDecodeFuzz:
+    """Bounded fuzzers for the extraction, report and checkpoint decoders
+    (tier-1): every input decodes to the object it encodes or raises
+    SnapshotError — never another exception, never a silent repair."""
+
+    def test_intact_payloads_round_trip(self):
+        extraction = json.loads(_extraction_payload_text())["extraction"]
+        egraph = egraph_from_wire(
+            json.loads(_saturated_payload_text())["egraph"])
+        assert extraction_to_wire(
+            extraction_from_wire(extraction, egraph)) == extraction
+        saturated = json.loads(_saturated_payload_text())
+        for name in ("r1_report", "r2_report"):
+            assert report_to_wire(report_from_wire(saturated[name])) \
+                == saturated[name]
+        checkpoint = json.loads(_checkpoint_payload_text())
+        restored = checkpoint_from_wire(
+            checkpoint["runner"], egraph_from_wire(checkpoint["egraph"]))
+        assert json.loads(json.dumps(checkpoint_to_wire(restored))) \
+            == checkpoint["runner"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_extraction_decoder(self, data):
+        egraph = egraph_from_wire(
+            json.loads(_saturated_payload_text())["egraph"])
+        wire = json.loads(_extraction_payload_text())["extraction"]
+        _mutate_wire(wire, data)
+        _decodes_identically(
+            lambda wire: extraction_from_wire(wire, egraph),
+            extraction_to_wire, wire)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_report_decoder(self, data):
+        wire = json.loads(_saturated_payload_text())["r2_report"]
+        _mutate_wire(wire, data)
+        _decodes_identically(report_from_wire, report_to_wire, wire)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_checkpoint_decoder(self, data):
+        payload = json.loads(_checkpoint_payload_text())
+        egraph = egraph_from_wire(payload["egraph"])
+        wire = payload["runner"]
+        _mutate_wire(wire, data)
+        _decodes_identically(
+            lambda wire: checkpoint_from_wire(wire, egraph),
+            checkpoint_to_wire, wire)
+
+
+class TestMalformedExtractionArtifact:
+    @pytest.mark.parametrize("field, value", [
+        ("node_index", -1), ("fa_mask", "3"), ("size", True)])
+    def test_malformed_entry_is_recomputed_not_served(
+            self, tmp_path, field, value):
+        """A well-formed file whose extraction entry is garbage must not be
+        restored as an extraction cache hit."""
+        store = ArtifactStore(tmp_path)
+        pipeline = BoolEPipeline(BoolEOptions(r1_iterations=2,
+                                              r2_iterations=2), store=store)
+        aig = _mapped_csa3()
+        cold = pipeline.run(aig)
+        (entry,) = [entry for entry in store.entries()
+                    if entry.kind == KIND_EXTRACTION]
+        payload = store.get(entry.key, expected_kind=KIND_EXTRACTION)
+        position = ("class_id", "node_index", "size", "fa_mask").index(field)
+        payload["extraction"]["entries"][0][position] = value
+        store.put(entry.key, payload, kind=KIND_EXTRACTION, meta=entry.meta)
+
+        rerun = pipeline.run(aig)
+        assert rerun.cache_hit and not rerun.extraction_cache_hit
+        assert rerun.fa_blocks == cold.fa_blocks
+        assert rerun.extracted_aig.gates == cold.extracted_aig.gates
 
 
 class TestSchedulerRoundTrip:
