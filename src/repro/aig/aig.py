@@ -17,7 +17,7 @@ simplification on insertion, mirroring how ABC builds AIGs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "AIG",
@@ -293,22 +293,6 @@ class AIG:
             return 0
         level = self.levels()
         return max(level[lit_var(lit)] for lit in self.outputs)
-
-    def cone_vars(self, roots: Iterable[int]) -> List[int]:
-        """Return all gate variables in the transitive fanin cone of ``roots``.
-
-        ``roots`` are variable indices.  The result is in topological order and
-        excludes primary inputs and the constant.
-        """
-        wanted = set()
-        stack = list(roots)
-        while stack:
-            var = stack.pop()
-            if var in wanted or not self.is_gate_var(var):
-                continue
-            wanted.add(var)
-            stack.extend(self.gate_of(var).fanin_vars())
-        return [g.out_var for g in self.gates if g.out_var in wanted]
 
     # ------------------------------------------------------------------
     # Simulation

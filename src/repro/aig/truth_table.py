@@ -90,25 +90,29 @@ def cone_truth_table(aig: AIG, root_var: int, leaves: Sequence[int]) -> int:
     for position, leaf in enumerate(leaves):
         values[leaf] = var_table(position, num_vars)
 
-    def eval_var(var: int) -> int:
+    # Depth-first over the cone with an explicit stack, fanin0 first.
+    stack = [root_var]
+    while stack:
+        var = stack[-1]
         if var in values:
-            return values[var]
+            stack.pop()
+            continue
         if not aig.is_gate_var(var):
             raise ValueError(
                 f"cone of variable {root_var} depends on free variable {var} "
                 f"not listed among the leaves {list(leaves)}")
         gate = aig.gate_of(var)
-        a = eval_lit(gate.fanin0)
-        b = eval_lit(gate.fanin1)
-        result = a & b
-        values[var] = result
-        return result
-
-    def eval_lit(lit: int) -> int:
-        word = eval_var(lit_var(lit))
-        return (~word & mask) if lit_is_compl(lit) else word
-
-    return eval_var(root_var) & mask
+        missing = [lit_var(lit) for lit in (gate.fanin1, gate.fanin0)
+                   if lit_var(lit) not in values]
+        if missing:
+            stack += missing
+            continue
+        stack.pop()
+        words = [(~values[lit_var(lit)] & mask) if lit_is_compl(lit)
+                 else values[lit_var(lit)]
+                 for lit in (gate.fanin0, gate.fanin1)]
+        values[var] = words[0] & words[1]
+    return values[root_var] & mask
 
 
 def output_truth_tables(aig: AIG) -> List[int]:

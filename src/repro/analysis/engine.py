@@ -9,6 +9,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .findings import Finding, is_suppressed, parse_noqa
 from .rules_det import run_det_rules
+from .rules_mem import run_mem_rules
 from .rules_wire import run_wire_rules
 from .typeinfo import ProjectModel, collect_model
 
@@ -29,8 +30,9 @@ class RuleInfo:
 
 
 #: The rule catalog.  DET001-003 + EGR001 share one flow-sensitive walk;
-#: WIRE001 + KEY001 share one structural pass — so the registry maps each
-#: *group* to its runner and the catalog stays per-rule for reporting.
+#: WIRE001 + KEY001 share one structural pass and MEM001 has its own — so
+#: the registry maps each *group* to its runner and the catalog stays
+#: per-rule for reporting.
 RULES: Dict[str, RuleInfo] = {
     "DET001": RuleInfo(
         "DET001",
@@ -63,11 +65,19 @@ RULES: Dict[str, RuleInfo] = {
         "BoolEOptions field neither excluded nor fingerprinted",
         "the refine_rounds key-divergence hole PR 5 patched by hand: an "
         "unfingerprinted semantic option reuses stale cached results"),
+    "MEM001": RuleInfo(
+        "MEM001",
+        "nested functions that refer to each other in a cycle "
+        "(recursive closures)",
+        "each finished job's recursive closures stayed in memory until "
+        "a collection ran, once jobs ran with the cyclic collector "
+        "paused"),
 }
 
 _RUNNERS: Tuple[Tuple[Tuple[str, ...], RuleRunner], ...] = (
     (("DET001", "DET002", "DET003", "EGR001"), run_det_rules),
     (("WIRE001", "KEY001"), run_wire_rules),
+    (("MEM001",), run_mem_rules),
 )
 
 

@@ -56,11 +56,6 @@ class TypeRep:
     name: str = ""
     args: Tuple["TypeRep", ...] = ()
 
-    @property
-    def is_unordered(self) -> bool:
-        """True for collections with no iteration-order guarantee."""
-        return self.category == SET
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = f"[{', '.join(map(repr, self.args))}]" if self.args else ""
         return f"{self.name or self.category}{inner}"

@@ -293,16 +293,6 @@ class BatchReport:
     plan: Optional[BatchPlan] = None
 
     @property
-    def num_planned_warm(self) -> int:
-        """Jobs the plan predicted warm (served inline from the store)."""
-        return self.plan.num_warm if self.plan is not None else 0
-
-    @property
-    def num_planned_cold(self) -> int:
-        """Jobs the plan dispatched to the pool."""
-        return self.plan.num_cold if self.plan is not None else 0
-
-    @property
     def num_deduped(self) -> int:
         """Jobs served by cloning an identical job's result."""
         return sum(1 for item in self.items

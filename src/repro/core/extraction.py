@@ -118,10 +118,6 @@ class BoolEExtraction:
         """
         return self.entries[class_id]
 
-    def has_entry(self, class_id: int) -> bool:
-        """True if the extraction reached ``class_id``."""
-        return self.egraph.find(class_id) in self.entries
-
     def num_exact_fas(self, roots: Sequence[int]) -> int:
         """Number of distinct FAs used by the extraction of ``roots``."""
         mask = 0
@@ -420,6 +416,75 @@ class FABlockRecord:
     carry_lit: int
 
 
+#: AIG builders of the plain gate operators, by e-node operator.
+_GATES = {Op.NOT: AIG.not_, Op.AND: AIG.and_, Op.OR: AIG.or_,
+          Op.NAND: AIG.nand_, Op.NOR: AIG.nor_, Op.XOR: AIG.xor_,
+          Op.XNOR: AIG.xnor_, Op.XOR3: AIG.xor3_, Op.MAJ: AIG.maj3_}
+
+
+class _Materializer:
+    """Materialises extracted classes into an AIG, memoised per class.
+
+    Methods rather than nested closures: the three steps recurse into one
+    another, and closures that did would form a reference cycle.
+    """
+
+    def __init__(self, extraction: BoolEExtraction, aig: AIG,
+                 input_literal: Dict[str, int]) -> None:
+        self.extraction = extraction
+        self.find = extraction.egraph.find
+        self.aig = aig
+        self.input_literal = input_literal
+        self.literal_memo: Dict[int, int] = {}
+        self.fa_memo: Dict[int, Tuple[int, int]] = {}
+        self.blocks: List[FABlockRecord] = []
+
+    def fa(self, class_id: int, visiting: Set[int]) -> Tuple[int, int]:
+        class_id = self.find(class_id)
+        if class_id in self.fa_memo:
+            return self.fa_memo[class_id]
+        node = self.extraction.raw_entry(class_id).node
+        inputs = tuple(self.literal(child, visiting) for child in node.children)
+        sum_lit, carry_lit = self.aig.full_adder(*inputs)
+        self.fa_memo[class_id] = (sum_lit, carry_lit)
+        self.blocks.append(FABlockRecord(inputs=inputs, sum_lit=sum_lit,
+                                         carry_lit=carry_lit))
+        return sum_lit, carry_lit
+
+    def literal(self, class_id: int, visiting: Set[int]) -> int:
+        class_id = self.find(class_id)
+        if class_id in self.literal_memo:
+            return self.literal_memo[class_id]
+        if class_id in visiting:
+            raise RuntimeError("cyclic extraction choice encountered")
+        entry = self.extraction.entries.get(class_id)
+        if entry is None:
+            raise RuntimeError(f"extraction did not reach class {class_id}")
+        literal = self.node(entry.node, visiting | {class_id})
+        self.literal_memo[class_id] = literal
+        return literal
+
+    def node(self, node: ENode, visiting: Set[int]) -> int:
+        aig = self.aig
+        if node.op == Op.VAR:
+            return self.input_literal[node.payload]
+        if node.op == Op.CONST:
+            return aig.const(bool(node.payload))
+        if node.op == Op.FST:
+            return self.fa(node.children[0], visiting)[1]
+        if node.op == Op.SND:
+            return self.fa(node.children[0], visiting)[0]
+        children = [self.literal(child, visiting) for child in node.children]
+        gate = _GATES.get(node.op)
+        if gate is not None:
+            return gate(aig, *children)
+        if node.op == Op.HA:
+            return aig.half_adder(children[0], children[1])[0]
+        if node.op == Op.FA:
+            raise RuntimeError("FA tuple class reached outside FST/SND projection")
+        raise RuntimeError(f"cannot materialise operator {node.op!r}")
+
+
 def reconstruct_aig(construction: ConstructionResult,
                     extraction: BoolEExtraction,
                     name: str = "") -> Tuple[AIG, List[FABlockRecord]]:
@@ -429,82 +494,15 @@ def reconstruct_aig(construction: ConstructionResult,
     returned block list) so the output netlist exposes the reconstructed adder
     tree to downstream tools such as the SCA verifier.
     """
-    egraph = extraction.egraph
-    entries = extraction.entries
     source = construction.aig
     aig = AIG(name=name or f"{source.name}_boole")
     input_literal: Dict[str, int] = {}
     for var in source.inputs:
         input_literal[source.input_names[var]] = aig.add_input(source.input_names[var])
-
-    literal_memo: Dict[int, int] = {}
-    fa_memo: Dict[int, Tuple[int, int]] = {}
-    blocks: List[FABlockRecord] = []
-
-    def materialize_fa(class_id: int, visiting: Set[int]) -> Tuple[int, int]:
-        class_id = egraph.find(class_id)
-        if class_id in fa_memo:
-            return fa_memo[class_id]
-        node = extraction.raw_entry(class_id).node
-        inputs = tuple(materialize(child, visiting) for child in node.children)
-        sum_lit, carry_lit = aig.full_adder(*inputs)
-        fa_memo[class_id] = (sum_lit, carry_lit)
-        blocks.append(FABlockRecord(inputs=inputs, sum_lit=sum_lit,
-                                    carry_lit=carry_lit))
-        return sum_lit, carry_lit
-
-    def materialize(class_id: int, visiting: Set[int]) -> int:
-        class_id = egraph.find(class_id)
-        if class_id in literal_memo:
-            return literal_memo[class_id]
-        if class_id in visiting:
-            raise RuntimeError("cyclic extraction choice encountered")
-        entry = entries.get(class_id)
-        if entry is None:
-            raise RuntimeError(f"extraction did not reach class {class_id}")
-        visiting = visiting | {class_id}
-        literal = _materialize_node(entry.node, class_id, visiting)
-        literal_memo[class_id] = literal
-        return literal
-
-    def _materialize_node(node: ENode, class_id: int, visiting: Set[int]) -> int:
-        if node.op == Op.VAR:
-            return input_literal[node.payload]
-        if node.op == Op.CONST:
-            return aig.const(bool(node.payload))
-        if node.op == Op.FST:
-            return materialize_fa(node.children[0], visiting)[1]
-        if node.op == Op.SND:
-            return materialize_fa(node.children[0], visiting)[0]
-        children = [materialize(child, visiting) for child in node.children]
-        if node.op == Op.NOT:
-            return aig.not_(children[0])
-        if node.op == Op.AND:
-            return aig.and_(children[0], children[1])
-        if node.op == Op.OR:
-            return aig.or_(children[0], children[1])
-        if node.op == Op.NAND:
-            return aig.nand_(children[0], children[1])
-        if node.op == Op.NOR:
-            return aig.nor_(children[0], children[1])
-        if node.op == Op.XOR:
-            return aig.xor_(children[0], children[1])
-        if node.op == Op.XNOR:
-            return aig.xnor_(children[0], children[1])
-        if node.op == Op.XOR3:
-            return aig.xor3_(children[0], children[1], children[2])
-        if node.op == Op.MAJ:
-            return aig.maj3_(children[0], children[1], children[2])
-        if node.op == Op.HA:
-            sum_lit, _carry = aig.half_adder(children[0], children[1])
-            return sum_lit
-        if node.op == Op.FA:
-            raise RuntimeError("FA tuple class reached outside FST/SND projection")
-        raise RuntimeError(f"cannot materialise operator {node.op!r}")
-
+    builder = _Materializer(extraction, aig, input_literal)
     for class_id, lit, name_ in zip(construction.output_classes,
                                     construction.aig.outputs,
                                     construction.aig.output_names):
-        literal = materialize(class_id, set())
+        literal = builder.literal(class_id, set())
         aig.add_output(literal, name_)
-    return aig, blocks
+    return aig, builder.blocks

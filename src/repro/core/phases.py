@@ -32,6 +32,7 @@ builds the graph, executes it and assembles the result bundle.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List,
                     Optional, Tuple)
@@ -665,10 +666,12 @@ def _construction_from_wire(wire: Dict, egraph: Any,
 
 
 class _BoolEPhase(Phase):
-    """Base for the concrete phases: holds the owning pipeline."""
+    """Base for the concrete phases: holds a weak proxy of the owning
+    pipeline, which holds the phases (a strong reference back would make
+    every pipeline a reference cycle)."""
 
     def __init__(self, pipeline: "BoolEPipeline") -> None:
-        self.pipeline = pipeline
+        self.pipeline: "BoolEPipeline" = weakref.proxy(pipeline)
 
     @property
     def options(self) -> "BoolEOptions":

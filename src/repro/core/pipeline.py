@@ -33,11 +33,13 @@ uninterrupted run) instead of restarting the phase.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..aig import AIG
 from ..egraph import RunnerLimits, RunnerReport
@@ -427,15 +429,17 @@ class BoolEPipeline:
         interrupted saturation phases resume from their
         ``kind="checkpoint"`` artifact (``result.resumed_phase``).  A
         fully warm run costs one snapshot load and skips cost propagation
-        entirely.
+        entirely.  Phases run with the cyclic collector paused
+        (:func:`gc_paused`).
         """
         store = _as_store(store) or self.store
         start = time.perf_counter()
 
         ctx = PhaseContext(store=store)
         ctx["aig"] = aig
-        ctx["base_key"] = self.cache_key(aig) if store is not None else None
-        self._graph.execute(ctx)
+        with gc_paused():
+            ctx["base_key"] = self.cache_key(aig) if store is not None else None
+            self._graph.execute(ctx)
 
         timings = ctx.timings
         timings["total"] = time.perf_counter() - start
@@ -454,6 +458,25 @@ class BoolEPipeline:
             extraction_cache_hit=ctx.artifact_hits.get("reconstruct", False),
             resumed_phase=ctx.resumed_phase,
         )
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, restoring the caller's state on
+    exit (also on an exception).
+
+    A job allocates millions of containers, and every collection they
+    trigger re-walks all of them to free nothing: job structures are
+    acyclic (analyzer rule MEM001 keeps recursive closures out), so
+    reference counting alone reclaims them.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _as_store(store: Union[ArtifactStore, str, Path, None]

@@ -9,9 +9,8 @@ BoolE distinguishes those from *exact* full adders.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import permutations
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from ..aig.truth_table import MAJ3_TABLE, XOR3_TABLE, table_mask
 
@@ -24,23 +23,6 @@ __all__ = [
     "XOR3_NPN_CANON",
     "MAJ3_NPN_CANON",
 ]
-
-
-@lru_cache(maxsize=None)
-def _minterm_maps(num_vars: int) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
-    """Precompute per-permutation and per-negation minterm index maps."""
-    size = 1 << num_vars
-    perm_maps: List[Tuple[int, ...]] = []
-    for perm in permutations(range(num_vars)):
-        mapping = []
-        for minterm in range(size):
-            target = 0
-            for position in range(num_vars):
-                if (minterm >> position) & 1:
-                    target |= 1 << perm[position]
-            mapping.append(target)
-        perm_maps.append(tuple(mapping))
-    return tuple(perm_maps), tuple(range(size))
 
 
 def apply_permutation(table: int, perm: Tuple[int, ...], num_vars: int) -> int:

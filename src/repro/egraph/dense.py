@@ -51,8 +51,6 @@ a fresh graph, so the snapshot codec never builds an :class:`ENode`.
 
 from __future__ import annotations
 
-import gc
-from contextlib import contextmanager
 from itertools import compress, islice
 from operator import countOf, eq, le, lt, sub
 from typing import (
@@ -70,8 +68,6 @@ from typing import (
 from .egraph import EGraph, enode_sort_key
 from .enode import ENode, Op, OPERATOR_ARITIES
 from .pattern import (
-    _MAX_PIVOT_DEPTH,
-    _PIVOT_ADVANTAGE,
     MatchPlan,
     Pattern,
     PatternNode,
@@ -155,51 +151,18 @@ def _offset_column(columns: Dict, name: str, rows: int) -> List[int]:
     return column
 
 
-@contextmanager
-def _gc_paused() -> Iterator[None]:
-    """Pause the cyclic collector around a bulk build.
-
-    Decoding a snapshot allocates ~10^5 fresh containers (per-class node
-    sets, parent lists, class objects) next to columns holding millions of
-    ints; every collection the allocations trigger re-traverses those
-    columns and finds nothing to free, which costs about a quarter of the
-    decode.  The collector is restored (when it was on) on exit.
-    """
-    if not gc.isenabled():
-        yield
-        return
-    gc.disable()
-    try:
-        yield
-    finally:
-        gc.enable()
-
-
 class _DenseClass:
     """Per-class storage: node ids and a flat ``[node, class, ...]`` parent
-    list.  ``nodes``/``parents`` decode to the object-graph forms so code
-    written against :class:`~repro.egraph.egraph.EClass` keeps working."""
+    list.  It holds no reference back to its graph, so a finished graph is
+    acyclic and reference counting alone frees it."""
 
-    __slots__ = ("id", "node_ids", "parent_pairs", "_graph")
+    __slots__ = ("id", "node_ids", "parent_pairs")
 
-    def __init__(self, class_id: int, graph: "DenseEGraph",
-                 node_ids: Set[int], parent_pairs: List[int]) -> None:
+    def __init__(self, class_id: int, node_ids: Set[int],
+                 parent_pairs: List[int]) -> None:
         self.id = class_id
         self.node_ids = node_ids
         self.parent_pairs = parent_pairs
-        self._graph = graph
-
-    @property
-    def nodes(self) -> Set[ENode]:
-        decode = self._graph._decode
-        return {decode(node_id) for node_id in self.node_ids}
-
-    @property
-    def parents(self) -> List[Tuple[ENode, int]]:
-        decode = self._graph._decode
-        pairs = self.parent_pairs
-        return [(decode(pairs[i]), pairs[i + 1])
-                for i in range(0, len(pairs), 2)]
 
 
 class DenseEGraph:
@@ -578,7 +541,7 @@ class DenseEGraph:
             return self._find(existing)
         class_id = len(self._uf)
         self._uf.append(class_id)
-        self._classes[class_id] = _DenseClass(class_id, self, {node_id}, [])
+        self._classes[class_id] = _DenseClass(class_id, {node_id}, [])
         self._seq[class_id] = class_id  # fresh ids are already monotone
         self._hashcons[node_id] = class_id
         offsets = self._node_off
@@ -870,28 +833,26 @@ class DenseEGraph:
         steps: List[Tuple] = []
         var_slots: Slots = {}
         slot_count = 1
-
-        def walk(node: Pattern, slot: int) -> None:
-            nonlocal slot_count
+        stack: List[Tuple[Pattern, int]] = [(pattern, 0)]
+        while stack:  # pre-order, children left to right
+            node, slot = stack.pop()
             if isinstance(node, PatternVar):
                 previous = var_slots.get(node.name)
                 if previous is None:
                     var_slots[node.name] = slot
                 else:
                     steps.append(("check", slot, previous))
-                return
+                continue
             op_id = self._intern_op(node.op)
             if node.op in (Op.VAR, Op.CONST):
                 steps.append(("leaf", slot, op_id,
                               self._intern_payload(node.payload)))
-                return
+                continue
             base = slot_count
             slot_count += len(node.children)
             steps.append(("expand", slot, op_id, len(node.children), base))
-            for position, child in enumerate(node.children):
-                walk(child, base + position)
-
-        walk(pattern, 0)
+            stack += reversed([(child, base + position) for position, child
+                               in enumerate(node.children)])
         self._match_programs[id(pattern)] = (pattern, steps, var_slots)
         return steps, var_slots
 
@@ -973,37 +934,6 @@ class DenseEGraph:
         self.match_ops += scanned
         return rows
 
-    def _candidate_roots(self, plan: MatchPlan,
-                         restrict: Optional[AbstractSet[int]]) -> List[int]:
-        """Mirror of :meth:`MatchPlan.candidate_roots` over this engine."""
-        roots: AbstractSet[int] = self.candidate_classes(plan.root_op)
-        if not roots:
-            return []
-        if restrict is not None:
-            return self.sorted_by_seq(roots & restrict)
-        pivot_classes: Optional[AbstractSet[int]] = None
-        pivot_depth = 0
-        for op, depth in plan.op_min_depth.items():
-            if op == plan.root_op:
-                continue
-            classes = self.candidate_classes(op)
-            if not classes:
-                return []
-            if (0 < depth <= _MAX_PIVOT_DEPTH
-                    and (pivot_classes is None
-                         or len(classes) < len(pivot_classes))):
-                pivot_classes, pivot_depth = classes, depth
-        if (pivot_classes is not None
-                and len(pivot_classes) * _PIVOT_ADVANTAGE <= len(roots)):
-            ancestors: AbstractSet[int] = pivot_classes
-            for _ in range(pivot_depth):
-                level: Set[int] = set()
-                for class_id in ancestors:
-                    level |= self.parent_classes(class_id)
-                ancestors = level
-            roots = ancestors & roots
-        return self.sorted_by_seq(roots)
-
     def search_rows(self, plan: MatchPlan,
                     restrict: Optional[AbstractSet[int]] = None,
                     limit: Optional[int] = None) -> Tuple[List[Row], Slots]:
@@ -1025,7 +955,7 @@ class DenseEGraph:
                 classes = classes[:limit + 1]
             return [(class_id,) for class_id in classes], {pattern.name: 0}
         steps, slots = self._compile_match(pattern)
-        roots = self._candidate_roots(plan, restrict)
+        roots = plan.candidate_roots(self, restrict)
         run = self._run_match
         rows: List[Row] = []
         for start in range(0, len(roots), _ROOT_CHUNK):
@@ -1055,26 +985,27 @@ class DenseEGraph:
         compile time — before any mutation, like the recursive version.
         """
         steps: List[Tuple] = []
-
-        def walk(node: Pattern) -> None:
+        # Post-order with an explicit stack: ``done`` marks a node whose
+        # children are already emitted.
+        stack: List[Tuple[Pattern, bool]] = [(pattern, False)]
+        while stack:
+            node, done = stack.pop()
             if isinstance(node, PatternVar):
                 steps.append(("var", node.name))
-                return
-            if node.op in (Op.VAR, Op.CONST):
+            elif done:
+                steps.append(("node", self._intern_op(node.op),
+                              self._intern_payload(None), len(node.children)))
+            elif node.op in (Op.VAR, Op.CONST):
                 steps.append(("leaf", self._intern_op(node.op),
                               self._intern_payload(node.payload)))
-                return
-            expected = OPERATOR_ARITIES.get(node.op)
-            if expected is not None and expected != len(node.children):
-                raise ValueError(
-                    f"operator {node.op!r} expects {expected} children, "
-                    f"got {len(node.children)}")
-            for child in node.children:
-                walk(child)
-            steps.append(("node", self._intern_op(node.op),
-                          self._intern_payload(None), len(node.children)))
-
-        walk(pattern)
+            else:
+                expected = OPERATOR_ARITIES.get(node.op)
+                if expected is not None and expected != len(node.children):
+                    raise ValueError(
+                        f"operator {node.op!r} expects {expected} children, "
+                        f"got {len(node.children)}")
+                stack.append((node, True))
+                stack += [(child, False) for child in reversed(node.children)]
         # One operator over pattern variables, possibly under unary
         # operators (a negated output), is the dominant rule shape; collapse
         # it to a single instruction so instantiation skips the stack
@@ -1231,8 +1162,7 @@ class DenseEGraph:
             for node, parent_class in parents:
                 flat.append(intern(node))
                 flat.append(parent_class)
-            graph._classes[class_id] = _DenseClass(class_id, graph,
-                                                   node_ids, flat)
+            graph._classes[class_id] = _DenseClass(class_id, node_ids, flat)
         graph._op_classes = None
         graph._hashcons = {intern(node): class_id
                            for node, class_id in state["hashcons"].items()}
@@ -1403,39 +1333,38 @@ class DenseEGraph:
         if len(hashcons) != len(hashcons_nodes):
             raise ValueError("duplicate hashcons entry")
 
-        with _gc_paused():
-            graph = cls()
-            graph._uf = list(uf)
-            graph._op_names = list(ops)
-            graph._op_ids = op_ids
-            graph._rank_ops()
-            graph._payloads = list(payloads)
-            graph._payload_ids = payload_ids
-            graph._rank_payloads()
-            graph._node_op = list(node_op)
-            graph._node_payload = list(node_payload)
-            graph._node_off = list(node_off)
-            graph._node_child = list(node_child)
-            graph._node_ids = None
-            graph._node_obj = [None] * count
-            graph._node_canon = [-1] * count
-            graph._canon_stamp = [-1] * count
-            pairs = [0] * (2 * len(parent_nodes))
-            pairs[0::2] = parent_nodes
-            pairs[1::2] = parent_classes
-            graph._op_classes = None
-            classes = graph._classes
-            for class_id, node_low, node_high, parent_low, parent_high in zip(
-                    class_ids, class_node_off, islice(class_node_off, 1, None),
-                    class_parent_off, islice(class_parent_off, 1, None)):
-                classes[class_id] = _DenseClass(
-                    class_id, graph, set(class_nodes[node_low:node_high]),
-                    pairs[2 * parent_low:2 * parent_high])
-            graph._hashcons = hashcons
-            graph._pending = list(pending)
-            graph._clean = clean
-            graph._dirty = set(dirty)
-            graph._seq = dict(zip(class_ids, seq))
+        graph = cls()
+        graph._uf = list(uf)
+        graph._op_names = list(ops)
+        graph._op_ids = op_ids
+        graph._rank_ops()
+        graph._payloads = list(payloads)
+        graph._payload_ids = payload_ids
+        graph._rank_payloads()
+        graph._node_op = list(node_op)
+        graph._node_payload = list(node_payload)
+        graph._node_off = list(node_off)
+        graph._node_child = list(node_child)
+        graph._node_ids = None
+        graph._node_obj = [None] * count
+        graph._node_canon = [-1] * count
+        graph._canon_stamp = [-1] * count
+        pairs = [0] * (2 * len(parent_nodes))
+        pairs[0::2] = parent_nodes
+        pairs[1::2] = parent_classes
+        graph._op_classes = None
+        classes = graph._classes
+        for class_id, node_low, node_high, parent_low, parent_high in zip(
+                class_ids, class_node_off, islice(class_node_off, 1, None),
+                class_parent_off, islice(class_parent_off, 1, None)):
+            classes[class_id] = _DenseClass(
+                class_id, set(class_nodes[node_low:node_high]),
+                pairs[2 * parent_low:2 * parent_high])
+        graph._hashcons = hashcons
+        graph._pending = list(pending)
+        graph._clean = clean
+        graph._dirty = set(dirty)
+        graph._seq = dict(zip(class_ids, seq))
         return graph
 
     def dump(self, limit: int = 50) -> str:  # pragma: no cover - debugging aid
@@ -1444,7 +1373,8 @@ class DenseEGraph:
             if count >= limit:
                 lines.append("...")
                 break
-            nodes = ", ".join(str(node) for node in eclass.nodes)
+            nodes = ", ".join(str(self._decode(node_id))
+                              for node_id in eclass.node_ids)
             lines.append(f"class {eclass.id}: {nodes}")
         return "\n".join(lines)
 

@@ -118,16 +118,13 @@ def parse_pattern(text: str) -> Pattern:
 def pattern_vars(pattern: Pattern) -> List[str]:
     """Return the pattern variables appearing in ``pattern`` (in order)."""
     result: List[str] = []
-
-    def walk(node: Pattern) -> None:
-        if isinstance(node, PatternVar):
-            if node.name not in result:
-                result.append(node.name)
-        else:
-            for child in node.children:
-                walk(child)
-
-    walk(pattern)
+    stack: List[Pattern] = [pattern]
+    while stack:  # pre-order, children left to right
+        node = stack.pop()
+        if isinstance(node, PatternNode):
+            stack += reversed(node.children)
+        elif node.name not in result:
+            result.append(node.name)
     return result
 
 
@@ -295,19 +292,16 @@ def compile_pattern(pattern: Pattern) -> MatchPlan:
 
     op_min_depth: Dict[str, int] = {}
     height = 0
-
-    def walk(node: Pattern, depth: int) -> None:
-        nonlocal height
+    stack: List[Tuple[Pattern, int]] = [(pattern, 0)]
+    while stack:  # pre-order, so operators enter op_min_depth in that order
+        node, depth = stack.pop()
         height = max(height, depth)
         if isinstance(node, PatternVar):
-            return
+            continue
         current = op_min_depth.get(node.op)
         if current is None or depth < current:
             op_min_depth[node.op] = depth
-        for child in node.children:
-            walk(child, depth + 1)
-
-    walk(pattern, 0)
+        stack += [(child, depth + 1) for child in reversed(node.children)]
     return MatchPlan(pattern=pattern, root_op=pattern.op, height=height,
                      op_min_depth=op_min_depth)
 

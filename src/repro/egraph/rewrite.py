@@ -98,6 +98,8 @@ class Rewrite:
     condition: Optional[Callable[[EGraph, int, Subst], bool]] = None
     group: str = ""
     applier: Optional[Callable[[EGraph, Subst], int]] = None
+    _plans: Optional[List[Tuple[MatchPlan, Pattern]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def parse(cls, name: str, lhs: str, rhs: str, *, bidirectional: bool = False,
@@ -133,9 +135,12 @@ class Rewrite:
         return pairs
 
     def plans(self) -> List[Tuple[MatchPlan, Pattern]]:
-        """Return the compiled ``(match_plan, build_pattern)`` pairs."""
-        return [(compile_pattern(search), build)
-                for search, build in self.searchers()]
+        """Return the compiled ``(match_plan, build_pattern)`` pairs,
+        compiled on the first call (callers must not mutate the list)."""
+        if self._plans is None:
+            self._plans = [(compile_pattern(search), build)
+                           for search, build in self.searchers()]
+        return self._plans
 
     def __str__(self) -> str:
         arrow = "<=>" if self.bidirectional else "=>"

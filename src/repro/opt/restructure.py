@@ -216,6 +216,21 @@ def restructure_majorities(aig: AIG, options: Optional[RestructureOptions] = Non
     return new.cleanup()
 
 
+def _and_leaves(aig: AIG, fanouts: Dict[int, List[int]], lit: int,
+                max_leaves: int, depth: int = 0) -> List[int]:
+    """Collect the conjunction leaves (original literals) under ``lit``."""
+    var = lit_var(lit)
+    if (lit_is_compl(lit) or not aig.is_gate_var(var)
+            or len(fanouts.get(var, ())) > 1 or depth >= 4):
+        return [lit]
+    gate = aig.gate_of(var)
+    leaves = _and_leaves(aig, fanouts, gate.fanin0, max_leaves, depth + 1)
+    leaves += _and_leaves(aig, fanouts, gate.fanin1, max_leaves, depth + 1)
+    if len(leaves) > max_leaves:
+        return [lit]
+    return leaves
+
+
 def rebalance_and_trees(aig: AIG, max_leaves: int = 8) -> AIG:
     """Flatten single-fanout AND chains and rebuild them over sorted leaves.
 
@@ -234,30 +249,16 @@ def rebalance_and_trees(aig: AIG, max_leaves: int = 8) -> AIG:
         mapped = mapping[lit_var(lit)]
         return lit_not(mapped) if lit_is_compl(lit) else mapped
 
-    def collect_and_leaves(lit: int, depth: int = 0) -> List[int]:
-        """Collect the conjunction leaves (original literals) under ``lit``."""
-        var = lit_var(lit)
-        if (lit_is_compl(lit) or not aig.is_gate_var(var)
-                or len(fanouts.get(var, ())) > 1 or depth >= 4):
-            return [lit]
-        gate = aig.gate_of(var)
-        leaves = collect_and_leaves(gate.fanin0, depth + 1)
-        leaves += collect_and_leaves(gate.fanin1, depth + 1)
-        if len(leaves) > max_leaves:
-            return [lit]
-        return leaves
-
     for gate in aig.gates:
         var = gate.out_var
-        leaves = collect_and_leaves(gate.fanin0) + collect_and_leaves(gate.fanin1)
+        leaves = (_and_leaves(aig, fanouts, gate.fanin0, max_leaves)
+                  + _and_leaves(aig, fanouts, gate.fanin1, max_leaves))
         if len(leaves) > max_leaves:
             mapping[var] = new.and_(map_lit(gate.fanin0), map_lit(gate.fanin1))
             continue
+        # Duplicate literals collapse (x & x); complementary pairs make the
+        # conjunction false, which and_ simplification handles.
         ordered = sorted(set(leaves))
-        if len(ordered) != len(leaves):
-            # Duplicate literals collapse (x & x); complementary pairs would
-            # make the whole conjunction false, handled by and_ simplification.
-            pass
         acc = map_lit(ordered[0])
         for leaf in ordered[1:]:
             acc = new.and_(acc, map_lit(leaf))

@@ -96,7 +96,7 @@ class LeaseManager:
                                             prefix=path.name, suffix=".tmp")
         try:
             with os.fdopen(descriptor, "w", encoding="utf-8") as stream:
-                json.dump(payload, stream, sort_keys=True)
+                stream.write(json.dumps(payload, sort_keys=True))
             os.link(temp, path)
         except FileExistsError:
             return False
@@ -108,7 +108,7 @@ class LeaseManager:
         """Atomically replace ``path`` (temp + rename, heartbeat path)."""
         temp = path.with_name(path.name + f".tmp-{self.owner.rsplit(':', 1)[-1]}")
         with open(temp, "w", encoding="utf-8") as stream:
-            json.dump(payload, stream, sort_keys=True)
+            stream.write(json.dumps(payload, sort_keys=True))
         os.replace(temp, path)
 
     # ------------------------------------------------------------------

@@ -127,10 +127,23 @@ class TestCorpus:
         result = _findings_for("key001_good.py")
         assert result.findings == []
 
+    def test_mem001_bad(self):
+        result = _findings_for("mem001_bad.py")
+        assert _rule_lines(result) == Counter({
+            ("MEM001", 7): 1,    # walk calls itself
+            ("MEM001", 14): 1,   # even <-> odd
+            ("MEM001", 17): 1,
+            ("MEM001", 27): 1,   # inside a method, by plain reference
+        })
+
+    def test_mem001_good_clean(self):
+        result = _findings_for("mem001_good.py")
+        assert result.findings == []
+
     def test_every_rule_has_a_bad_fixture(self):
-        # Acceptance: each of the 6 rules has >= 1 known-bad fixture.
+        # Acceptance: each of the 7 rules has >= 1 known-bad fixture.
         assert set(RULES) == {"DET001", "DET002", "DET003", "EGR001",
-                              "WIRE001", "KEY001"}
+                              "WIRE001", "KEY001", "MEM001"}
         for rule in RULES:
             fixture = CORPUS / f"{rule.lower()}_bad.py"
             assert fixture.exists(), fixture

@@ -265,7 +265,7 @@ class TestSearchRowsLimit:
     def _chunks(graph, plan):
         # The pre-row matcher's work units: one root chunk at a time.
         steps, _ = graph._compile_match(plan.pattern)
-        roots = graph._candidate_roots(plan, None)
+        roots = plan.candidate_roots(graph, None)
         for start in range(0, len(roots), _ROOT_CHUNK):
             seed = [(root,) for root in roots[start:start + _ROOT_CHUNK]]
             yield graph._run_match(steps, seed)
@@ -282,7 +282,7 @@ class TestSearchRowsLimit:
         probe = DenseEGraph.from_state(state)
         total = len(probe.search_rows(plan)[0])
         # several root chunks
-        assert len(probe._candidate_roots(plan, None)) > 2 * _ROOT_CHUNK
+        assert len(plan.candidate_roots(probe, None)) > 2 * _ROOT_CHUNK
         # Limits landing exactly on a chunk's last row are the edge: the
         # generator's consumer still pulls one more match from the next
         # chunk.

@@ -9,6 +9,7 @@ twice; and a hard-killed worker's successor takes over its stale lease
 and resumes from its checkpoint bit-identically.
 """
 
+import io
 import json
 import os
 import socket
@@ -307,6 +308,22 @@ class TestLeases:
         assert heir.claim(self.KEY) is not None
         dead.release(stale)  # must be a no-op: the lease is heir's now
         assert store.read_lease(self.KEY)["owner"] == "heir"
+
+    def test_sidecar_bytes_match_json_dump(self, tmp_path):
+        # The sidecar is written with json.dumps (the C encoder; json.dump
+        # leaves a closure cycle per call) and keeps json.dump's bytes.
+        manager = LeaseManager(tmp_path / "store", owner="host:1", ttl=30.0)
+        lease = manager.claim(self.KEY)
+        for write in (lambda: None, lambda: manager.heartbeat(lease)):
+            write()
+            text = lease.path.read_text(encoding="utf-8")
+            dumped = io.StringIO()
+            json.dump(json.loads(text), dumped, sort_keys=True)
+            assert text == dumped.getvalue()
+        manager._overwrite(lease.path, manager._payload(1.5, 2.25))
+        assert lease.path.read_bytes() == (
+            b'{"acquired": 1.5, "heartbeat": 2.25, "owner": "host:1", '
+            b'"ttl": 30.0}')
 
 
 _CONTENTION_SCRIPT = """
