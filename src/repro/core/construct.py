@@ -10,7 +10,7 @@ can map recovered structures back to circuit signals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from ..aig import AIG, lit_is_compl, lit_not, lit_var
 from ..egraph import EGraph, ENode, Op
@@ -61,6 +61,56 @@ class ConstructionResult:
         return None
 
 
+#: How a construction walk inserts one node: ``add(op, children, payload)``
+#: returns the class id of the node.
+AddNode = Callable[[str, Tuple[int, ...], Hashable], int]
+
+
+def _construction_walk(aig: AIG, add: AddNode
+                       ) -> Tuple[Dict[int, int], Dict[int, int], List[int]]:
+    """Insert ``aig`` node by node through ``add`` (Algorithm 1).
+
+    The order is the constant, the inputs, the gates from leaves to roots
+    (creation order is topological), then the outputs; a complemented
+    fanin gets an explicit ``~`` node the first time it is used.  Returns
+    ``(class_of_var, literal_classes, output_classes)``.
+    """
+    class_of_var: Dict[int, int] = {}
+    literal_classes: Dict[int, int] = {}
+
+    const_class = add(Op.CONST, (), False)
+    class_of_var[0] = const_class
+    literal_classes[0] = const_class
+    literal_classes[1] = add(Op.NOT, (const_class,), None)
+
+    for var in aig.inputs:
+        class_id = add(Op.VAR, (), aig.input_names[var])
+        class_of_var[var] = class_id
+        literal_classes[2 * var] = class_id
+
+    def literal_class(lit: int) -> int:
+        positive = 2 * lit_var(lit)
+        base = literal_classes[positive]
+        if not lit_is_compl(lit):
+            return base
+        key = lit_not(positive)
+        existing = literal_classes.get(key)
+        if existing is None:
+            existing = add(Op.NOT, (base,), None)
+            literal_classes[key] = existing
+        return existing
+
+    for gate in aig.topological_gates():
+        child0 = literal_class(gate.fanin0)
+        child1 = literal_class(gate.fanin1)
+        class_id = add(Op.AND, (child0, child1), None)
+        class_of_var[gate.out_var] = class_id
+        literal_classes[2 * gate.out_var] = class_id
+
+    output_classes = [literal_class(lit) for lit in aig.outputs]
+    return class_of_var, literal_classes, output_classes
+
+
 def aig_to_egraph(aig: AIG) -> ConstructionResult:
     """Build an e-graph from an AIG (Algorithm 1).
 
@@ -70,43 +120,14 @@ def aig_to_egraph(aig: AIG) -> ConstructionResult:
     leaf.
     """
     egraph = EGraph()
-    result = ConstructionResult(egraph=egraph, aig=aig)
-
-    const_class = egraph.const(False)
-    result.class_of_var[0] = const_class
-    result.literal_classes[0] = const_class
-    result.literal_classes[1] = egraph.add(ENode(Op.NOT, (const_class,)))
-
-    for var in aig.inputs:
-        class_id = egraph.var(aig.input_names[var])
-        result.class_of_var[var] = class_id
-        result.literal_classes[2 * var] = class_id
-
-    def literal_class(lit: int) -> int:
-        positive = 2 * lit_var(lit)
-        base = result.literal_classes[positive]
-        if not lit_is_compl(lit):
-            return base
-        key = lit_not(positive)
-        existing = result.literal_classes.get(key)
-        if existing is None:
-            existing = egraph.add(ENode(Op.NOT, (base,)))
-            result.literal_classes[key] = existing
-        return existing
-
-    # Insert gates from leaves to roots (creation order is topological).
-    for gate in aig.topological_gates():
-        child0 = literal_class(gate.fanin0)
-        child1 = literal_class(gate.fanin1)
-        class_id = egraph.add(ENode(Op.AND, (child0, child1)))
-        result.class_of_var[gate.out_var] = class_id
-        result.literal_classes[2 * gate.out_var] = class_id
-
-    for lit in aig.outputs:
-        result.output_classes.append(literal_class(lit))
-
+    class_of_var, literal_classes, output_classes = _construction_walk(
+        aig, lambda op, children, payload: egraph.add(
+            ENode(op, children, payload)))
     egraph.rebuild()
-    return result
+    return ConstructionResult(egraph=egraph, aig=aig,
+                              class_of_var=class_of_var,
+                              output_classes=output_classes,
+                              literal_classes=literal_classes)
 
 
 @dataclass
@@ -129,56 +150,17 @@ class PlannedConstruction:
 def planned_construction(aig: AIG) -> PlannedConstruction:
     """Predict :func:`aig_to_egraph`'s construction-time ids, e-graph-free.
 
-    Mirrors the insertion order of :func:`aig_to_egraph` step for step
-    (constant, inputs, gates in topological order, outputs) against a
-    dict keyed on ``(op, children, payload)`` — the same identity the
-    e-graph's hashcons uses before any union happens.  The returned
-    ``output_classes`` are bit-identical to the real construction's, so
-    extraction cache keys computed from a plan match execution's.
+    Runs the same walk as :func:`aig_to_egraph` against a dict keyed on
+    ``(op, children, payload)`` — the same identity the e-graph's hashcons
+    uses before any union happens.  The returned ``output_classes`` are
+    bit-identical to the real construction's, so extraction cache keys
+    computed from a plan match execution's.
     """
     hashcons: Dict[tuple, int] = {}
 
-    def add(op: str, children: tuple = (), payload=None) -> int:
-        node = (op, children, payload)
-        existing = hashcons.get(node)
-        if existing is None:
-            existing = hashcons[node] = len(hashcons)
-        return existing
+    def add(op: str, children: Tuple[int, ...], payload: Hashable) -> int:
+        return hashcons.setdefault((op, children, payload), len(hashcons))
 
-    class_of_positive: Dict[int, int] = {}
-    literal_classes: Dict[int, int] = {}
-
-    const_class = add(Op.CONST, payload=False)
-    class_of_positive[0] = const_class
-    literal_classes[0] = const_class
-    literal_classes[1] = add(Op.NOT, (const_class,))
-
-    for var in aig.inputs:
-        class_id = add(Op.VAR, payload=aig.input_names[var])
-        class_of_positive[var] = class_id
-        literal_classes[2 * var] = class_id
-
-    def literal_class(lit: int) -> int:
-        positive = 2 * lit_var(lit)
-        base = literal_classes[positive]
-        if not lit_is_compl(lit):
-            return base
-        key = lit_not(positive)
-        existing = literal_classes.get(key)
-        if existing is None:
-            existing = add(Op.NOT, (base,))
-            literal_classes[key] = existing
-        return existing
-
-    for gate in aig.topological_gates():
-        child0 = literal_class(gate.fanin0)
-        child1 = literal_class(gate.fanin1)
-        class_id = add(Op.AND, (child0, child1))
-        class_of_positive[gate.out_var] = class_id
-        literal_classes[2 * gate.out_var] = class_id
-
-    planned = PlannedConstruction(aig=aig, num_classes=0)
-    for lit in aig.outputs:
-        planned.output_classes.append(literal_class(lit))
-    planned.num_classes = len(hashcons)
-    return planned
+    _, _, output_classes = _construction_walk(aig, add)
+    return PlannedConstruction(aig=aig, output_classes=output_classes,
+                               num_classes=len(hashcons))

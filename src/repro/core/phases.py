@@ -800,8 +800,7 @@ class SaturatePhase(_BoolEPhase):
         else:
             limits = pipeline._phase_limits(
                 getattr(options, self.iterations_attr))
-            runner = Runner(limits, incremental=options.incremental,
-                            debug_check_full=options.debug_check_full)
+            runner = Runner(limits)
         ctx[self.report_field] = runner.run(
             construction.egraph, self.rules,
             checkpoint_every=checkpoint_every,

@@ -35,7 +35,6 @@ from __future__ import annotations
 import dataclasses
 import gc
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -61,13 +60,6 @@ from .rules_xor_maj import identification_rules
 __all__ = ["BoolEOptions", "BoolEResult", "BoolEPipeline", "PipelineCache",
            "run_boole"]
 
-#: Default initial per-rule match budget of the pipeline (wider than the
-#: raw :class:`RunnerLimits` default because the R2 identification rules
-#: legitimately produce huge match sets on wide multipliers).  Kept as a
-#: constant so the deprecated ``max_matches_per_rule`` alias can tell an
-#: explicitly configured ``match_limit`` apart from the untouched default.
-DEFAULT_PIPELINE_MATCH_LIMIT = 100_000
-
 
 @dataclass
 class BoolEOptions:
@@ -84,13 +76,8 @@ class BoolEOptions:
         match_limit: initial per-rule match budget per iteration for the
             back-off scheduler; rules exceeding it are banned for
             exponentially growing windows (see ``docs/performance.md``).
-            ``None`` disables back-off.
-        ban_length: initial back-off ban window, in iterations.
-        max_matches_per_rule: **deprecated** — the old flat per-rule match
-            cap.  When set it overrides ``match_limit`` with a
-            compatibility scheduler (one-iteration bans, budget seeded by
-            the cap and doubling on repeated bans) instead of silently
-            dropping a nondeterministic match subset.
+            ``None`` disables back-off; otherwise it must be >= 1.
+        ban_length: initial back-off ban window, in iterations (>= 1).
         prune_redundant: delete duplicate permuted XOR3/MAJ/FA e-nodes after
             saturation (paper trick 3).
         extract: run DAG extraction and netlist reconstruction.
@@ -99,8 +86,6 @@ class BoolEOptions:
             wins (see :class:`~repro.core.extraction.BoolEExtractor`).
             ``0`` keeps the single-pass extractor.
         count_npn: count NPN FA pairs on the saturated e-graph.
-        incremental: use delta e-matching after each phase's first iteration
-            (see ``docs/performance.md``); disable to force full scans.
         engine: saturation backend — ``"dense"`` (default) runs the
             struct-of-arrays engine with batched e-matching
             (:class:`~repro.egraph.DenseEGraph`), ``"python"`` the
@@ -114,8 +99,10 @@ class BoolEOptions:
             from its latest checkpoint.  ``None`` disables checkpointing.
             Cadence never changes results, so it is excluded from cache
             fingerprints.
-        debug_check_full: assert after every delta iteration that a full
-            scan finds nothing more (very slow; debugging only).
+
+    Saturation always uses delta e-matching (see ``docs/performance.md``);
+    the full-scan and cross-check oracles are :class:`~repro.egraph.Runner`
+    arguments, kept for tests.
     """
 
     r1_iterations: int = 6
@@ -124,17 +111,16 @@ class BoolEOptions:
     include_rule_variants: bool = True
     max_nodes: int = 400_000
     time_limit: float = 120.0
-    match_limit: Optional[int] = DEFAULT_PIPELINE_MATCH_LIMIT
+    # Wider than the RunnerLimits default: the R2 identification rules
+    # legitimately produce huge match sets on wide multipliers.
+    match_limit: Optional[int] = 100_000
     ban_length: int = 2
-    max_matches_per_rule: Optional[int] = None
     prune_redundant: bool = True
     extract: bool = True
     refine_rounds: int = 0
     count_npn: bool = True
-    incremental: bool = True
     engine: str = "dense"
     checkpoint_every: Optional[int] = None
-    debug_check_full: bool = False
 
     def __post_init__(self) -> None:
         if self.engine not in ("dense", "python"):
@@ -147,20 +133,11 @@ class BoolEOptions:
                 "checkpointing)")
         if self.refine_rounds < 0:
             raise ValueError("refine_rounds must be >= 0")
-        if self.max_matches_per_rule is None:
-            return
-        if (self.match_limit is not None
-                and self.match_limit != DEFAULT_PIPELINE_MATCH_LIMIT):
+        if self.match_limit is not None and self.match_limit < 1:
             raise ValueError(
-                "max_matches_per_rule (deprecated) cannot be combined with "
-                "an explicit match_limit: the alias builds its own flat "
-                "compatibility scheduler.  Drop the alias and configure "
-                "match_limit/ban_length instead.")
-        warnings.warn(
-            "BoolEOptions.max_matches_per_rule is deprecated; use "
-            "match_limit/ban_length (the alias builds a flat compatibility "
-            "scheduler with one-iteration bans)",
-            DeprecationWarning, stacklevel=3)
+                "match_limit must be >= 1 (or None to disable back-off)")
+        if self.ban_length < 1:
+            raise ValueError("ban_length must be >= 1")
 
     def cache_token(self) -> Tuple[object, ...]:
         """Hashable identity of this options object.
@@ -348,20 +325,6 @@ class BoolEPipeline:
 
     def _phase_limits(self, iterations: int) -> RunnerLimits:
         options = self.options
-        if options.max_matches_per_rule is not None:
-            # The options object already warned about the alias at
-            # construction; re-warning for each internal RunnerLimits
-            # would just repeat it.  ``match_limit`` stays at the
-            # RunnerLimits default, which the alias overrides anyway.
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                return RunnerLimits(
-                    max_iterations=iterations,
-                    max_nodes=options.max_nodes,
-                    time_limit=options.time_limit,
-                    ban_length=options.ban_length,
-                    max_matches_per_rule=options.max_matches_per_rule,
-                )
         return RunnerLimits(
             max_iterations=iterations,
             max_nodes=options.max_nodes,

@@ -13,8 +13,7 @@
 Explosive rules are tamed by a :class:`BackoffScheduler` (egg's back-off
 scheme): a rule whose match count exceeds its current budget is *banned*
 for an exponentially growing window of iterations and its matches for the
-round are dropped wholesale — never a hash-order-dependent subset, which is
-what made the old flat ``max_matches_per_rule`` cap nondeterministic.  The
+round are dropped wholesale — never a partial, order-dependent subset.  The
 scheduler remembers, per rule, the dirty classes the rule did not get to
 search while banned, so delta matching stays complete without ever falling
 back to a full rescan.
@@ -37,8 +36,8 @@ row, so their callable signatures are unchanged.
 
 Determinism: matches are generated in a stable order (candidate roots
 ascend by e-class insertion seq, e-nodes within a class by
-:func:`~repro.egraph.egraph.enode_sort_key`), so any truncation — the
-deprecated flat cap included — removes a deterministic suffix.
+:func:`~repro.egraph.egraph.enode_sort_key`), so a budget check sees the
+same matches on every run and under every hash seed.
 """
 
 from __future__ import annotations
@@ -152,12 +151,11 @@ class RuleStats:
     """Per-rule application statistics for one runner iteration.
 
     ``matches`` counts the matches that survived the rule's ``condition``
-    predicate and were actually applied.  ``capped`` is True when the rule's
-    match set was cut this round: under a :class:`BackoffScheduler` the whole
-    set was dropped and the rule banned; under the deprecated flat
-    ``max_matches_per_rule`` a deterministic prefix was kept.  ``banned`` is
-    True when the rule was skipped outright because a ban from an earlier
-    iteration is still active.
+    predicate and were actually applied.  ``capped`` is True when the rule
+    went over its :class:`BackoffScheduler` budget this round: its whole
+    match set was dropped and the rule banned.  ``banned`` is True when the
+    rule was skipped outright because a ban from an earlier iteration is
+    still active.
     """
 
     matches: int = 0
@@ -179,15 +177,20 @@ class _RuleBackoff:
     pending: Optional[Set[int]] = field(default_factory=set)
 
 
+#: Factor by which each repeated ban multiplies a rule's budget and its ban
+#: window.
+BACKOFF_GROWTH = 2
+
+
 class BackoffScheduler:
-    """Egg-style rule back-off replacing flat per-rule match caps.
+    """Egg-style rule back-off.
 
     Each rule starts with a budget of ``match_limit`` matches per iteration.
     A rule that exceeds its budget is banned for ``ban_length`` iterations
     and its matches for the round are dropped entirely; every subsequent ban
-    multiplies both the budget and the ban window by ``budget_growth`` /
-    ``ban_growth``, so persistently explosive rules run rarely but with
-    enough budget to finish when they do.
+    multiplies both the budget and the ban window by
+    :data:`BACKOFF_GROWTH`, so persistently explosive rules run rarely but
+    with enough budget to finish when they do.
 
     Unlike egg, the scheduler also tracks a per-rule **search debt** for the
     delta-matching engine: the dirty classes a rule did not search while
@@ -199,33 +202,15 @@ class BackoffScheduler:
     passed to every :func:`apply_rules` call.
     """
 
-    def __init__(self, match_limit: int = 1000, ban_length: int = 5, *,
-                 budget_growth: int = 2, ban_growth: int = 2) -> None:
+    def __init__(self, match_limit: int = 1000, ban_length: int = 5) -> None:
         if match_limit <= 0:
             raise ValueError("match_limit must be positive")
         if ban_length <= 0:
             raise ValueError("ban_length must be positive")
         self.match_limit = match_limit
         self.ban_length = ban_length
-        self.budget_growth = budget_growth
-        self.ban_growth = ban_growth
         self.iteration = -1
         self._states: Dict[str, _RuleBackoff] = {}
-
-    @classmethod
-    def flat(cls, match_limit: int, ban_length: int = 1) -> "BackoffScheduler":
-        """Compatibility scheduler for the deprecated flat match caps.
-
-        Bans last a single iteration and never grow, so a rule producing
-        more than ``match_limit`` matches skips a round instead of applying
-        a nondeterministic subset.  The budget, however, still doubles on
-        each ban: with a truly constant budget a rule whose match count
-        stays above the cap would never apply anything at all — strictly
-        worse than the old cap it replaces, which at least applied a
-        (hash-ordered) prefix.  Used when the deprecated
-        ``max_matches_per_rule`` runner/pipeline options are set.
-        """
-        return cls(match_limit, ban_length, budget_growth=2, ban_growth=1)
 
     def _state(self, name: str) -> _RuleBackoff:
         state = self._states.get(name)
@@ -247,7 +232,7 @@ class BackoffScheduler:
         """Current per-iteration match budget of a rule."""
         state = self._states.get(name)
         times = 0 if state is None else state.times_banned
-        return self.match_limit * self.budget_growth ** times
+        return self.match_limit * BACKOFF_GROWTH ** times
 
     def ban(self, name: str, searched: Optional[Iterable[int]]) -> None:
         """Ban a rule that exceeded its budget this iteration.
@@ -256,7 +241,7 @@ class BackoffScheduler:
         budget (``None`` = the whole e-graph); it becomes search debt.
         """
         state = self._state(name)
-        window = self.ban_length * self.ban_growth ** state.times_banned
+        window = self.ban_length * BACKOFF_GROWTH ** state.times_banned
         state.banned_until = self.iteration + 1 + window
         state.times_banned += 1
         self.defer(name, searched)
@@ -341,8 +326,6 @@ class BackoffScheduler:
         return {
             "match_limit": self.match_limit,
             "ban_length": self.ban_length,
-            "budget_growth": self.budget_growth,
-            "ban_growth": self.ban_growth,
             "iteration": self.iteration,
             "rules": {
                 name: [state.times_banned, state.banned_until,
@@ -358,9 +341,7 @@ class BackoffScheduler:
         A resumed saturation run continues with exactly the bans, budgets
         and search debts the checkpointed run had accumulated.
         """
-        scheduler = cls(state["match_limit"], state["ban_length"],
-                        budget_growth=state["budget_growth"],
-                        ban_growth=state["ban_growth"])
+        scheduler = cls(state["match_limit"], state["ban_length"])
         scheduler.iteration = state["iteration"]
         for name, (times_banned, banned_until, pending) in state["rules"].items():
             scheduler._states[name] = _RuleBackoff(
@@ -449,7 +430,6 @@ def _apply(egraph: EGraph, rule: Rewrite, build: Pattern, rows: List[Row],
 
 
 def apply_rules(egraph: EGraph, rules: Sequence[Rewrite],
-                max_matches_per_rule: Optional[int] = None,
                 dirty: Optional[Iterable[int]] = None,
                 verify_full: bool = False,
                 scheduler: Optional[BackoffScheduler] = None
@@ -466,13 +446,9 @@ def apply_rules(egraph: EGraph, rules: Sequence[Rewrite],
         scheduler: shared :class:`BackoffScheduler` driving rule back-off
             across iterations.  Banned rules are skipped; a rule exceeding
             its budget this round has its matches dropped wholesale and is
-            banned, with the unsearched frontier recorded as debt.
-        max_matches_per_rule: deprecated flat cap on applied matches per rule
-            (counted after condition filtering).  Matches arrive in stable
-            seq order, so the kept prefix is deterministic and the search
-            stops at the cap — but prefer a scheduler, which never applies
-            partial match sets.  Mutually exclusive with ``scheduler``
-            (truncation would lose matches without recording debt).
+            banned, with the unsearched frontier recorded as debt.  The
+            budget counts matches that pass the rule's ``condition``.
+            ``None`` applies every match.
         dirty: canonical ids of the classes changed since the previous round
             (see :meth:`EGraph.take_dirty`).  ``None`` requests a full scan;
             an iterable restricts matching to the dirty frontier.
@@ -480,16 +456,9 @@ def apply_rules(egraph: EGraph, rules: Sequence[Rewrite],
             against the whole e-graph and raise ``AssertionError`` if the
             full scan still finds a union the delta pass missed.  Rules with
             scheduler debt are exempt (their missing matches are accounted
-            for); without a scheduler any capped rule skips the whole check.
-            The verification pass may insert (already equivalent)
+            for).  The verification pass may insert (already equivalent)
             right-hand-side nodes, so it is for debugging only.
     """
-    if scheduler is not None and max_matches_per_rule is not None:
-        raise ValueError(
-            "max_matches_per_rule (deprecated) cannot be combined with a "
-            "scheduler: truncating a match set behind the scheduler's back "
-            "would lose matches without recording search debt.  Set the "
-            "scheduler's budget instead.")
     if not egraph.is_clean:
         egraph.rebuild()
     if scheduler is not None:
@@ -524,7 +493,6 @@ def apply_rules(egraph: EGraph, rules: Sequence[Rewrite],
 
         # Search each plan for at most the rule's remaining allowance:
         # one match past it is enough to know the rule is over.
-        cap = budget if budget is not None else max_matches_per_rule
         found: List[Tuple[Pattern, List[Row], Slots]] = []
         count = 0
         over = False
@@ -532,24 +500,20 @@ def apply_rules(egraph: EGraph, rules: Sequence[Rewrite],
             restrict = None if frontier is None else frontier.at(plan.height)
             if rule.condition is None:
                 rows, slots = egraph.search_rows(
-                    plan, restrict, None if cap is None else cap - count)
+                    plan, restrict, None if budget is None else budget - count)
             else:  # the allowance counts matches that pass the condition
                 rows, slots = egraph.search_rows(plan, restrict)
                 rows = _passing(egraph, rule, rows, slots)
             count += len(rows)
-            if cap is not None and count > cap:
-                over = rule_stats.capped = True
-                # Keep the deterministic seq-ordered prefix up to the cap
-                # (only the deprecated flat cap applies it).
-                del rows[len(rows) - (count - cap):]
-                count = cap
-            found.append((build, rows, slots))
-            if over:
+            if budget is not None and count > budget:
+                over = True
                 break
-        if over and budget is not None:
+            found.append((build, rows, slots))
+        if over:
             # Egg-style back-off: applying a partial match set would make the
             # result depend on which matches happened to come first, so drop
             # them all, ban the rule, and remember what it failed to search.
+            rule_stats.capped = True
             scheduler.ban(rule.name, rule_dirty)
             continue
         if scheduler is not None:
@@ -566,14 +530,12 @@ def apply_rules(egraph: EGraph, rules: Sequence[Rewrite],
     egraph.rebuild()
 
     if verify_full and shared_frontier is not None:
-        _verify_delta_complete(egraph, rules, stats, scheduler)
+        _verify_delta_complete(egraph, rules, scheduler)
     return stats
 
 
 def _verify_delta_complete(egraph: EGraph, rules: Sequence[Rewrite],
-                           stats: Dict[str, RuleStats],
-                           scheduler: Optional[BackoffScheduler] = None
-                           ) -> None:
+                           scheduler: Optional[BackoffScheduler]) -> None:
     """Assert that a full scan finds no union the delta pass missed.
 
     Matches rooted in the *currently* dirty frontier are excluded: they were
@@ -584,8 +546,6 @@ def _verify_delta_complete(egraph: EGraph, rules: Sequence[Rewrite],
     as search debt and will be found when the ban lifts.  Anything else that
     still produces a union is a genuine delta-matching hole.
     """
-    if scheduler is None and any(stat.capped for stat in stats.values()):
-        return
     # Gather first, mutate after: the frontier's canonical ids and the
     # full-scan search must not observe the verification's own unions.
     pending = _DirtyFrontier(egraph, egraph.peek_dirty(), exact=True)

@@ -1,13 +1,13 @@
 """Saturation runner: applies rewrite rules until convergence or limits.
 
 The runner drives :func:`~repro.egraph.rewrite.apply_rules` in *incremental*
-mode by default: iteration 0 matches every rule against the whole e-graph
-(the ruleset is new to this run), and each later iteration re-matches only
-against the dirty frontier — the classes changed by the previous iteration,
-expanded upward by each rule pattern's height.  Pass ``incremental=False``
-to restore the original full-scan-per-iteration behaviour, and
-``debug_check_full=True`` to assert (expensively) after every delta
-iteration that a full scan would not have found more unions.
+mode: iteration 0 matches every rule against the whole e-graph (the ruleset
+is new to this run), and each later iteration re-matches only against the
+dirty frontier — the classes changed by the previous iteration, expanded
+upward by each rule pattern's height.  Two test oracles remain as
+:class:`Runner` arguments: ``incremental=False`` runs a full scan every
+iteration, and ``debug_check_full=True`` asserts (expensively) after every
+delta iteration that a full scan would not have found more unions.
 
 Explosive rules are governed by a :class:`~repro.egraph.rewrite
 .BackoffScheduler` built from :class:`RunnerLimits`: a rule exceeding its
@@ -23,7 +23,6 @@ stops with :data:`StopReason.RULES_BANNED`.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -32,11 +31,6 @@ from .rewrite import BackoffScheduler, Rewrite, RuleStats, apply_rules
 
 __all__ = ["RunnerLimits", "IterationReport", "RunnerReport", "Runner",
            "RunnerCheckpoint", "StopReason"]
-
-#: Default initial per-rule match budget (kept as a module constant so the
-#: deprecated ``max_matches_per_rule`` alias can tell an explicitly
-#: configured ``match_limit`` apart from the untouched default).
-DEFAULT_MATCH_LIMIT = 20_000
 
 
 class StopReason:
@@ -68,40 +62,17 @@ class RunnerLimits:
             doubles both the budget and the window.  ``None`` disables
             back-off entirely (every match is always applied).
         ban_length: initial ban window, in iterations.
-        max_matches_per_rule: **deprecated** alias for the old flat cap.
-            When set it overrides ``match_limit`` with a
-            ``BackoffScheduler.flat`` (one-iteration non-growing bans; the
-            budget starts at the cap and doubles on repeated bans); matches
-            beyond the budget are no longer silently dropped.
     """
 
     max_iterations: int = 10
     max_nodes: int = 200_000
     max_classes: int = 100_000
     time_limit: float = 120.0
-    match_limit: Optional[int] = DEFAULT_MATCH_LIMIT
+    match_limit: Optional[int] = 20_000
     ban_length: int = 2
-    max_matches_per_rule: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.max_matches_per_rule is None:
-            return
-        if (self.match_limit is not None
-                and self.match_limit != DEFAULT_MATCH_LIMIT):
-            raise ValueError(
-                "max_matches_per_rule (deprecated) cannot be combined with "
-                "an explicit match_limit: the alias builds its own flat "
-                "compatibility scheduler.  Drop the alias and configure "
-                "match_limit/ban_length instead.")
-        warnings.warn(
-            "max_matches_per_rule is deprecated; use match_limit/ban_length "
-            "(the alias builds a flat compatibility scheduler with "
-            "one-iteration bans)", DeprecationWarning, stacklevel=3)
 
     def build_scheduler(self) -> Optional[BackoffScheduler]:
         """Create the back-off scheduler for one run (fresh state each run)."""
-        if self.max_matches_per_rule is not None:
-            return BackoffScheduler.flat(self.max_matches_per_rule)
         if self.match_limit is not None:
             return BackoffScheduler(self.match_limit, self.ban_length)
         return None

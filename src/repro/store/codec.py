@@ -41,7 +41,6 @@ import gzip
 import json
 import os
 import tempfile
-import warnings
 import zlib
 from itertools import chain
 from operator import countOf, itemgetter
@@ -486,9 +485,9 @@ def scheduler_from_wire(wire: Optional[Dict]) -> Optional[BackoffScheduler]:
     """Decode :func:`scheduler_to_wire` output (strictly; see above)."""
     if wire is None:
         return None
-    _fields(wire, ("match_limit", "ban_length", "budget_growth",
-                   "ban_growth", "iteration", "rules"), "scheduler")
-    for name in ("match_limit", "ban_length", "budget_growth", "ban_growth"):
+    _fields(wire, ("match_limit", "ban_length", "iteration", "rules"),
+            "scheduler")
+    for name in ("match_limit", "ban_length"):
         _int(wire[name], f"scheduler {name}", low=1)
     _int(wire["iteration"], "scheduler iteration", low=-1)
     for name, state in _of(wire["rules"], dict, "scheduler rules").items():
@@ -599,29 +598,19 @@ def _limits_to_wire(limits: RunnerLimits) -> Dict:
         "time_limit": limits.time_limit,
         "match_limit": limits.match_limit,
         "ban_length": limits.ban_length,
-        "max_matches_per_rule": limits.max_matches_per_rule,
     }
 
 
 def _limits_from_wire(wire: Dict) -> RunnerLimits:
     _fields(wire, ("max_iterations", "max_nodes", "max_classes",
-                   "time_limit", "match_limit", "ban_length",
-                   "max_matches_per_rule"), "runner limits")
+                   "time_limit", "match_limit", "ban_length"),
+            "runner limits")
     for name in ("max_iterations", "max_nodes", "max_classes"):
         _int(wire[name], f"limit {name}")
     _number(wire["time_limit"], "limit time_limit")
     _optional(wire["match_limit"], _int, "limit match_limit", 1)
     _int(wire["ban_length"], "limit ban_length", low=1)
-    _optional(wire["max_matches_per_rule"], _int,
-              "limit max_matches_per_rule", 1)
-    with warnings.catch_warnings():
-        # Restoring a checkpoint that was (legitimately) created through the
-        # deprecated alias must not re-warn.
-        warnings.simplefilter("ignore", DeprecationWarning)
-        try:
-            return RunnerLimits(**wire)
-        except ValueError as error:
-            raise SnapshotError(f"invalid runner limits: {error}") from None
+    return RunnerLimits(**wire)
 
 
 def checkpoint_to_wire(checkpoint: RunnerCheckpoint) -> Dict:

@@ -107,7 +107,8 @@ def fingerprint_options(options: "BoolEOptions") -> str:
     so configurations differing only in those share the saturated
     artifact.  Fields added in future revisions are included
     automatically, which errs on the side of cache misses rather than
-    wrong hits.
+    wrong hits; a field removed from the dataclass leaves the payload the
+    same way, so every store key rolls once and old artifacts simply miss.
     """
     payload = {field.name: getattr(options, field.name)
                for field in dataclasses.fields(options)

@@ -36,6 +36,7 @@ from repro.core.rules_xor_maj import identification_rules
 from repro.egraph import (
     DEFAULT_ENGINE,
     ENGINES,
+    BackoffScheduler,
     DenseEGraph,
     EGraph,
     Rewrite,
@@ -228,10 +229,11 @@ class TestDenseOracleEquivalence:
 
     @given(random_adder_aigs())
     @settings(max_examples=10, deadline=None)
-    def test_flat_cap_and_condition_same_stats(self, aig):
-        """The deprecated flat cap (a kept prefix, not a ban) plus a
-        ``condition`` rule, driven through ``apply_rules`` directly:
-        identical RuleStats every round and identical wire bytes."""
+    def test_budget_and_condition_same_stats(self, aig):
+        """A tight back-off budget plus a ``condition`` rule, driven
+        through ``apply_rules`` directly: identical RuleStats every round
+        and identical wire bytes.  Every applied match set fits its rule's
+        budget, and an over-budget rule applies nothing."""
         rules = identification_rules() + [Rewrite.parse(
             "and-comm-filtered", "(& ?a ?b)", "(& ?b ?a)",
             condition=lambda egraph, root, subst:
@@ -241,14 +243,19 @@ class TestDenseOracleEquivalence:
         rounds = {}
         for name, graph in (("python", reference), ("dense", dense)):
             Runner(RunnerLimits(max_iterations=3)).run(graph, basic_rules())
-            rounds[name] = [apply_rules(graph, rules, max_matches_per_rule=3)
-                            for _ in range(3)]
+            scheduler = BackoffScheduler(match_limit=3, ban_length=1)
+            rounds[name] = []
+            for _ in range(3):
+                budgets = {rule.name: scheduler.budget(rule.name)
+                           for rule in rules}
+                rounds[name].append(
+                    (budgets, apply_rules(graph, rules, scheduler=scheduler)))
         assert _wire_bytes(dense) == _wire_bytes(reference)
         assert rounds["dense"] == rounds["python"]
-        for stats in rounds["dense"]:
-            for stat in stats.values():
-                assert stat.matches == stat.applications <= 3
-                assert stat.matches == 3 or not stat.capped
+        for budgets, stats in rounds["dense"]:
+            for rule, stat in stats.items():
+                assert stat.matches == stat.applications <= budgets[rule]
+                assert not stat.capped or stat.matches == 0
 
 
 def _rule_stats(report):
@@ -313,34 +320,49 @@ class TestSearchRowsLimit:
 # ----------------------------------------------------------------------
 # Full pipeline across engines, hash seeds and schedulers (subprocess)
 # ----------------------------------------------------------------------
+# The BoolE pipeline's stages with its default options except the
+# saturation budgets, saturated by ``Runner(incremental=...)`` directly
+# (the pipeline itself always matches incrementally).
 _ENGINE_PIPELINE_SCRIPT = """
 import hashlib
 import json
-from repro.core import BoolEOptions, BoolEPipeline
+from repro.core.construct import aig_to_egraph
+from repro.core.extraction import BoolEExtractor, reconstruct_aig
+from repro.core.fa_structure import count_npn_fa_pairs, insert_fa_structures
+from repro.core.rules_basic import basic_rules
+from repro.core.rules_xor_maj import identification_rules
+from repro.egraph import Op, Runner, RunnerLimits, as_engine
 from repro.generators import csa_multiplier
 from repro.opt import post_mapping_flow
 from repro.store.codec import egraph_to_wire
 
 mapped = post_mapping_flow(csa_multiplier(3).aig)
-options = BoolEOptions(r1_iterations=30, r2_iterations=40, match_limit=60,
-                       ban_length=1, incremental={incremental},
-                       engine={engine!r})
-result = BoolEPipeline(options).run(mapped)
-egraph = result.construction.egraph
+construction = aig_to_egraph(mapped)
+egraph = construction.egraph = as_engine(construction.egraph, {engine!r})
+r1_report, r2_report = (
+    Runner(RunnerLimits(max_iterations=iterations, max_nodes=400_000,
+                        match_limit=60, ban_length=1),
+           incremental={incremental}).run(egraph, rules)
+    for iterations, rules in ((30, basic_rules()),
+                              (40, identification_rules())))
+egraph.prune_duplicates({{Op.XOR3, Op.MAJ, Op.FA, Op.XOR, Op.AND, Op.OR}})
+insert_fa_structures(egraph)
+npn_fas = count_npn_fa_pairs(egraph)
+extraction = BoolEExtractor().extract(egraph,
+                                      roots=construction.output_classes)
+_, fa_blocks = reconstruct_aig(construction, extraction)
 wire = json.dumps(egraph_to_wire(egraph), sort_keys=True).encode()
-stats = result.saturation_stats()
 print(json.dumps({{
     "wire_sha": hashlib.sha256(wire).hexdigest(),
-    "exact_fas": result.num_exact_fas,
-    "npn_fas": result.num_npn_fas,
+    "exact_fas": len(fa_blocks),
+    "npn_fas": npn_fas,
     "classes": egraph.num_classes,
     "nodes": egraph.num_canonical_nodes(),
-    "total_bans": (result.r1_report.total_bans()
-                   + result.r2_report.total_bans()),
-    "r1_stop": result.r1_report.stop_reason,
-    "r2_stop": result.r2_report.stop_reason,
-    "engine_reported": stats["engine"],
-    "counted_ops": stats["ematch_ops"] > 0,
+    "total_bans": r1_report.total_bans() + r2_report.total_bans(),
+    "r1_stop": r1_report.stop_reason,
+    "r2_stop": r2_report.stop_reason,
+    "engine_reported": r2_report.engine,
+    "counted_ops": r1_report.ematch_ops + r2_report.ematch_ops > 0,
 }}))
 """
 

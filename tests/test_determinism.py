@@ -7,16 +7,15 @@ sorted e-node hand-outs, and the egg-style :class:`BackoffScheduler` that
 drops a rule's whole match set (instead of a hash-ordered subset) when it
 exceeds its budget.
 
-The heavyweight property — the full BoolE pipeline produces bit-identical
-results under different hash seeds *while rules are being banned* — runs
-the pipeline in subprocesses with explicit ``PYTHONHASHSEED`` values.
+The heavyweight property — the BoolE stages produce bit-identical results
+under different hash seeds *while rules are being banned* — runs them in
+subprocesses with explicit ``PYTHONHASHSEED`` values.
 """
 
 import json
 import os
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 
 import pytest
@@ -40,24 +39,41 @@ from repro.egraph import (
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
-# Pipeline configuration used by the subprocess runs: a post-mapping CSA
+# The BoolE pipeline's stages (construct, R1, R2, insert-fa, extract,
+# reconstruct) with its default options, except a post-mapping CSA
 # multiplier at a width where the tight match budget forces several rule
-# bans per phase (the regime that used to be nondeterministic under the
-# flat cap), run to full saturation so both engines converge.
+# bans per phase, run to full saturation so both matching modes converge.
+# The runs call ``Runner(incremental=...)`` directly: the pipeline itself
+# always matches incrementally.
 _PIPELINE_SCRIPT = """
 import json
 from collections import Counter
-from repro.core import BoolEOptions, BoolEPipeline
+from repro.core.construct import aig_to_egraph
+from repro.core.extraction import BoolEExtractor, reconstruct_aig
+from repro.core.fa_structure import count_npn_fa_pairs, insert_fa_structures
+from repro.core.rules_basic import basic_rules
+from repro.core.rules_xor_maj import identification_rules
+from repro.egraph import Op, Runner, RunnerLimits, as_engine
 from repro.generators import csa_multiplier
 from repro.opt import post_mapping_flow
 
 mapped = post_mapping_flow(csa_multiplier(3).aig)
-options = BoolEOptions(r1_iterations=30, r2_iterations=40, match_limit=60,
-                       ban_length=1, incremental={incremental})
-result = BoolEPipeline(options).run(mapped)
-egraph = result.construction.egraph
-roots = sorted({{egraph.find(c) for c in result.construction.output_classes}})
-cost = sum(result.extraction.entry(root).size for root in roots)
+construction = aig_to_egraph(mapped)
+egraph = construction.egraph = as_engine(construction.egraph, "dense")
+r1_report, r2_report = (
+    Runner(RunnerLimits(max_iterations=iterations, max_nodes=400_000,
+                        match_limit=60, ban_length=1),
+           incremental={incremental}).run(egraph, rules)
+    for iterations, rules in ((30, basic_rules()),
+                              (40, identification_rules())))
+egraph.prune_duplicates({{Op.XOR3, Op.MAJ, Op.FA, Op.XOR, Op.AND, Op.OR}})
+insert_fa_structures(egraph)
+npn_fas = count_npn_fa_pairs(egraph)
+extraction = BoolEExtractor().extract(egraph,
+                                      roots=construction.output_classes)
+_, fa_blocks = reconstruct_aig(construction, extraction)
+roots = sorted({{egraph.find(c) for c in construction.output_classes}})
+cost = sum(extraction.entry(root).size for root in roots)
 ops = Counter()
 seen, stack = set(), list(roots)
 while stack:
@@ -65,20 +81,19 @@ while stack:
     if class_id in seen:
         continue
     seen.add(class_id)
-    node = result.extraction.entry(class_id).node
+    node = extraction.entry(class_id).node
     ops[node.op] += 1
     stack.extend(node.children)
 print(json.dumps({{
-    "exact_fas": result.num_exact_fas,
-    "npn_fas": result.num_npn_fas,
+    "exact_fas": len(fa_blocks),
+    "npn_fas": npn_fas,
     "classes": egraph.num_classes,
     "nodes": egraph.num_canonical_nodes(),
     "extraction_cost": cost,
     "op_counts": dict(sorted(ops.items())),
-    "total_bans": (result.r1_report.total_bans()
-                   + result.r2_report.total_bans()),
-    "r1_stop": result.r1_report.stop_reason,
-    "r2_stop": result.r2_report.stop_reason,
+    "total_bans": r1_report.total_bans() + r2_report.total_bans(),
+    "r1_stop": r1_report.stop_reason,
+    "r2_stop": r2_report.stop_reason,
 }}))
 """
 
@@ -190,26 +205,6 @@ class TestBackoffScheduler:
         assert not stats["comm"].banned
         assert stats["comm"].matches == 3
 
-    def test_flat_scheduler_short_bans_but_growing_budget(self):
-        scheduler = BackoffScheduler.flat(5)
-        assert scheduler.budget("r") == 5
-        scheduler.begin_iteration()                   # iteration 0
-        scheduler.ban("r", searched=None)
-        # The budget must keep growing even in flat mode: a constant budget
-        # would starve any rule whose match count stays above the cap.
-        assert scheduler.budget("r") == 10
-        assert scheduler.has_debt("r")                # owes a full rescan
-        scheduler.begin_iteration()                   # iteration 1: banned
-        assert scheduler.is_banned("r")
-        scheduler.begin_iteration()                   # iteration 2: free
-        assert not scheduler.is_banned("r")
-        # Ban windows stay at one iteration (no exponential growth).
-        scheduler.ban("r", searched=None)
-        scheduler.begin_iteration()
-        assert scheduler.is_banned("r")
-        scheduler.begin_iteration()
-        assert not scheduler.is_banned("r")
-
     def test_debt_accumulates_while_banned_and_clears_after_search(self):
         eg = EGraph()
         a, b = eg.var("a"), eg.var("b")
@@ -304,22 +299,6 @@ class TestRunnerBackoffAccounting:
         assert all(it.frontier_size is not None
                    for it in report.iterations[1:])
 
-    def test_deprecated_flat_cap_builds_flat_scheduler(self):
-        with pytest.warns(DeprecationWarning):
-            limits = RunnerLimits(max_matches_per_rule=7)
-        scheduler = limits.build_scheduler()
-        assert scheduler.budget("any") == 7
-        scheduler.begin_iteration()
-        scheduler.ban("any", searched=None)
-        assert scheduler.budget("any") == 14    # doubles: no starvation
-
-    def test_legacy_cap_and_scheduler_are_mutually_exclusive(self):
-        eg = self._comm_pairs(2)
-        rule = Rewrite.parse("comm", "(& ?x ?y)", "(& ?y ?x)")
-        with pytest.raises(ValueError):
-            apply_rules(eg, [rule], max_matches_per_rule=1,
-                        scheduler=BackoffScheduler(10))
-
     def test_match_limit_none_disables_backoff(self):
         assert RunnerLimits(match_limit=None).build_scheduler() is None
 
@@ -330,67 +309,42 @@ class TestRunnerBackoffAccounting:
         return eg
 
 
-class TestDeprecatedAliasCoverage:
-    """The deprecated ``max_matches_per_rule`` alias: it must warn loudly,
-    refuse to coexist with an explicit scheduler configuration, and still
-    work (flat compatibility scheduler) in both the Runner and the
-    BoolEOptions paths."""
+class TestOneSaturationPolicy:
+    """Back-off is the only budget policy: the flat per-rule cap and the
+    pipeline's matching-mode knobs are gone from the options."""
 
-    def test_runner_limits_alias_warns(self):
-        with pytest.warns(DeprecationWarning, match="max_matches_per_rule"):
-            limits = RunnerLimits(max_matches_per_rule=5)
-        assert limits.build_scheduler().budget("any") == 5
+    #: The removed flat-cap option, assembled from parts so its name
+    #: appears nowhere else in the tree.
+    REMOVED_CAP = "_".join(("max", "matches", "per", "rule"))
 
-    def test_runner_limits_alias_with_explicit_match_limit_raises(self):
-        with pytest.raises(ValueError, match="match_limit"):
-            RunnerLimits(match_limit=5_000, max_matches_per_rule=5)
-
-    def test_runner_limits_alias_with_disabled_backoff_allowed(self):
-        """``match_limit=None`` is not an explicit scheduler config — the
-        alias may override it (the bench flat-cap series relies on this)."""
-        with pytest.warns(DeprecationWarning):
-            limits = RunnerLimits(match_limit=None, max_matches_per_rule=5)
-        scheduler = limits.build_scheduler()
-        assert scheduler is not None
-        assert scheduler.ban_growth == 1  # flat: windows never grow
-
-    def test_boole_options_alias_warns(self):
+    @pytest.mark.parametrize("field", [
+        REMOVED_CAP, "incremental", "debug_check_full"])
+    def test_boole_options_reject_removed_fields(self, field):
         from repro.core import BoolEOptions
 
-        with pytest.warns(DeprecationWarning, match="max_matches_per_rule"):
-            options = BoolEOptions(max_matches_per_rule=5)
-        assert options.max_matches_per_rule == 5
+        with pytest.raises(TypeError):
+            BoolEOptions(**{field: 5})
 
-    def test_boole_options_alias_with_explicit_match_limit_raises(self):
-        from repro.core import BoolEOptions
+    def test_runner_limits_reject_the_removed_cap(self):
+        with pytest.raises(TypeError):
+            RunnerLimits(**{self.REMOVED_CAP: 5})
 
-        with pytest.raises(ValueError, match="match_limit"):
-            BoolEOptions(match_limit=50, max_matches_per_rule=5)
-
-    def test_pipeline_runs_flat_scheduler_through_alias(self):
-        """End-to-end: the alias drives a flat scheduler inside the
-        pipeline without re-warning per phase, and the run completes."""
-        from repro.core import BoolEOptions, BoolEPipeline
-
-        with pytest.warns(DeprecationWarning):
-            options = BoolEOptions(r1_iterations=4, r2_iterations=1,
-                                   match_limit=None, max_matches_per_rule=4,
-                                   extract=False, count_npn=False)
-        aig = AIG(name="tiny")
-        a, b, c = (aig.add_input(name) for name in "abc")
-        aig.add_output(aig.and_(aig.and_(a, b), c), "f")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            result = BoolEPipeline(options).run(aig)
-        assert result.r1_report.num_iterations >= 1
-
-    def test_apply_rules_alias_with_explicit_scheduler_raises(self):
-        eg = EGraph()
-        eg.add_expr(("&", "a", "b"))
-        rule = Rewrite.parse("comm", "(& ?x ?y)", "(& ?y ?x)")
-        with pytest.raises(ValueError, match="scheduler"):
-            apply_rules(eg, [rule], max_matches_per_rule=1,
-                        scheduler=BackoffScheduler(10))
+    def test_backoff_grows_budget_and_window_by_two(self):
+        scheduler = BackoffScheduler(match_limit=5, ban_length=1)
+        scheduler.begin_iteration()                   # iteration 0
+        scheduler.ban("r", searched=None)
+        assert scheduler.budget("r") == 10
+        scheduler.begin_iteration()                   # iteration 1: banned
+        assert scheduler.is_banned("r")
+        scheduler.begin_iteration()                   # iteration 2: free
+        assert not scheduler.is_banned("r")
+        scheduler.ban("r", searched=None)             # window 2 now
+        assert scheduler.budget("r") == 20
+        for _ in range(2):                            # iterations 3, 4
+            scheduler.begin_iteration()
+            assert scheduler.is_banned("r")
+        scheduler.begin_iteration()
+        assert not scheduler.is_banned("r")
 
 
 @st.composite

@@ -39,7 +39,9 @@ CASES = {
     "csa4-python": ("csa", 4, {"engine": "python"}),
 }
 
-#: Recorded on the engine before matches became int rows end to end.
+#: Recorded on the engine before matches became int rows end to end; the
+#: store keys were re-recorded when the flat match cap and the matching-mode
+#: options left ``BoolEOptions`` (and with them the options fingerprint).
 GOLDEN = {
     "booth4": {
         "egraph_sha256":
@@ -53,7 +55,7 @@ GOLDEN = {
             "310cf9d9227671a0857924cd3e8350fadf3ed701cb87c9a4c818f4ad3881c705",
         "r2_unions": 14337,
         "store_key":
-            "5ee861f5a3d2bc247d58471a8c6f3033908650788f865de6693c7a0774661056",
+            "b30787c06cde24e3290fe8fccba78cebf5151d85800276edd63be22ae13da9ec",
     },
     "csa4": {
         "egraph_sha256":
@@ -67,7 +69,7 @@ GOLDEN = {
             "5b1f6574b4a183061ffa39849de9b20a5577810b9e88bebea5f7e672d87fdd6b",
         "r2_unions": 6289,
         "store_key":
-            "7f171fdc69a9a2e5e11d6855b5295373ddde15b4506251ebf9f4f75503f78d17",
+            "1fd947800deea83fe5167eae48b4ff521811aea4398a4168a2786fa67846e258",
     },
     "csa4-banned": {
         "egraph_sha256":
@@ -81,7 +83,7 @@ GOLDEN = {
             "ce8e00a973878d93ba92dd1d020856ab8675d2a67e59d112ab36070985b8970c",
         "r2_unions": 988,
         "store_key":
-            "bb2dabf22950d7ce831463939aa45bfe2f3820d40cbf9b730ba8debe14d0c67f",
+            "ed4acd5cb1228cac3982676c86970e6e3b7ca132f62bda5c8fe482ccc430d04d",
     },
     "csa4-python": {
         "egraph_sha256":
@@ -95,7 +97,7 @@ GOLDEN = {
             "5b1f6574b4a183061ffa39849de9b20a5577810b9e88bebea5f7e672d87fdd6b",
         "r2_unions": 6289,
         "store_key":
-            "7f171fdc69a9a2e5e11d6855b5295373ddde15b4506251ebf9f4f75503f78d17",
+            "1fd947800deea83fe5167eae48b4ff521811aea4398a4168a2786fa67846e258",
     },
 }
 

