@@ -422,8 +422,8 @@ def _run_one(cache: PipelineCache, job: BatchJob,
     """Run one job, capturing any failure.
 
     Pipeline construction happens *inside* the capture: a job whose
-    options are invalid (bad refine_rounds, conflicting match caps) must
-    fail alone, never abort the batch.
+    options are invalid (a bad refine_rounds, say) must fail alone, never
+    abort the batch.
     """
     start = time.perf_counter()
     try:

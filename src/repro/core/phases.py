@@ -2,7 +2,8 @@
 
 The paper's Figure-2 flow is six distinct stages; this module makes each
 stage a first-class :class:`Phase` whose boundary is (optionally) a store
-artifact, and a :class:`PhaseGraph` executor that knows how to
+artifact, and a :class:`PhaseGraph` whose one walk decides, phase by phase,
+how to
 
 * **restore** — skip a suffix-covering phase entirely when its artifact is
   already in the store (the ``kind="saturated-pipeline"`` and
@@ -21,7 +22,9 @@ worker that finds the saturated artifact warm computes only extraction,
 and a worker that finds a checkpoint replays only the remainder of the
 interrupted phase.  Every restore/resume decision is keyed by content
 fingerprints (:mod:`repro.store.fingerprint`), so a stale artifact can
-mislead scheduling at worst, never results.
+mislead scheduling at worst, never results.  The walk is recorded as a
+:class:`PipelinePlan` — what execution would do (``plan``, a dry run that
+only probes the store), or did (what ``execute`` returns).
 
 The six concrete BoolE phases (``construct``, ``saturate-r1``,
 ``saturate-r2``, ``insert-fa``, ``extract``, ``reconstruct``) live here
@@ -33,9 +36,9 @@ from __future__ import annotations
 
 import time
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List,
-                    Optional, Tuple)
+                    Optional, Tuple, Union)
 
 from ..egraph import Op, Runner, RunnerCheckpoint, as_engine
 from ..store import (
@@ -111,18 +114,15 @@ class PhaseContext:
             ...) plus the run inputs (``"aig"``, ``"base_key"``).
         timings: per-step wall-clock seconds, same keys the monolithic
             pipeline used to write (``construct``/``r1``/``cache_load``/...).
-        artifact_hits: phase name → True when the phase was restored from
-            its boundary artifact instead of computed.
-        resumed_phase: name of the phase that resumed from a
-            ``kind="checkpoint"`` artifact this run, if any.
+
+    What the run restored or resumed is the walk :meth:`PhaseGraph.execute`
+    returns, not context state.
     """
 
     def __init__(self, store: Optional[ArtifactStore] = None) -> None:
         self.store = store
         self.state: Dict[str, object] = {}
         self.timings: Dict[str, float] = {}
-        self.artifact_hits: Dict[str, bool] = {}
-        self.resumed_phase: Optional[str] = None
 
     def __getitem__(self, name: str) -> Any:
         return self.state[name]
@@ -221,9 +221,9 @@ class PhasePlan:
         cache_key: the phase's boundary-artifact key (``None`` for phases
             without a ``kind``).
         checkpoint_key: the phase's mid-phase checkpoint key, if any.
-        covered_by: for warm phases, the name of the deeper phase whose
-            artifact/checkpoint stands in for this one (``None`` when the
-            phase is its own restore/resume point).
+        covered_by: for warm phases, the name of the phase whose
+            artifact/checkpoint stands in for this one.  A restored phase
+            names itself; the resumed phase is ``None`` (it still runs).
     """
 
     name: str
@@ -233,33 +233,28 @@ class PhasePlan:
     covered_by: Optional[str] = None
 
     def to_json(self) -> Dict:
-        return {
-            "name": self.name,
-            "classification": self.classification,
-            "cache_key": self.cache_key,
-            "checkpoint_key": self.checkpoint_key,
-            "covered_by": self.covered_by,
-        }
+        return asdict(self)
 
 
 @dataclass
 class PipelinePlan:
-    """What :meth:`PhaseGraph.execute` *would* do, computed hash-first.
+    """What :meth:`PhaseGraph.execute` would do, or did.
 
-    Produced by :meth:`PhaseGraph.plan` (surfaced as
-    ``BoolEPipeline.plan``): every phase's content keys and a
-    classification of how execution would treat it, with zero phase
-    bodies run, zero e-graphs built and zero store mutations.
+    :meth:`PhaseGraph.plan` (surfaced as ``BoolEPipeline.plan``) computes
+    it hash-first, with zero phase bodies run, zero e-graphs built and
+    zero store mutations; :meth:`PhaseGraph.execute` returns the same
+    record of the walk it actually took.  Every phase carries its content
+    keys and how the walk treated it.
 
     Attributes:
-        name: display name of the planned netlist.
+        name: display name of the netlist.
         base_key: the saturated-pipeline cache key.
         phases: one :class:`PhasePlan` per phase, in graph order.
-        restore_phase: deepest phase whose boundary artifact would be
-            restored, if any.
-        resume_phase: phase that would resume from a live checkpoint.
-        planned_writes: boundary-artifact keys execution would put.
-        planned_deletes: checkpoint keys execution would delete.
+        restore_phase: deepest phase whose boundary artifact is restored,
+            if any.
+        resume_phase: phase that resumes from a live checkpoint, if any.
+        planned_writes: boundary-artifact keys execution puts.
+        planned_deletes: checkpoint keys execution deletes.
     """
 
     name: str
@@ -284,11 +279,9 @@ class PipelinePlan:
     @property
     def extraction_key(self) -> Optional[str]:
         """The extraction artifact's key (None when extraction disabled)."""
-        try:
-            plan = self.phase("reconstruct")
-        except KeyError:
-            return None
-        if plan.classification == PLAN_SKIPPED:
+        plan = next((each for each in self.phases
+                     if each.name == "reconstruct"), None)
+        if plan is None or plan.classification == PLAN_SKIPPED:
             return None
         return plan.cache_key
 
@@ -304,26 +297,19 @@ class PipelinePlan:
                 return plan.cache_key
         return self.base_key
 
+    def _restored(self, name: str) -> bool:
+        return any(plan.name == name
+                   and plan.classification == PLAN_WARM_BOUNDARY
+                   for plan in self.phases)
+
     @property
     def predicts_cache_hit(self) -> bool:
         """Would execution report ``cache_hit`` (saturated artifact warm)?"""
-        try:
-            return (self.phase("insert-fa").classification
-                    == PLAN_WARM_BOUNDARY)
-        except KeyError:
-            return False
+        return self._restored("insert-fa")
 
     @property
     def predicts_extraction_cache_hit(self) -> bool:
-        try:
-            return (self.phase("reconstruct").classification
-                    == PLAN_WARM_BOUNDARY)
-        except KeyError:
-            return False
-
-    @property
-    def predicts_resumed_phase(self) -> Optional[str]:
-        return self.resume_phase
+        return self._restored("reconstruct")
 
     # -- generic work summary --
     @property
@@ -365,24 +351,94 @@ class PipelinePlan:
 #: with this kind right now?" without touching the object.
 PlanProbe = Callable[[str, str], bool]
 
+#: An attempt's "no usable artifact" answer (``None`` is a valid token).
+_MISS = object()
+
+
+class _ExecuteStep:
+    """Walk step that does the work: fetch and decode artifacts, run phase
+    bodies, persist boundaries and delete superseded checkpoints."""
+
+    def __init__(self, store: Optional[ArtifactStore]) -> None:
+        self.store = store
+        self.active = store is not None
+
+    def attempt(self, ctx: PhaseContext, covered: List[Phase], phase: Phase,
+                kind: str, key: str) -> Any:
+        """Restore ``phase`` (or load its checkpoint: return the resume
+        token); :data:`_MISS` on an absent or undecodable object."""
+        assert self.store is not None
+        started = time.perf_counter()
+        try:
+            payload = self.store.get(key, expected_kind=kind)
+            if payload is None:
+                return _MISS
+            if kind == KIND_CHECKPOINT:
+                return phase.load_checkpoint(ctx, payload)
+            phase.from_wire(ctx, payload)
+        except _DECODE_ERRORS:
+            return _MISS
+        if phase.load_timing:
+            ctx.timings[phase.load_timing] = time.perf_counter() - started
+        return None
+
+    def run(self, ctx: PhaseContext, phase: Phase, resume: Any) -> None:
+        phase.run(ctx, resume=resume)
+
+    def put(self, ctx: PhaseContext, phase: Phase, key: str) -> None:
+        assert self.store is not None and phase.kind is not None
+        started = time.perf_counter()
+        self.store.put(key, phase.to_wire(ctx), kind=phase.kind,
+                       meta=phase.artifact_meta(ctx))
+        if phase.store_timing:
+            ctx.timings[phase.store_timing] = time.perf_counter() - started
+
+    def delete(self, key: str) -> bool:
+        assert self.store is not None
+        return self.store.delete(key)
+
+
+class _PlanStep:
+    """Walk step that only predicts: probe the store and publish planning
+    stand-ins (:meth:`Phase.plan_provide`); nothing is decoded or written."""
+
+    def __init__(self, probe: Optional[PlanProbe]) -> None:
+        self.probe = probe
+        self.active = probe is not None
+
+    def attempt(self, ctx: PhaseContext, covered: List[Phase], phase: Phase,
+                kind: str, key: str) -> Any:
+        assert self.probe is not None
+        if not self.probe(key, kind):
+            return _MISS
+        for each in covered:
+            if each.enabled(ctx):
+                each.plan_provide(ctx)
+        return None
+
+    def run(self, ctx: PhaseContext, phase: Phase, resume: Any) -> None:
+        phase.plan_provide(ctx)
+
+    def put(self, ctx: PhaseContext, phase: Phase, key: str) -> None:
+        pass
+
+    def delete(self, key: str) -> bool:
+        assert self.probe is not None
+        return self.probe(key, KIND_CHECKPOINT)
+
 
 class PhaseGraph:
-    """Executor: fold a phase sequence over a context, cheapest path first.
+    """Fold a phase sequence over a context, cheapest path first.
 
-    At every step the executor prefers, in order:
-
-    1. **restoring** the deepest not-yet-passed phase whose boundary
-       artifact exists and is decodable against the current context (a
-       restored phase stands in for every phase before it);
-    2. **resuming** the deepest phase with a live ``kind="checkpoint"``
-       artifact (the checkpoint carries the cumulative upstream state, so
-       earlier phases never re-run);
-    3. **running** the next phase normally.
-
-    After a phase runs, its boundary artifact is persisted (when the phase
-    declares a ``kind``) and its checkpoint artifact — now superseded — is
-    deleted.  Corrupt or undecodable artifacts degrade to recomputes that
-    overwrite them.
+    At every step the walk prefers (1) **restoring** the deepest
+    not-yet-passed phase whose boundary artifact is decodable against the
+    context — it stands in for every phase before it; (2) **resuming** the
+    deepest phase with a live ``kind="checkpoint"`` artifact, which
+    carries the cumulative upstream state; (3) **running** the next phase,
+    then persisting its boundary artifact and deleting its superseded
+    checkpoint.  Corrupt artifacts degrade to recomputes that overwrite
+    them.  :meth:`execute` and :meth:`plan` are this one walk with
+    different steps: a plan is a dry run of the executor's decisions.
     """
 
     def __init__(self, phases: List[Phase]) -> None:
@@ -391,251 +447,113 @@ class PhaseGraph:
             raise ValueError(f"duplicate phase names in {names}")
         self.phases = list(phases)
 
-    # ------------------------------------------------------------------
-    def execute(self, ctx: PhaseContext) -> None:
-        """Run the graph to completion over ``ctx``."""
-        phases = self.phases
-        index = 0
-        while index < len(phases):
-            if not phases[index].enabled(ctx):
-                index += 1
-                continue
-            if ctx.store is not None:
-                jump = self._try_restore(ctx, index)
-                if jump is None:
-                    jump = self._try_resume(ctx, index)
-                if jump is not None:
-                    index = jump
-                    continue
-            self._run_phase(ctx, phases[index])
-            index += 1
+    def execute(self, ctx: PhaseContext) -> PipelinePlan:
+        """Run the graph to completion over ``ctx``; return the walk taken."""
+        return self._walk(ctx, _ExecuteStep(ctx.store))
 
-    # ------------------------------------------------------------------
-    def _safe_get(self, ctx: PhaseContext, key: str,
-                  kind: str) -> Optional[Dict]:
-        """Store lookup that treats corrupt/foreign objects as misses."""
-        try:
-            return ctx.store.get(key, expected_kind=kind)
-        except SnapshotError:
-            return None
-
-    def _try_restore(self, ctx: PhaseContext, index: int) -> Optional[int]:
-        """Restore the deepest phase ≥ ``index`` from its artifact."""
-        for j in reversed(range(index, len(self.phases))):
-            phase = self.phases[j]
-            if phase.kind is None or not phase.enabled(ctx):
-                continue
-            if not phase.restorable(ctx):
-                continue
-            key = phase.cache_key(ctx)
-            if key is None:
-                continue
-            started = time.perf_counter()
-            payload = self._safe_get(ctx, key, phase.kind)
-            if payload is None:
-                continue
-            try:
-                phase.from_wire(ctx, payload)
-            except _DECODE_ERRORS:
-                # Well-formed snapshot, malformed payload: degrade to a
-                # recompute (which overwrites the bad artifact).
-                continue
-            if phase.load_timing:
-                ctx.timings[phase.load_timing] = \
-                    time.perf_counter() - started
-            ctx.artifact_hits[phase.name] = True
-            # Checkpoints of the phases this artifact covers are now
-            # superseded; without this, a checkpoint orphaned by a kill
-            # would sit in the store (a full e-graph snapshot) for as
-            # long as another run's boundary artifact keeps skipping the
-            # phase that owns it.
-            for covered in self.phases[index:j + 1]:
-                checkpoint_key = covered.checkpoint_key(ctx)
-                if checkpoint_key is not None:
-                    ctx.store.delete(checkpoint_key)
-            return j + 1
-        return None
-
-    def _try_resume(self, ctx: PhaseContext, index: int) -> Optional[int]:
-        """Resume the deepest phase ≥ ``index`` from a checkpoint."""
-        for j in reversed(range(index, len(self.phases))):
-            phase = self.phases[j]
-            if not phase.enabled(ctx):
-                continue
-            key = phase.checkpoint_key(ctx)
-            if key is None:
-                continue
-            payload = self._safe_get(ctx, key, KIND_CHECKPOINT)
-            if payload is None:
-                continue
-            try:
-                resume = phase.load_checkpoint(ctx, payload)
-            except _DECODE_ERRORS:
-                continue
-            ctx.resumed_phase = phase.name
-            self._run_phase(ctx, phase, resume=resume)
-            return j + 1
-        return None
-
-    def _run_phase(self, ctx: PhaseContext, phase: Phase,
-                   resume: Any = None) -> None:
-        phase.run(ctx, resume=resume)
-        if ctx.store is None:
-            return
-        key = phase.cache_key(ctx) if phase.kind is not None else None
-        if key is not None:
-            started = time.perf_counter()
-            ctx.store.put(key, phase.to_wire(ctx), kind=phase.kind,
-                          meta=phase.artifact_meta(ctx))
-            if phase.store_timing:
-                ctx.timings[phase.store_timing] = \
-                    time.perf_counter() - started
-        checkpoint_key = phase.checkpoint_key(ctx)
-        if checkpoint_key is not None:
-            # The phase completed: any mid-phase checkpoint is superseded
-            # by the boundary artifact (or by the phases that follow).
-            ctx.store.delete(checkpoint_key)
-
-    # ------------------------------------------------------------------
-    # Planning: the same decision procedure as execute(), hash-only.
-    # ------------------------------------------------------------------
     def plan(self, ctx: PhaseContext,
              probe: Optional[PlanProbe] = None) -> PipelinePlan:
-        """Classify every phase without executing anything.
+        """Classify every phase without executing or writing anything.
 
-        Mirrors :meth:`execute` step for step — same restore-deepest /
-        resume-deepest / run-cold preference, same covered-checkpoint
-        deletions — but phases only publish planning stand-ins
-        (:meth:`Phase.plan_provide`): no phase body runs, no artifact
-        payload is decoded, and nothing is written or touched.  ``probe``
-        is the read-only store oracle; ``None`` plans a storeless run
-        (everything enabled goes cold, keys are still computed).
-
-        The context passed in must carry the run inputs (``"aig"``,
-        ``"base_key"``) but **not** a store — planning never uses
-        ``ctx.store``.
+        ``probe`` is the read-only store oracle; ``None`` plans a storeless
+        run (everything enabled goes cold, keys are still computed).  The
+        context carries the run inputs (``"aig"``, ``"base_key"``) but
+        no store: planning never uses ``ctx.store``.
         """
-        plans: Dict[str, PhasePlan] = {}
-        writes: List[str] = []
-        deletes: List[str] = []
-        restore_phase: Optional[str] = None
-        resume_phase: Optional[str] = None
+        return self._walk(ctx, _PlanStep(probe))
+
+    def _walk(self, ctx: PhaseContext,
+              step: Union[_ExecuteStep, _PlanStep]) -> PipelinePlan:
         phases = self.phases
+        walk = PipelinePlan(name=getattr(ctx.get("aig"), "name", "") or "",
+                            base_key=ctx.get("base_key"))
+        # A content key never changes once computable, so the walk
+        # computes each one once (the extraction key digests the roots).
+        keys: Dict[str, str] = {}
+
+        def cache_key(phase: Phase) -> Optional[str]:
+            key = keys.get(phase.name)
+            if key is None and phase.kind is not None:
+                key = phase.cache_key(ctx)
+                if key is not None:
+                    keys[phase.name] = key
+            return key
 
         def record(phase: Phase, classification: str,
                    covered_by: Optional[str] = None) -> None:
-            plans[phase.name] = PhasePlan(
-                name=phase.name,
-                classification=classification,
-                cache_key=(phase.cache_key(ctx)
-                           if phase.kind is not None else None),
-                checkpoint_key=phase.checkpoint_key(ctx),
-                covered_by=covered_by)
+            if not phase.enabled(ctx):
+                classification, covered_by = PLAN_SKIPPED, None
+            walk.phases.append(PhasePlan(
+                phase.name, classification, cache_key(phase),
+                phase.checkpoint_key(ctx), covered_by))
+
+        def deepest(index: int, resume: bool) -> Tuple[Optional[int], Any]:
+            """Deepest enabled phase ``j >= index`` whose boundary artifact
+            (checkpoint, with ``resume``) the step accepts, and its token."""
+            if not step.active:
+                return None, None
+            for j in range(len(phases) - 1, index - 1, -1):
+                phase = phases[j]
+                if not phase.enabled(ctx):
+                    continue
+                if resume:
+                    key, kind = phase.checkpoint_key(ctx), KIND_CHECKPOINT
+                    covered = phases[index:j]
+                else:
+                    key = cache_key(phase) if phase.restorable(ctx) else None
+                    kind, covered = phase.kind or "", phases[index:j + 1]
+                if key is not None:
+                    token = step.attempt(ctx, covered, phase, kind, key)
+                    if token is not _MISS:
+                        return j, token
+            return None, None
 
         index = 0
         while index < len(phases):
-            phase = phases[index]
-            if not phase.enabled(ctx):
-                record(phase, PLAN_SKIPPED)
+            if not phases[index].enabled(ctx):
+                record(phases[index], PLAN_SKIPPED)
                 index += 1
                 continue
-            if probe is not None:
-                jump = self._plan_restore(ctx, probe, index, record, deletes)
-                if jump is not None:
-                    restore_phase = phases[jump - 1].name
-                    index = jump
-                    continue
-                jump = self._plan_resume(ctx, probe, index, record,
-                                         writes, deletes)
-                if jump is not None:
-                    resume_phase = phases[jump - 1].name
-                    index = jump
-                    continue
-            # Cold: the phase runs; its boundary artifact is written and
-            # any live checkpoint of it is superseded.
-            phase.plan_provide(ctx)
-            record(phase, PLAN_COLD)
-            if probe is not None:
-                cache_key = plans[phase.name].cache_key
-                if cache_key is not None:
-                    writes.append(cache_key)
-                checkpoint_key = plans[phase.name].checkpoint_key
-                if (checkpoint_key is not None
-                        and probe(checkpoint_key, KIND_CHECKPOINT)):
-                    deletes.append(checkpoint_key)
-            index += 1
-
-        aig = ctx.get("aig")
-        return PipelinePlan(
-            name=getattr(aig, "name", "") or "",
-            base_key=ctx.get("base_key"),
-            phases=[plans[phase.name] for phase in phases],
-            restore_phase=restore_phase,
-            resume_phase=resume_phase,
-            planned_writes=writes,
-            planned_deletes=deletes)
-
-    def _plan_restore(self, ctx: PhaseContext, probe: PlanProbe, index: int,
-                      record: Callable[..., None],
-                      deletes: List[str]) -> Optional[int]:
-        """Plan-side mirror of :meth:`_try_restore` (probe, don't decode)."""
-        for j in reversed(range(index, len(self.phases))):
-            phase = self.phases[j]
-            if phase.kind is None or not phase.enabled(ctx):
+            chosen, token = deepest(index, resume=False)
+            if chosen is not None:
+                walk.restore_phase = phases[chosen].name
+                for covered in phases[index:chosen + 1]:
+                    record(covered, PLAN_WARM_BOUNDARY, walk.restore_phase)
+                    # The covered phases' checkpoints are superseded: left
+                    # alone, an orphaned one (a full e-graph) would sit in
+                    # the store as long as this artifact skips its phase.
+                    checkpoint_key = covered.checkpoint_key(ctx)
+                    if checkpoint_key is not None \
+                            and step.delete(checkpoint_key):
+                        walk.planned_deletes.append(checkpoint_key)
+                index = chosen + 1
                 continue
-            if not phase.restorable(ctx):
+            chosen, token = deepest(index, resume=True)
+            how = PLAN_COLD if chosen is None else PLAN_WARM_CHECKPOINT
+            if chosen is None:
+                chosen = index
+            else:
+                walk.resume_phase = phases[chosen].name
+            for covered in phases[index:chosen]:
+                record(covered, how, walk.resume_phase)
+            phase = phases[chosen]
+            step.run(ctx, phase, token)
+            record(phase, how)
+            index = chosen + 1
+            if not step.active:
                 continue
-            key = phase.cache_key(ctx)
-            if key is None or not probe(key, phase.kind):
-                continue
-            covered = self.phases[index:j + 1]
-            for covered_phase in covered:
-                if covered_phase.enabled(ctx):
-                    covered_phase.plan_provide(ctx)
-            for covered_phase in covered:
-                if covered_phase.enabled(ctx):
-                    record(covered_phase, PLAN_WARM_BOUNDARY,
-                           covered_by=phase.name)
-                else:
-                    record(covered_phase, PLAN_SKIPPED)
-                checkpoint_key = covered_phase.checkpoint_key(ctx)
-                if (checkpoint_key is not None
-                        and probe(checkpoint_key, KIND_CHECKPOINT)):
-                    deletes.append(checkpoint_key)
-            return j + 1
-        return None
-
-    def _plan_resume(self, ctx: PhaseContext, probe: PlanProbe, index: int,
-                     record: Callable[..., None],
-                     writes: List[str],
-                     deletes: List[str]) -> Optional[int]:
-        """Plan-side mirror of :meth:`_try_resume`."""
-        for j in reversed(range(index, len(self.phases))):
-            phase = self.phases[j]
-            if not phase.enabled(ctx):
-                continue
-            key = phase.checkpoint_key(ctx)
-            if key is None or not probe(key, KIND_CHECKPOINT):
-                continue
-            for covered_phase in self.phases[index:j + 1]:
-                if covered_phase.enabled(ctx):
-                    covered_phase.plan_provide(ctx)
-            for covered_phase in self.phases[index:j]:
-                if covered_phase.enabled(ctx):
-                    record(covered_phase, PLAN_WARM_CHECKPOINT,
-                           covered_by=phase.name)
-                else:
-                    record(covered_phase, PLAN_SKIPPED)
-            record(phase, PLAN_WARM_CHECKPOINT)
-            # The resumed phase still completes: boundary write (if any)
-            # plus deletion of the checkpoint it just consumed.
-            cache_key = (phase.cache_key(ctx)
-                         if phase.kind is not None else None)
-            if cache_key is not None:
-                writes.append(cache_key)
-            deletes.append(key)
-            return j + 1
-        return None
+            key = cache_key(phase)
+            if key is not None:
+                step.put(ctx, phase, key)
+                walk.planned_writes.append(key)
+            checkpoint_key = phase.checkpoint_key(ctx)
+            if checkpoint_key is not None:
+                # The phase completed: the checkpoint it resumed from, and
+                # any it wrote itself, are superseded.
+                step.delete(checkpoint_key)
+                if how == PLAN_WARM_CHECKPOINT:
+                    walk.planned_deletes.append(checkpoint_key)
+        return walk
 
 
 # ----------------------------------------------------------------------

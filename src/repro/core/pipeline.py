@@ -390,7 +390,8 @@ class BoolEPipeline:
         count, ``result.cache_hit``) and the extraction boundary (phases
         5–6, ``result.extraction_cache_hit``) are each one artifact, and
         interrupted saturation phases resume from their
-        ``kind="checkpoint"`` artifact (``result.resumed_phase``).  A
+        ``kind="checkpoint"`` artifact (``result.resumed_phase``); all
+        three flags are read off the walk the phase graph took.  A
         fully warm run costs one snapshot load and skips cost propagation
         entirely.  Phases run with the cyclic collector paused
         (:func:`gc_paused`).
@@ -402,7 +403,7 @@ class BoolEPipeline:
         ctx["aig"] = aig
         with gc_paused():
             ctx["base_key"] = self.cache_key(aig) if store is not None else None
-            self._graph.execute(ctx)
+            walk = self._graph.execute(ctx)
 
         timings = ctx.timings
         timings["total"] = time.perf_counter() - start
@@ -417,9 +418,9 @@ class BoolEPipeline:
             fa_blocks=ctx.get("fa_blocks", []),
             num_npn_fas=ctx["num_npn"],
             timings=timings,
-            cache_hit=ctx.artifact_hits.get("insert-fa", False),
-            extraction_cache_hit=ctx.artifact_hits.get("reconstruct", False),
-            resumed_phase=ctx.resumed_phase,
+            cache_hit=walk.predicts_cache_hit,
+            extraction_cache_hit=walk.predicts_extraction_cache_hit,
+            resumed_phase=walk.resume_phase,
         )
 
 

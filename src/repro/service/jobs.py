@@ -432,6 +432,10 @@ def _expand_generator(generator: object) -> List[Dict]:
     option_sets = generator.get("option_sets", [{}])
     if not isinstance(option_sets, list) or not option_sets:
         raise ValueError("option_sets must be a non-empty list")
+    count = len(archs) * len(widths) * len(option_sets)
+    if count > _MAX_SWEEP_JOBS:  # refuse before materialising the product
+        raise ValueError(f"sweep expands to {count} jobs "
+                         f"(cap {_MAX_SWEEP_JOBS})")
     entries: List[Dict] = []
     for arch in archs:
         for width in widths:

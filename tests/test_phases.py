@@ -19,6 +19,8 @@ from pathlib import Path
 import pytest
 
 from repro.core import (
+    PLAN_COLD,
+    PLAN_WARM_BOUNDARY,
     BoolEOptions,
     BoolEPipeline,
     Phase,
@@ -119,12 +121,15 @@ class TestPhaseGraphExecutor:
 
         log.clear()
         warm = PhaseContext(store=store)
-        graph.execute(warm)
+        walk = graph.execute(warm)
         # a and b are covered by b's boundary artifact; only c runs.
         assert log == ["c"]
         assert warm["a"] == "restored-a"
         assert warm["b"] == "computed-b"
-        assert warm.artifact_hits == {"b": True}
+        assert walk.restore_phase == "b"
+        assert [(p.classification, p.covered_by) for p in walk.phases] == [
+            (PLAN_WARM_BOUNDARY, "b"), (PLAN_WARM_BOUNDARY, "b"),
+            (PLAN_COLD, None)]
 
     def test_corrupt_artifact_degrades_to_recompute(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -137,15 +142,17 @@ class TestPhaseGraphExecutor:
 
         log.clear()
         healed = PhaseContext(store=store)
-        graph.execute(healed)
+        walk = graph.execute(healed)
         assert log == ["b"]              # recomputed, not crashed
-        assert healed.artifact_hits == {}
+        assert walk.restore_phase is None
+        assert walk.classification_of("b") == PLAN_COLD
 
         log.clear()
         warm = PhaseContext(store=store)
-        graph.execute(warm)
+        walk = graph.execute(warm)
         assert log == []                 # the recompute overwrote it
-        assert warm.artifact_hits == {"b": True}
+        assert walk.restore_phase == "b"
+        assert walk.classification_of("b") == PLAN_WARM_BOUNDARY
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Hash-propagated planner: plan-vs-execution agreement, batch folding.
 
-The planner (``BoolEPipeline.plan`` / ``BatchPipeline.plan``) must mirror
-the executor's restore/resume/run decision procedure exactly while doing
-none of the work: no phase body runs, no e-graph is built (construction
-ids come from the dry construction) and the store is only probed
-read-only.  These tests pin that contract per store state (empty /
+The planner (``BoolEPipeline.plan`` / ``BatchPipeline.plan``) is the
+executor's own restore/resume/run walk run dry: no phase body runs, no
+e-graph is built (construction ids come from the dry construction) and
+the store is only probed read-only.  These tests pin that contract, and
+the walk ``execute`` returns against the plan, per store state (empty /
 snapshot-only / two-level / extraction-only / checkpoint-only /
 stale-checkpoint), pin the batch layer's dedup and prefix-sharing
 semantics (a shared saturated prefix is saturated exactly once per
@@ -280,6 +280,78 @@ class TestPipelinePlan:
         assert _store_snapshot(tmp_path) == before
 
 
+STORE_STATES = ["empty", "snapshot-only", "extraction-only", "two-level",
+                "checkpoint-only", "stale-checkpoint"]
+
+
+def _seed(state, aig, store):
+    """Bring ``store`` into one of :data:`STORE_STATES` for ``aig``."""
+    if state == "empty":
+        return
+    options = BoolEOptions(checkpoint_every=1, **OPTIONS)
+    key, payload, meta = _capture_checkpoint(options, aig, store)
+    keys = BoolEPipeline(options).plan(aig)
+    if state in ("snapshot-only", "checkpoint-only"):
+        store.delete(keys.extraction_key)
+    if state in ("extraction-only", "checkpoint-only"):
+        store.delete(keys.base_key)
+    if state in ("checkpoint-only", "stale-checkpoint"):
+        store.put(key, payload, kind=KIND_CHECKPOINT, meta=meta)
+
+
+def _run_walk(pipeline, aig, monkeypatch):
+    """Run ``aig``; return the result and the plan ``execute`` returned."""
+    graph = pipeline._graph
+    execute = graph.execute
+    walks = []
+
+    def spy(ctx):
+        walks.append(execute(ctx))
+        return walks[-1]
+
+    monkeypatch.setattr(graph, "execute", spy)
+    result = pipeline.run(aig)
+    (walk,) = walks
+    return result, walk
+
+
+class TestWalkIsThePlan:
+    @pytest.mark.parametrize("extract", [True, False])
+    @pytest.mark.parametrize("state", STORE_STATES)
+    def test_execute_returns_the_plan(self, tmp_path, monkeypatch, state,
+                                      extract):
+        """``PhaseGraph.execute`` returns the walk it took, and on an
+        intact store that walk is exactly what ``plan`` predicted."""
+        aig = ripple_carry_adder(4)[0]
+        store = ArtifactStore(tmp_path)
+        _seed(state, aig, store)
+        pipeline = BoolEPipeline(
+            BoolEOptions(checkpoint_every=1, extract=extract, **OPTIONS),
+            store=store)
+        plan = pipeline.plan(aig)
+        _, walk = _run_walk(pipeline, aig, monkeypatch)
+        assert walk.to_json() == plan.to_json()
+
+    def test_corrupt_artifact_walks_cold(self, tmp_path, monkeypatch):
+        """The plan only probes, so it trusts a corrupt snapshot; the walk
+        decodes it, degrades to a cold run and says so."""
+        aig = ripple_carry_adder(4)[0]
+        store = ArtifactStore(tmp_path)
+        _seed("snapshot-only", aig, store)
+        pipeline = BoolEPipeline(BoolEOptions(**OPTIONS), store=store)
+        plan = pipeline.plan(aig)
+        store.path_for(plan.base_key).write_bytes(b"garbage")
+        assert plan.classification_of("insert-fa") == PLAN_WARM_BOUNDARY
+        assert plan.restore_phase == "insert-fa"
+
+        result, walk = _run_walk(pipeline, aig, monkeypatch)
+        assert walk.classification_of("insert-fa") == PLAN_COLD
+        assert walk.restore_phase is None
+        assert walk.cold_phases == pipeline.phases
+        assert walk.planned_writes == [plan.base_key, plan.extraction_key]
+        assert not result.cache_hit
+
+
 class TestBatchPlanFolding:
     def test_non_semantic_twins_dedup_to_one_execution(self, tmp_path,
                                                        monkeypatch):
@@ -545,7 +617,7 @@ for item_plan, item in zip(plan.items, report.items):
     assert item.cached == predicted.predicts_cache_hit, item.name
     assert (item.extraction_cached
             == predicted.predicts_extraction_cache_hit), item.name
-    assert item.resumed_phase == predicted.predicts_resumed_phase, item.name
+    assert item.resumed_phase == predicted.resume_phase, item.name
     lines.append({"name": item.name,
                   "schedule": item_plan.schedule,
                   "final": predicted.final_key,

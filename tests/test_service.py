@@ -16,6 +16,7 @@ import socket
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -778,6 +779,18 @@ class TestSweepExpansion:
         with pytest.raises(ValueError, match="cap"):
             service.expand_sweep_request(
                 {"jobs": [fast_request()] * 257})
+        # A generator is refused from its list lengths alone: the
+        # 10**6-job cross product is never materialised.
+        request = {"generator": {"archs": ["csa"] * 1000,
+                                 "widths": [4] * 1000}}
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="1000000 jobs"):
+                service.expand_sweep_request(request)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers(-3, 70)
@@ -1099,6 +1112,18 @@ class TestSweepHTTP:
         with pytest.raises(ServiceError) as excinfo:
             client._request("POST", "/sweeps/" + "ab" * 32)
         assert excinfo.value.status == 405
+        # The in-process server refuses an oversized generator before it
+        # materialises the 10**6-job cross product.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit_sweep({"generator": {"archs": ["csa"] * 1000,
+                                                   "widths": [4] * 1000}})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert excinfo.value.status == 400
+        assert peak < 1 << 20
 
 
 class TestClientSharedDeadline:
