@@ -707,12 +707,10 @@ class SaturatePhase(_BoolEPhase):
                               })
 
         started = time.perf_counter()
-        # Saturation runs on the configured engine.  Construction always
-        # builds the reference object graph (and checkpoints/artifacts
-        # decode to it), so convert at the phase boundary; the wire state
-        # is engine-neutral, which is what lets a checkpoint written under
-        # one engine resume under the other.
-        construction.egraph = as_engine(construction.egraph, options.engine)
+        # Saturation runs on the dense engine.  Construction builds the
+        # object graph, so convert at the phase boundary (a no-op on a
+        # graph decoded from a checkpoint, which is already dense).
+        construction.egraph = as_engine(construction.egraph, "dense")
         if resume is not None:
             runner = Runner.from_checkpoint(resume)
         else:
@@ -745,18 +743,15 @@ class InsertFAPhase(_BoolEPhase):
         return ctx.get("base_key")
 
     def run(self, ctx: PhaseContext, resume: Any = None) -> None:
-        options = self.options
         egraph = ctx["construction"].egraph
-        if options.prune_redundant:
-            started = time.perf_counter()
-            egraph.prune_duplicates(
-                {Op.XOR3, Op.MAJ, Op.FA, Op.XOR, Op.AND, Op.OR})
-            ctx.timings["prune"] = time.perf_counter() - started
+        started = time.perf_counter()
+        egraph.prune_duplicates({Op.XOR3, Op.MAJ, Op.FA, Op.XOR, Op.AND, Op.OR})
+        ctx.timings["prune"] = time.perf_counter() - started
         started = time.perf_counter()
         ctx["fa_report"] = insert_fa_structures(egraph)
         ctx.timings["fa_pairing"] = time.perf_counter() - started
         ctx["num_npn"] = 0
-        if options.count_npn:
+        if self.options.count_npn:
             started = time.perf_counter()
             ctx["num_npn"] = count_npn_fa_pairs(egraph)
             ctx.timings["npn_count"] = time.perf_counter() - started

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import math
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -67,32 +68,24 @@ class BoolEOptions:
 
     Attributes:
         r1_iterations: iteration budget for the basic-rule phase (the paper
-            uses 10; smaller values already saturate the lightweight ruleset).
-        r2_iterations: iteration budget for the identification phase (paper: 3).
+            uses 10; smaller values already saturate the lightweight
+            ruleset); >= 0.
+        r2_iterations: iteration budget for the identification phase
+            (paper: 3); >= 0.
         lightweight_rules: use the pruned R1 subset (paper trick 1).
-        include_rule_variants: generate the input-negation variants of R2.
-        max_nodes: e-graph node limit per phase.
-        time_limit: wall-clock limit (seconds) per phase.
+        max_nodes: e-graph node limit per phase (>= 1).
+        time_limit: wall-clock limit (seconds) per phase; finite and > 0.
         match_limit: initial per-rule match budget per iteration for the
             back-off scheduler; rules exceeding it are banned for
             exponentially growing windows (see ``docs/performance.md``).
             ``None`` disables back-off; otherwise it must be >= 1.
         ban_length: initial back-off ban window, in iterations (>= 1).
-        prune_redundant: delete duplicate permuted XOR3/MAJ/FA e-nodes after
-            saturation (paper trick 3).
         extract: run DAG extraction and netlist reconstruction.
         refine_rounds: bounded choose→repair refinement iterations after
             the first extraction pass; the best materialised FA count
             wins (see :class:`~repro.core.extraction.BoolEExtractor`).
             ``0`` keeps the single-pass extractor.
         count_npn: count NPN FA pairs on the saturated e-graph.
-        engine: saturation backend — ``"dense"`` (default) runs the
-            struct-of-arrays engine with batched e-matching
-            (:class:`~repro.egraph.DenseEGraph`), ``"python"`` the
-            object-graph reference engine.  The engines are bit-identical
-            (same saturated graphs, same artifact bytes), so the choice is
-            pure performance and is excluded from cache fingerprints:
-            artifacts produced under either engine warm the other.
         checkpoint_every: with a store configured, write a mid-phase
             ``kind="checkpoint"`` artifact after every this-many
             saturation iterations (both R1 and R2); a killed run resumes
@@ -100,33 +93,35 @@ class BoolEOptions:
             Cadence never changes results, so it is excluded from cache
             fingerprints.
 
-    Saturation always uses delta e-matching (see ``docs/performance.md``);
-    the full-scan and cross-check oracles are :class:`~repro.egraph.Runner`
-    arguments, kept for tests.
+    Saturation always runs on :class:`~repro.egraph.DenseEGraph` with delta
+    e-matching, R2 always includes the input-polarity rule variants, and
+    the saturated graph is always pruned of permuted duplicates (paper
+    trick 3).  The object-graph engine and the full-scan and cross-check
+    matchers are test oracles, reached below the options
+    (see ``docs/architecture.md``).
     """
 
     r1_iterations: int = 6
     r2_iterations: int = 4
     lightweight_rules: bool = True
-    include_rule_variants: bool = True
     max_nodes: int = 400_000
     time_limit: float = 120.0
     # Wider than the RunnerLimits default: the R2 identification rules
     # legitimately produce huge match sets on wide multipliers.
     match_limit: Optional[int] = 100_000
     ban_length: int = 2
-    prune_redundant: bool = True
     extract: bool = True
     refine_rounds: int = 0
     count_npn: bool = True
-    engine: str = "dense"
     checkpoint_every: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.engine not in ("dense", "python"):
-            raise ValueError(
-                f"unknown e-graph engine {self.engine!r}; expected 'dense' "
-                "or 'python'")
+        if self.r1_iterations < 0 or self.r2_iterations < 0:
+            raise ValueError("r1_iterations and r2_iterations must be >= 0")
+        if self.max_nodes < 1:
+            raise ValueError("max_nodes must be >= 1")
+        if not 0 < self.time_limit < math.inf:
+            raise ValueError("time_limit must be finite and > 0")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
             raise ValueError(
                 "checkpoint_every must be >= 1 (or None to disable "
@@ -227,20 +222,15 @@ class BoolEResult:
             _egraph_shape=(self.egraph_classes, self.egraph_nodes))
 
     def saturation_stats(self) -> Dict[str, object]:
-        """Engine and e-matching telemetry of this run's saturation phases.
+        """E-matching telemetry of this run's saturation phases.
 
-        ``engine`` is ``None`` when no saturation actually executed in this
-        process (fully warm runs decode their reports from artifacts, which
-        deliberately do not carry engine provenance — the engines are
-        bit-identical).  ``ematch_ops`` counts e-nodes scanned by the
-        matcher; the dense engine counts operator-span scans and the
-        reference engine full-class scans, so rates are comparable within
-        an engine, not across engines.
+        ``ematch_ops`` counts the operator spans the matcher scanned; it is
+        0 when no saturation executed in this process (fully warm runs
+        decode their reports from artifacts, which do not carry it).
         """
         ops = self.r1_report.ematch_ops + self.r2_report.ematch_ops
         seconds = self.r1_report.total_time + self.r2_report.total_time
         return {
-            "engine": self.r2_report.engine if ops else None,
             "ematch_ops": ops,
             "ematch_ops_per_s": (round(ops / seconds, 1)
                                  if ops and seconds > 0 else 0.0),
@@ -283,7 +273,7 @@ class BoolEPipeline:
         self.extractor = extractor or BoolEExtractor(
             refine_rounds=self.options.refine_rounds)
         self._r1 = basic_rules(lightweight=self.options.lightweight_rules)
-        self._r2 = identification_rules(self.options.include_rule_variants)
+        self._r2 = identification_rules()
         self._graph = PhaseGraph(boole_phases(self))
         # Options/ruleset fingerprints are per-pipeline constants; computed
         # lazily once so batch sweeps pay only the per-AIG digest per job.

@@ -1,6 +1,6 @@
 """A from-scratch e-graph / equality-saturation engine (egg substitute)."""
 
-from .dense import DEFAULT_ENGINE, DenseEGraph, ENGINES, as_engine
+from .dense import DenseEGraph, as_engine
 from .egraph import EClass, EGraph, enode_sort_key
 from .enode import ENode, Op, OPERATOR_ARITIES, is_leaf_op
 from .extract import (
@@ -36,9 +36,7 @@ from .runner import (
 from .unionfind import UnionFind
 
 __all__ = [
-    "DEFAULT_ENGINE",
     "DenseEGraph",
-    "ENGINES",
     "as_engine",
     "EClass",
     "EGraph",

@@ -76,14 +76,7 @@ from .pattern import (
     Slots,
 )
 
-__all__ = ["DenseEGraph", "as_engine", "ENGINES", "DEFAULT_ENGINE",
-           "PAYLOAD_TYPES"]
-
-#: Recognised values of the ``engine`` option.
-ENGINES = ("dense", "python")
-
-#: The default saturation backend.
-DEFAULT_ENGINE = "dense"
+__all__ = ["DenseEGraph", "as_engine", "PAYLOAD_TYPES"]
 
 #: Candidate roots are fed through the batched matcher in chunks of this
 #: many classes, so a rule whose budget is exceeded stops matching after
@@ -172,8 +165,6 @@ class DenseEGraph:
     constructors, same queries, same snapshot format.  See the module
     docstring for the representation and the bit-identity contract.
     """
-
-    engine = "dense"
 
     def __init__(self) -> None:
         # Union-find over class ids (flat parent array).
@@ -1380,18 +1371,19 @@ class DenseEGraph:
 
 
 def as_engine(egraph, engine: str):
-    """Return ``egraph`` represented by the requested engine.
+    """Return ``egraph`` as a ``"dense"`` :class:`DenseEGraph` or a
+    ``"python"`` object-graph :class:`~repro.egraph.egraph.EGraph`.
 
     Conversion round-trips through :meth:`export_state`, which preserves
-    every bit of observable state, so switching engines mid-pipeline (e.g.
-    resuming a checkpoint written by the other engine) is transparent.
-    Returns the input object unchanged when it already is the right engine.
+    every bit of observable state, so switching representations
+    mid-saturation (e.g. resuming a checkpoint under the object graph) is
+    transparent.  Returns the input object unchanged when it already has
+    the requested representation.
     """
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown e-graph engine {engine!r}; expected one of {ENGINES}")
-    current = getattr(egraph, "engine", "python")
-    if current == engine:
-        return egraph
+    if engine not in ("dense", "python"):
+        raise ValueError(f"unknown e-graph engine {engine!r}; expected "
+                         "'dense' or 'python'")
     target = DenseEGraph if engine == "dense" else EGraph
+    if isinstance(egraph, target):
+        return egraph
     return target.from_state(egraph.export_state())

@@ -83,11 +83,6 @@ class EGraph:
     :meth:`find`, plus convenience constructors for Boolean terms.
     """
 
-    #: Engine tag surfaced in runner reports and service stats.  The dense
-    #: struct-of-arrays engine (:class:`repro.egraph.dense.DenseEGraph`)
-    #: overrides this with ``"dense"``.
-    engine = "python"
-
     def __init__(self) -> None:
         self._union_find = UnionFind()
         #: E-nodes scanned by the e-matcher (in-memory observability only;

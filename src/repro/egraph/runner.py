@@ -109,11 +109,6 @@ class RunnerReport:
     #: In-memory observability only — deliberately not serialized, so a
     #: resumed run still writes byte-identical snapshot payload structure.
     resumed_at: Optional[int] = None
-    #: Saturation backend that executed the run (``"python"`` / ``"dense"``).
-    #: In-memory observability only, like :attr:`resumed_at` — the engines
-    #: are bit-identical, so serializing this would split cache artifacts
-    #: that are in fact interchangeable.
-    engine: str = "python"
     #: E-nodes scanned by the e-matcher over the run (engine-specific
     #: metric: the dense engine counts operator-span scans, the reference
     #: engine full-class scans).  In-memory observability only.
@@ -260,7 +255,6 @@ class Runner:
             egraph.take_dirty()
             dirty = None
             first_iteration = 0
-        report.engine = getattr(egraph, "engine", "python")
         for iteration in range(first_iteration, limits.max_iterations):
             if time.perf_counter() - start > limits.time_limit:
                 report.stop_reason = StopReason.TIME_LIMIT

@@ -1012,11 +1012,11 @@ class JobService:
         return view
 
     def stats(self) -> Dict:
-        """Queue depth, lease table, store summary and saturation-engine
+        """Queue depth, lease table, store summary and saturation
         telemetry for ``GET /stats``."""
         states: Dict = {state: 0 for state in JOB_STATES}
         saturation: Dict = {"runs": 0, "ematch_ops": 0,
-                            "saturation_seconds": 0.0, "engines": {}}
+                            "saturation_seconds": 0.0}
         job_state_by_id: Dict[str, str] = {}
         blocked_jobs = 0
         for record in self.records():
@@ -1026,22 +1026,18 @@ class JobService:
                     and not self.store.probe_all(record.depends_on):
                 blocked_jobs += 1
             for event in record.events:
-                # Workers stamp completed cold runs with the engine that
-                # saturated them and the e-nodes it scanned (warm serves
-                # carry no ops — nothing was matched).
+                # Workers stamp completed cold runs with the e-nodes the
+                # matcher scanned (warm serves carry no ops — nothing was
+                # matched).
                 if event.get("event") != "done" or not event.get("ematch_ops"):
                     continue
                 saturation["runs"] += 1
                 saturation["ematch_ops"] += event["ematch_ops"]
                 saturation["saturation_seconds"] += event.get(
                     "saturation_seconds", 0.0)
-                engine = event.get("engine") or "unknown"
-                saturation["engines"][engine] = (
-                    saturation["engines"].get(engine, 0) + 1)
         seconds = saturation["saturation_seconds"]
         saturation["ematch_ops_per_s"] = (
             round(saturation["ematch_ops"] / seconds, 1) if seconds else 0.0)
-        saturation["engines"] = dict(sorted(saturation["engines"].items()))
         leases: Dict = {}
         for key, payload in sorted(self.store.leases().items()):
             entry = dict(payload)

@@ -56,11 +56,9 @@ __all__ = [
 #: latter participates in :func:`extraction_cache_key` instead) and
 #: ``checkpoint_every`` only changes *when* snapshots are taken — resume
 #: is bit-identical, so two runs differing only in cadence must share
-#: artifacts.  ``engine`` selects between bit-identical saturation
-#: backends (dense vs. python), so artifacts produced under either engine
-#: must warm the other.
+#: artifacts.
 _NON_SEMANTIC_OPTION_FIELDS = frozenset(
-    {"extract", "refine_rounds", "checkpoint_every", "engine"})
+    {"extract", "refine_rounds", "checkpoint_every"})
 
 
 def canonical_digest(payload: object) -> str:
@@ -101,11 +99,9 @@ def fingerprint_options(options: "BoolEOptions") -> str:
     Every dataclass field except the non-semantic ones participates:
     ``extract`` and ``refine_rounds`` only act after the cache boundary
     (the latter is digested into :func:`extraction_cache_key` instead),
-    ``checkpoint_every`` cannot change results (resume is bit-identical),
-    and ``engine`` selects a saturation backend that is proven
-    bit-identical to the reference (same wire bytes, same fingerprints),
-    so configurations differing only in those share the saturated
-    artifact.  Fields added in future revisions are included
+    and ``checkpoint_every`` cannot change results (resume is
+    bit-identical), so configurations differing only in those share the
+    saturated artifact.  Fields added in future revisions are included
     automatically, which errs on the side of cache misses rather than
     wrong hits; a field removed from the dataclass leaves the payload the
     same way, so every store key rolls once and old artifacts simply miss.

@@ -13,6 +13,10 @@ enforce that contract from three directions:
   schedulers, and cross-engine checkpoint resume — a checkpoint written
   under one engine resumed under the other must land on the same bytes
   as an uninterrupted run.
+
+The pipeline always saturates on the dense engine; its oracle runs reach
+the object graph by substituting the saturate phases' conversion
+(``repro.core.phases.as_engine``), not through an option.
 """
 
 import hashlib
@@ -22,20 +26,19 @@ import subprocess
 import sys
 from itertools import accumulate, islice
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.aig import AIG, lit_not
-from repro.core import BoolEOptions, BoolEPipeline
+from repro.core import BoolEOptions, BoolEPipeline, phases
 from repro.core.construct import aig_to_egraph
 from repro.core.fa_structure import insert_fa_structures
 from repro.core.rules_basic import basic_rules
 from repro.core.rules_xor_maj import identification_rules
 from repro.egraph import (
-    DEFAULT_ENGINE,
-    ENGINES,
     BackoffScheduler,
     DenseEGraph,
     EGraph,
@@ -65,6 +68,9 @@ def _mapped_csa3():
     return post_mapping_flow(csa_multiplier(3).aig)
 
 
+FAST = {"r1_iterations": 2, "r2_iterations": 2, "count_npn": False}
+
+
 def _subprocess_env(hash_seed: int) -> dict:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = str(hash_seed)
@@ -77,14 +83,11 @@ def _subprocess_env(hash_seed: int) -> dict:
 # Engine registry basics
 # ----------------------------------------------------------------------
 class TestEngineRegistry:
-    def test_dense_is_the_default(self):
-        assert DEFAULT_ENGINE == "dense"
-        assert BoolEOptions().engine == "dense"
-        assert set(ENGINES) == {"dense", "python"}
+    def test_pipeline_saturates_on_dense(self):
+        result = BoolEPipeline(BoolEOptions(**FAST)).run(_mapped_csa3())
+        assert isinstance(result.construction.egraph, DenseEGraph)
 
     def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            BoolEOptions(engine="fortran")
         with pytest.raises(ValueError, match="engine"):
             as_engine(EGraph(), "fortran")
 
@@ -361,7 +364,7 @@ print(json.dumps({{
     "total_bans": r1_report.total_bans() + r2_report.total_bans(),
     "r1_stop": r1_report.stop_reason,
     "r2_stop": r2_report.stop_reason,
-    "engine_reported": r2_report.engine,
+    "engine_reported": type(egraph).__name__,
     "counted_ops": r1_report.ematch_ops + r2_report.ematch_ops > 0,
 }}))
 """
@@ -413,9 +416,14 @@ def cold_width8(tmp_path_factory):
     for engine, rounds in (("dense", 0), ("python", 2)):
         store = ArtifactStore(root / engine)
         pipeline = BoolEPipeline(BoolEOptions(**_RESTORE_OPTIONS,
-                                              refine_rounds=rounds,
-                                              engine=engine), store=store)
-        runs[engine] = (store, pipeline.run(aig))
+                                              refine_rounds=rounds),
+                                 store=store)
+        with mock.patch.object(phases, "as_engine",
+                               lambda egraph, _: as_engine(egraph, engine)):
+            result = pipeline.run(aig)
+        assert isinstance(result.construction.egraph,
+                          DenseEGraph if engine == "dense" else EGraph)
+        runs[engine] = (store, result)
     return aig, runs
 
 
@@ -450,8 +458,8 @@ class TestPipelineEngineEquivalence:
         dense_b = _run_engine_pipeline("dense", hash_seed=98765)
         python_c = _run_engine_pipeline("python", hash_seed=31337)
         assert dense_a["total_bans"] > 0, "budget never exceeded; vacuous"
-        assert dense_a["engine_reported"] == "dense"
-        assert python_c["engine_reported"] == "python"
+        assert dense_a["engine_reported"] == "DenseEGraph"
+        assert python_c["engine_reported"] == "EGraph"
         assert dense_a["counted_ops"] and python_c["counted_ops"]
         assert _strip_telemetry(dense_a) == _strip_telemetry(dense_b)
         assert _strip_telemetry(dense_a) == _strip_telemetry(python_c)
@@ -544,32 +552,19 @@ class TestCrossEngineCheckpointResume:
 # ----------------------------------------------------------------------
 # Telemetry surfacing: RunnerReport and service stats
 # ----------------------------------------------------------------------
-FAST = {"r1_iterations": 2, "r2_iterations": 2, "count_npn": False}
-
-
 class TestTelemetrySurfacing:
-    def test_report_carries_engine_and_ops(self):
+    def test_report_carries_ematch_ops(self):
         result = BoolEPipeline(BoolEOptions(**FAST)).run(_mapped_csa3())
-        assert result.r1_report.engine == "dense"
-        assert result.r2_report.engine == "dense"
         assert result.r1_report.ematch_ops > 0
         assert result.r1_report.ematch_ops_per_second() >= 0.0
         stats = result.saturation_stats()
-        assert stats["engine"] == "dense"
         assert stats["ematch_ops"] > 0
         assert stats["saturation_seconds"] >= 0.0
-
-    def test_python_engine_still_selectable(self):
-        result = BoolEPipeline(
-            BoolEOptions(engine="python", **FAST)).run(_mapped_csa3())
-        assert result.r1_report.engine == "python"
-        assert result.saturation_stats()["engine"] == "python"
 
     def test_summary_unchanged_by_telemetry(self):
         """The warm/cold summary-equality contract: telemetry must live
         in saturation_stats(), never in summary()."""
         result = BoolEPipeline(BoolEOptions(**FAST)).run(_mapped_csa3())
-        assert "engine" not in result.summary()
         assert "ematch_ops" not in result.summary()
 
     def test_service_stats_aggregate_engine_throughput(self, tmp_path):
@@ -582,4 +577,3 @@ class TestTelemetrySurfacing:
         assert saturation["runs"] == 1
         assert saturation["ematch_ops"] > 0
         assert saturation["ematch_ops_per_s"] >= 0.0
-        assert "dense" in saturation["engines"]

@@ -7,7 +7,9 @@ loop.  These pins can: for small post-mapping multipliers at r1 = r2 = 3
 they hold the saturated graph's wire sha256, a digest of every per-rule
 R1/R2 ``RuleStats``, the exact and NPN FA counts and the store key that
 ``python -m repro.store key`` prints.  A third case runs with a small
-``match_limit`` so the back-off ban path is pinned too.
+``match_limit`` so the back-off ban path is pinned too.  The
+``csa4-python`` case runs the whole pipeline on the object-graph oracle
+by substituting the saturate phases' conversion to the dense engine.
 
 Regenerate (only when a change is *meant* to alter saturation) with::
 
@@ -22,26 +24,31 @@ import io
 import json
 import sys
 
+from unittest import mock
+
 import pytest
 
-from repro.core import BoolEOptions, BoolEPipeline
+from repro.core import BoolEOptions, BoolEPipeline, phases
+from repro.egraph import DenseEGraph, EGraph, as_engine
 from repro.generators import booth_multiplier, csa_multiplier
 from repro.opt import post_mapping_flow
 from repro.store import egraph_to_wire
 from repro.store.__main__ import main as store_main
 
-#: name -> (arch, width, pipeline options beyond r1 = r2 = 3).  The
-#: python engine must reproduce the dense pins exactly.
+#: name -> (arch, width, pipeline options beyond r1 = r2 = 3, engine the
+#: pipeline saturates on).  The python engine must reproduce the dense
+#: pins exactly.
 CASES = {
-    "csa4": ("csa", 4, {}),
-    "booth4": ("booth", 4, {}),
-    "csa4-banned": ("csa", 4, {"match_limit": 300}),
-    "csa4-python": ("csa", 4, {"engine": "python"}),
+    "csa4": ("csa", 4, {}, "dense"),
+    "booth4": ("booth", 4, {}, "dense"),
+    "csa4-banned": ("csa", 4, {"match_limit": 300}, "dense"),
+    "csa4-python": ("csa", 4, {}, "python"),
 }
 
 #: Recorded on the engine before matches became int rows end to end; the
-#: store keys were re-recorded when the flat match cap and the matching-mode
-#: options left ``BoolEOptions`` (and with them the options fingerprint).
+#: store keys were re-recorded whenever fields left ``BoolEOptions`` (and
+#: with them the options fingerprint): the flat match cap and the
+#: matching-mode options, then the rule-variant and pruning switches.
 GOLDEN = {
     "booth4": {
         "egraph_sha256":
@@ -55,7 +62,7 @@ GOLDEN = {
             "310cf9d9227671a0857924cd3e8350fadf3ed701cb87c9a4c818f4ad3881c705",
         "r2_unions": 14337,
         "store_key":
-            "b30787c06cde24e3290fe8fccba78cebf5151d85800276edd63be22ae13da9ec",
+            "5a55c66d86224192b64c4124ecf7166dcd4833803edf62274adc3779c37f0438",
     },
     "csa4": {
         "egraph_sha256":
@@ -69,7 +76,7 @@ GOLDEN = {
             "5b1f6574b4a183061ffa39849de9b20a5577810b9e88bebea5f7e672d87fdd6b",
         "r2_unions": 6289,
         "store_key":
-            "1fd947800deea83fe5167eae48b4ff521811aea4398a4168a2786fa67846e258",
+            "1ae35eb6a7685477d424bd6388ed932e606cbaaf47871d4eee5be7d14c5d8dcc",
     },
     "csa4-banned": {
         "egraph_sha256":
@@ -83,7 +90,7 @@ GOLDEN = {
             "ce8e00a973878d93ba92dd1d020856ab8675d2a67e59d112ab36070985b8970c",
         "r2_unions": 988,
         "store_key":
-            "ed4acd5cb1228cac3982676c86970e6e3b7ca132f62bda5c8fe482ccc430d04d",
+            "8395751cc51bbabe378dcdb1c80ab8da07a91cc02e7f6921fb7aec801a1249fb",
     },
     "csa4-python": {
         "egraph_sha256":
@@ -97,7 +104,7 @@ GOLDEN = {
             "5b1f6574b4a183061ffa39849de9b20a5577810b9e88bebea5f7e672d87fdd6b",
         "r2_unions": 6289,
         "store_key":
-            "1fd947800deea83fe5167eae48b4ff521811aea4398a4168a2786fa67846e258",
+            "1ae35eb6a7685477d424bd6388ed932e606cbaaf47871d4eee5be7d14c5d8dcc",
     },
 }
 
@@ -114,16 +121,20 @@ def _rule_stats(report):
             for name, stats in iteration.rule_stats.items()]
 
 
-def fingerprint(arch: str, width: int, options: dict) -> dict:
+def fingerprint(arch: str, width: int, options: dict, engine: str) -> dict:
     """Everything a golden case pins, computed from scratch."""
     generator = csa_multiplier if arch == "csa" else booth_multiplier
     argv = ["key", "--arch", arch, "--width", str(width),
             "--r1-iterations", "3", "--r2-iterations", "3"]
     if "match_limit" in options:
         argv += ["--match-limit", str(options["match_limit"])]
-    result = BoolEPipeline(BoolEOptions(
-        r1_iterations=3, r2_iterations=3, **options)).run(
-        post_mapping_flow(generator(width).aig))
+    with mock.patch.object(phases, "as_engine",
+                           lambda egraph, _: as_engine(egraph, engine)):
+        result = BoolEPipeline(BoolEOptions(
+            r1_iterations=3, r2_iterations=3, **options)).run(
+            post_mapping_flow(generator(width).aig))
+    assert isinstance(result.construction.egraph,
+                      DenseEGraph if engine == "dense" else EGraph)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert store_main(argv) == 0

@@ -134,6 +134,13 @@ class TestJobSpec:
         {"engine": "gpu"},
         {"match_limit": 0},
         {"ban_length": 0},
+        {"time_limit": float("nan")},
+        {"time_limit": float("inf")},
+        {"time_limit": -1},
+        {"time_limit": 0},
+        {"r1_iterations": -3},
+        {"r2_iterations": -1},
+        {"max_nodes": 0},
     ])
     def test_rejects_invalid_option_values(self, options):
         """Option values are type- and range-checked at the front door,
@@ -144,11 +151,11 @@ class TestJobSpec:
 
     def test_accepts_well_typed_option_values(self):
         options = {"time_limit": 30, "match_limit": None,
-                   "checkpoint_every": None, "engine": "python",
-                   "refine_rounds": 2}
+                   "checkpoint_every": None, "refine_rounds": 2,
+                   "r1_iterations": 0}
         spec = JobSpec.from_request(fast_request(options=options))
         assert spec.build_options().time_limit == 30
-        assert spec.build_options().engine == "python"
+        assert spec.build_options().r1_iterations == 0
 
     def test_malformed_aig_wire_is_a_value_error(self):
         with pytest.raises(ValueError, match="malformed aig wire"):
@@ -433,8 +440,10 @@ class TestServiceHTTP:
     def test_invalid_option_values_400_on_jobs_and_sweeps(
             self, running_server):
         client = ServiceClient(running_server.host, running_server.port)
+        # The client sends nan as a bare ``NaN``, which json.loads accepts.
         for options in ({"refine_rounds": [1]}, {"r1_iterations": "abc"},
-                        {"r1_iterations": None}):
+                        {"r1_iterations": None},
+                        {"time_limit": float("nan")}):
             request = fast_request(options=options)
             with pytest.raises(ServiceError) as excinfo:
                 client.submit(request)
