@@ -11,8 +11,10 @@ the e-matching throughput (ops/sec, where an "op" is one e-node or
 column-span scan — the unit each engine counts natively, so the rate is
 comparable across runs of *one* engine but the wall time is the only
 fair cross-engine metric).  Both engines must produce byte-identical
-saturated wire payloads at every width; the dense engine must not be
-slower.
+saturated wire payloads and identical per-iteration ``RuleStats``
+(matches, applications, unions, capped, banned) at every width — a
+search-order bug can still reach the same final graph, but not with the
+same per-rule counts — and the dense engine must not be slower.
 
 Widths 8 and 16 run by default (16 only when ``REPRO_BENCH_MAX_WIDTH``
 allows); width 24 is the nightly dense-only data point — the reference
@@ -66,6 +68,12 @@ def _run_engine(engine: str, width: int) -> dict:
     seconds = sum(report.total_time for report in reports)
     ops = sum(report.ematch_ops for report in reports)
     wire = json.dumps(egraph_to_wire(egraph), sort_keys=True).encode()
+    rule_stats = [[phase, iteration.index, name, stats.matches,
+                   stats.applications, stats.unions, stats.capped,
+                   stats.banned]
+                  for phase, report in zip(("R1", "R2"), reports)
+                  for iteration in report.iterations
+                  for name, stats in iteration.rule_stats.items()]
     return {
         "bench": "engine_ops",
         "arch": "csa",
@@ -78,6 +86,9 @@ def _run_engine(engine: str, width: int) -> dict:
         "classes": egraph.num_classes,
         "stop_reasons": [report.stop_reason for report in reports],
         "wire_sha": hashlib.sha256(wire).hexdigest(),
+        "rule_stats_sha": hashlib.sha256(
+            json.dumps(rule_stats).encode()).hexdigest(),
+        "rule_stats": rule_stats,
     }
 
 
@@ -98,7 +109,9 @@ def test_engine_saturation_benchmark(benchmark):
                 ["width", "engine", "saturation_seconds",
                  "ematch_ops_per_s", "total_seconds", "classes"])
     for row in rows:
-        print("ENGINE_ROW " + json.dumps(row, sort_keys=True))
+        print("ENGINE_ROW " + json.dumps(
+            {key: value for key, value in row.items()
+             if key != "rule_stats"}, sort_keys=True))
 
     by_width = {}
     for row in rows:
@@ -113,6 +126,9 @@ def test_engine_saturation_benchmark(benchmark):
         # Bit identity is the whole contract: same bytes at every width.
         assert dense["wire_sha"] == python["wire_sha"], width
         assert dense["stop_reasons"] == python["stop_reasons"], width
+        # Same matches, applications, unions and bans, rule by rule and
+        # iteration by iteration.
+        assert dense["rule_stats"] == python["rule_stats"], width
         # The dense engine exists to be faster; refuse a regression.
         assert (dense["saturation_seconds"]
                 <= python["saturation_seconds"]), width

@@ -10,40 +10,28 @@ same way the authors' template extraction yields many polarity variants), and
 de-duplicated.
 
 The multi-input operators created by these rules (``xor3``, ``maj``) are
-inserted with children sorted by e-class id (a canonical order), so two
-discoveries of the same function merge by congruence without needing the full
-set of permutation rules; this implements the paper's redundancy-pruning
-trick (optimisation trick 3).
+written as ordinary right-hand sides such as ``(xor3 ?a ?b ?c)``; both
+engines build such nodes over children sorted by e-class id (a canonical
+order, :data:`~repro.egraph.enode.SORTED_OPS`), so two discoveries of the
+same function merge by congruence without needing the full set of
+permutation rules; this implements the paper's redundancy-pruning trick
+(optimisation trick 3).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from ..egraph import EGraph, Op, Rewrite
-from ..egraph.pattern import Subst
+from ..egraph import Op, Rewrite
 
 __all__ = ["xor_rules", "maj_rules", "identification_rules", "ruleset_summary"]
 
 
-# ----------------------------------------------------------------------
-# Sorted-children appliers for the symmetric multi-input operators.
-# ----------------------------------------------------------------------
-
-def _sorted_applier(op: str, names: Sequence[str],
-                    negate_output: bool = False) -> Callable[[EGraph, Subst], int]:
-    """Build an applier inserting ``op`` over sorted child classes."""
-
-    def apply(egraph: EGraph, subst: Subst) -> int:
-        find = egraph.find
-        children = [find(subst[name]) for name in names]
-        children.sort()
-        class_id = egraph.add_term(op, *children)
-        if negate_output:
-            class_id = egraph.add_term(Op.NOT, class_id)
-        return class_id
-
-    return apply
+def _sorted_rhs(op: str, negate_output: bool = False) -> str:
+    """``(op ?a ?b ?c)``, complemented when ``negate_output``; the engines
+    build ``op`` over its children sorted by class id."""
+    rhs = f"({op} ?a ?b ?c)"
+    return f"(~ {rhs})" if negate_output else rhs
 
 
 def _negation_variants(lhs: str, variables: Sequence[str]) -> Iterable[Tuple[str, int]]:
@@ -145,20 +133,18 @@ def xor_rules(include_variants: bool = True) -> List[Rewrite]:
 
     # XOR3 formation: both associativity groupings collapse into a canonical
     # (sorted-children) three-input XOR node.
-    rules.append(Rewrite.with_applier(
-        "xor3-intro-left", "(^ (^ ?a ?b) ?c)",
-        _sorted_applier(Op.XOR3, ("?a", "?b", "?c")), group="R2-xor"))
-    rules.append(Rewrite.with_applier(
-        "xor3-intro-right", "(^ ?a (^ ?b ?c))",
-        _sorted_applier(Op.XOR3, ("?a", "?b", "?c")), group="R2-xor"))
+    rules.append(Rewrite.parse(
+        "xor3-intro-left", "(^ (^ ?a ?b) ?c)", _sorted_rhs(Op.XOR3),
+        group="R2-xor"))
+    rules.append(Rewrite.parse(
+        "xor3-intro-right", "(^ ?a (^ ?b ?c))", _sorted_rhs(Op.XOR3),
+        group="R2-xor"))
     rules.append(Rewrite.parse(
         "xor3-expand", "(xor3 ?a ?b ?c)", "(^ (^ ?a ?b) ?c)", group="R2-xor"))
 
     for name, lhs, negated in _XOR3_MINTERM_PATTERNS:
-        rules.append(Rewrite.with_applier(
-            name, lhs,
-            _sorted_applier(Op.XOR3, ("?a", "?b", "?c"), negate_output=negated),
-            group="R2-xor"))
+        rules.append(Rewrite.parse(name, lhs, _sorted_rhs(Op.XOR3, negated),
+                                   group="R2-xor"))
     return rules
 
 
@@ -185,9 +171,9 @@ _MAJ_BASE_PATTERNS: List[Tuple[str, str, bool]] = [
 ]
 
 # Majority algebra on the maj operator itself.
-_MAJ_ALGEBRA_APPLIERS: List[Tuple[str, str, Tuple[str, str, str], bool]] = [
+_MAJ_ALGEBRA_SORTED: List[Tuple[str, str, bool]] = [
     # maj(~a, ~b, ~c) = ~maj(a, b, c)
-    ("maj-neg-all", "(maj (~ ?a) (~ ?b) (~ ?c))", ("?a", "?b", "?c"), True),
+    ("maj-neg-all", "(maj (~ ?a) (~ ?b) (~ ?c))", True),
 ]
 
 _MAJ_ALGEBRA_PATTERNS: List[Tuple[str, str, str]] = [
@@ -208,10 +194,8 @@ def maj_rules(include_variants: bool = True) -> List[Rewrite]:
         if key in seen:
             return
         seen.add(key)
-        rules.append(Rewrite.with_applier(
-            name, lhs,
-            _sorted_applier(Op.MAJ, ("?a", "?b", "?c"), negate_output=negated_output),
-            group="R2-maj"))
+        rules.append(Rewrite.parse(name, lhs, _sorted_rhs(Op.MAJ, negated_output),
+                                   group="R2-maj"))
 
     for name, lhs, negated in _MAJ_BASE_PATTERNS:
         add_structural(name, lhs, negated)
@@ -228,10 +212,9 @@ def maj_rules(include_variants: bool = True) -> List[Rewrite]:
                 variant_lhs = variant_lhs.replace(var, f"(~ {var})")
             add_structural(f"{name}-nall", variant_lhs, not negated)
 
-    for name, lhs, names, negated in _MAJ_ALGEBRA_APPLIERS:
-        rules.append(Rewrite.with_applier(
-            name, lhs, _sorted_applier(Op.MAJ, names, negate_output=negated),
-            group="R2-maj"))
+    for name, lhs, negated in _MAJ_ALGEBRA_SORTED:
+        rules.append(Rewrite.parse(name, lhs, _sorted_rhs(Op.MAJ, negated),
+                                   group="R2-maj"))
     for name, lhs, rhs in _MAJ_ALGEBRA_PATTERNS:
         rules.append(Rewrite.parse(name, lhs, rhs, group="R2-maj"))
     return rules

@@ -15,14 +15,14 @@ structures:
   hashcons is a plain ``Dict[int, int]``;
 * per-class node sets and parent lists hold node *ids*, not node objects.
 
-E-matching runs as **batched column scans**: a pattern is compiled once
-into a linear program of ``expand`` / ``leaf`` / ``check`` steps over slot
-columns, and each step sweeps the whole table of partial matches at C speed
-(list comprehensions over int tuples) instead of recursing per e-node with
-per-step ``dict`` copies.  Because the steps execute in pattern pre-order
-and every expansion preserves row order, the match stream is *identical* —
-match for match — to the recursive reference matcher, so truncation by the
-back-off scheduler's budget cuts the same suffix on both engines.
+E-matching is **prefix-shared and batched**: a pattern compiles once into
+a linear program of ``expand`` / ``leaf`` / ``check`` steps over row slots,
+and :meth:`DenseEGraph.search_batch` merges the programs of every plan a
+round searches over the same candidate roots into one generated
+nested-loop function (:mod:`repro.egraph.matcher`), so a step several
+rules start with runs once per partial match.  Each plan's rows come out
+in exactly the order of the recursive reference matcher, so the back-off
+scheduler's budget sees the same matches on both engines.
 
 Bit-identity contract
 ---------------------
@@ -61,26 +61,28 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
 
 from .egraph import EGraph, enode_sort_key
-from .enode import ENode, Op, OPERATOR_ARITIES
+from .enode import SORTED_OPS, ENode, Op, OPERATOR_ARITIES
+from .matcher import Program, compile_matcher
 from .pattern import (
     MatchPlan,
     Pattern,
-    PatternNode,
     PatternVar,
+    Request,
     Row,
     Slots,
 )
 
 __all__ = ["DenseEGraph", "as_engine", "PAYLOAD_TYPES"]
 
-#: Candidate roots are fed through the batched matcher in chunks of this
-#: many classes, so a rule whose budget is exceeded stops matching after
-#: the current chunk instead of materialising every match in the e-graph.
+#: Candidate roots are fed through a group's matcher in chunks of this
+#: many classes; a rule whose budget is exceeded at a chunk end leaves the
+#: group instead of materialising every match in the e-graph.
 _ROOT_CHUNK = 256
 
 
@@ -222,11 +224,11 @@ class DenseEGraph:
         # Each entry keeps a strong reference to its pattern, which pins
         # the id for the graph's lifetime (patterns hash recursively, so
         # hashing them on every search would dominate small searches).
-        self._match_programs: Dict[int, Tuple[Pattern, List[Tuple],
-                                              Slots]] = {}
+        self._match_programs: Dict[int, Tuple[Pattern, Program]] = {}
         self._build_programs: Dict[int, Tuple[Pattern, List[Tuple]]] = {}
-        #: E-nodes scanned by the batched matcher (in-memory observability
-        #: only; never serialized).
+        #: E-node span entries scanned by the matcher, a step shared by
+        #: several plans counted once (in-memory observability only; never
+        #: serialized).
         self.match_ops = 0
 
     # ------------------------------------------------------------------
@@ -799,28 +801,28 @@ class DenseEGraph:
     # ------------------------------------------------------------------
     # Batched e-matching
     # ------------------------------------------------------------------
-    def _compile_match(self, pattern: Pattern) -> Tuple[List[Tuple], Slots]:
+    def _compile_match(self, pattern: Pattern) -> Program:
         """Compile a pattern into a pre-order program over row slots.
 
-        Instructions (executed over a table of int-tuple rows):
+        Instructions (see :mod:`repro.egraph.matcher` for how they run):
 
-        * ``("expand", src, op_id, arity, base)`` — for each row, branch on
-          every ``op_id`` e-node of arity ``arity`` in class ``row[src]``,
-          appending the node's children as slots ``base..base+arity-1``;
+        * ``("expand", src, op_id, arity, base)`` — branch on every
+          ``op_id`` e-node of arity ``arity`` in class ``slot[src]``,
+          binding the node's children to slots ``base..base+arity-1``;
         * ``("leaf", src, op_id, payload_id)`` — keep one branch per
-          matching leaf e-node in ``row[src]`` (payload compared by id);
-        * ``("check", src, bound)`` — keep rows with ``row[src] ==
-          row[bound]`` (a repeated pattern variable).
+          matching leaf e-node in ``slot[src]`` (payload compared by id);
+        * ``("check", src, bound)`` — keep branches with ``slot[src] ==
+          slot[bound]`` (a repeated pattern variable).
 
-        Slots are allocated in pattern pre-order, so slot index == position
-        in the row tuple, and executing the steps in order reproduces the
-        recursive matcher's depth-first match order exactly.  The returned
-        ``slots`` map each variable to its first slot; callers share it and
-        must not mutate it.
+        Slots are allocated in pattern pre-order and the steps follow the
+        same order, which reproduces the recursive matcher's depth-first
+        match order exactly.  The second element, the *sink*, lists the
+        slots a match row is built from: the root, then each variable's
+        first slot in :func:`~repro.egraph.pattern.pattern_vars` order.
         """
         cached = self._match_programs.get(id(pattern))
         if cached is not None:
-            return cached[1], cached[2]
+            return cached[1]
         steps: List[Tuple] = []
         var_slots: Slots = {}
         slot_count = 1
@@ -844,8 +846,9 @@ class DenseEGraph:
             steps.append(("expand", slot, op_id, len(node.children), base))
             stack += reversed([(child, base + position) for position, child
                                in enumerate(node.children)])
-        self._match_programs[id(pattern)] = (pattern, steps, var_slots)
-        return steps, var_slots
+        program = (tuple(steps), (0, *var_slots.values()))
+        self._match_programs[id(pattern)] = (pattern, program)
+        return program
 
     def _expand_tails(self, class_id: int, op_id: int, arity: int
                       ) -> Tuple[List[Tuple[int, ...]], int]:
@@ -870,91 +873,86 @@ class DenseEGraph:
         self._tail_cache.setdefault((op_id, arity), {})[class_id] = entry
         return entry
 
-    def _run_match(self, steps: List[Tuple],
-                   rows: List[Tuple[int, ...]]) -> List[Tuple[int, ...]]:
-        node_payload = self._node_payload
-        span_get = self._span_cache.get
-        op_spans = self._op_spans
-        enode_cache = self._enode_cache
-        tail_cache = self._tail_cache
-        expand_tails = self._expand_tails
-        scanned = 0
-        for step in steps:
-            kind = step[0]
-            if kind == "expand":
-                _, src, op_id, arity, _base = step
-                sub = tail_cache.get((op_id, arity))
-                if sub is None:
-                    sub = tail_cache[(op_id, arity)] = {}
-                sub_get = sub.get
-                new_rows: List[Tuple[int, ...]] = []
-                append = new_rows.append
-                for row in rows:
-                    class_id = row[src]
-                    entry = sub_get(class_id)
-                    if entry is None:
-                        entry = expand_tails(class_id, op_id, arity)
-                    tails, span_length = entry
-                    scanned += span_length
-                    for tail in tails:
-                        append(row + tail)
-                rows = new_rows
-            elif kind == "check":
-                _, src, bound = step
-                rows = [row for row in rows if row[src] == row[bound]]
-            else:  # leaf
-                _, src, op_id, payload_id = step
-                new_rows = []
-                append = new_rows.append
-                for row in rows:
-                    class_id = row[src]
-                    spans = span_get(class_id)
-                    if spans is None:
-                        spans = op_spans(class_id)
-                    span = spans.get(op_id)
-                    if span is None:
-                        continue
-                    low, high = span
-                    scanned += high - low
-                    for node_id in enode_cache[class_id][low:high]:
-                        if node_payload[node_id] == payload_id:
-                            append(row)
-                rows = new_rows
-            if not rows:
-                break
-        self.match_ops += scanned
-        return rows
-
     def search_rows(self, plan: MatchPlan,
-                    restrict: Optional[AbstractSet[int]] = None,
-                    limit: Optional[int] = None) -> Tuple[List[Row], Slots]:
-        """Match ``plan`` and return its rows as the matcher built them.
+                    restrict: Optional[AbstractSet[int]] = None) -> List[Row]:
+        """Match one plan: its rows, ``(root, *variables)`` in the order of
+        :meth:`MatchPlan.search`'s match stream."""
+        return self.search_batch([(None, [(plan, restrict)])])[0][0]
 
-        Each row holds the root class in slot 0 and each pattern
-        variable's class at ``slots[name]``; the rows come in exactly the
-        order of :meth:`MatchPlan.search`'s match stream.  Candidate roots
-        are matched in chunks of ``_ROOT_CHUNK``, and with a ``limit`` the
-        search stops after the chunk that takes the row count past it, so
-        a rule over budget pays for no more of the e-graph than that
-        (callers trim the surplus rows of the last chunk).
+    def search_batch(self, requests: Sequence[Request]
+                     ) -> List[Optional[List[List[Row]]]]:
+        """Answer one round's searches with one shared matcher per group.
+
+        Returns, per request, the rows of each of its plans, or ``None``
+        when they add up to more than the request's budget (the same
+        answers as :meth:`EGraph.search_batch`).  Plans whose candidate
+        roots coincide form a group and run through one generated
+        function (:func:`~repro.egraph.matcher.compile_matcher`), chunk
+        by chunk over the roots.  At each chunk end a request past its
+        budget leaves every group and its rows are freed, so an explosive
+        rule pays for little more of the e-graph than its budget.
         """
-        pattern = plan.pattern
-        if isinstance(pattern, PatternVar):
-            classes = (self.class_ids() if restrict is None
-                       else self.sorted_by_seq(restrict))
-            if limit is not None:
-                classes = classes[:limit + 1]
-            return [(class_id,) for class_id in classes], {pattern.name: 0}
-        steps, slots = self._compile_match(pattern)
-        roots = plan.candidate_roots(self, restrict)
-        run = self._run_match
-        rows: List[Row] = []
-        for start in range(0, len(roots), _ROOT_CHUNK):
-            rows += run(steps,
-                        [(root,) for root in roots[start:start + _ROOT_CHUNK]])
-            if limit is not None and len(rows) > limit:
-                break
-        return rows, slots
+        budgets = [budget for budget, _ in requests]
+        counts = [0] * len(requests)
+        found: List[List[List[Row]]] = []
+        groups: Dict[Tuple[int, ...], List[Tuple[int, List[Row],
+                                                 Program]]] = {}
+        for index, (_, searches) in enumerate(requests):
+            lists: List[List[Row]] = []
+            found.append(lists)
+            for plan, restrict in searches:
+                rows: List[Row] = []
+                lists.append(rows)
+                pattern = plan.pattern
+                if isinstance(pattern, PatternVar):
+                    rows += [(class_id, class_id) for class_id in (
+                        self.class_ids() if restrict is None
+                        else self.sorted_by_seq(restrict))]
+                    counts[index] += len(rows)
+                    continue
+                roots = plan.candidate_roots(self, restrict)
+                if roots:
+                    groups.setdefault(tuple(roots), []).append(
+                        (index, rows, self._compile_match(pattern)))
+        over = [False] * len(requests)
+
+        def settle(indices: Iterable[int]) -> bool:
+            """Mark the requests past their budget and free their rows."""
+            gone = False
+            for index in indices:
+                budget = budgets[index]
+                if (budget is not None and counts[index] > budget
+                        and not over[index]):
+                    over[index] = gone = True
+                    for rows in found[index]:
+                        rows.clear()
+            return gone
+
+        settle(range(len(requests)))
+        scanned = 0
+        for roots, members in groups.items():
+            members = [member for member in members if not over[member[0]]]
+            run = None
+            for start in range(0, len(roots), _ROOT_CHUNK):
+                if not members:
+                    break
+                if run is None:
+                    run = compile_matcher(tuple(
+                        program for _, _, program in members))(
+                        self._tail_cache, self._expand_tails,
+                        self._span_cache.get, self._op_spans,
+                        self._enode_cache, self._node_payload,
+                        [rows for _, rows, _ in members])
+                sizes = [len(rows) for _, rows, _ in members]
+                scanned += run(roots[start:start + _ROOT_CHUNK])
+                for (index, rows, _), size in zip(members, sizes):
+                    counts[index] += len(rows) - size
+                if settle([index for index, _, _ in members]):
+                    members = [member for member in members
+                               if not over[member[0]]]
+                    run = None
+        self.match_ops += scanned
+        return [None if gone else lists for gone, lists in zip(over, found)]
 
     def _compile_build(self, pattern: Pattern) -> List[Tuple]:
         """Compile a rule right-hand side into a post-order stack program.
@@ -965,9 +963,11 @@ class DenseEGraph:
           resolves ``name`` to its row slot first);
         * ``("leaf", op_id, payload_id)`` — add a leaf node, push its
           class;
-        * ``("node", op_id, payload_id, arity)`` — pop ``arity`` children
-          (mapped through find), add the node, push its class;
-        * ``("simple", op_id, payload_id, names, wraps)`` — the whole
+        * ``("node", op_id, payload_id, arity, sort)`` — pop ``arity``
+          children (mapped through find, and sorted for a
+          :data:`~repro.egraph.enode.SORTED_OPS` operator), add the node,
+          push its class;
+        * ``("simple", op_id, payload_id, names, wraps, sort)`` — the whole
           program when the RHS is one operator over variables under zero
           or more unary operators ``wraps`` (innermost first).
 
@@ -985,7 +985,8 @@ class DenseEGraph:
                 steps.append(("var", node.name))
             elif done:
                 steps.append(("node", self._intern_op(node.op),
-                              self._intern_payload(None), len(node.children)))
+                              self._intern_payload(None), len(node.children),
+                              node.op in SORTED_OPS))
             elif node.op in (Op.VAR, Op.CONST):
                 steps.append(("leaf", self._intern_op(node.op),
                               self._intern_payload(node.payload)))
@@ -1010,9 +1011,10 @@ class DenseEGraph:
         if (len(body) > 1 and body[-1][0] == "node"
                 and body[-1][3] == len(body) - 1
                 and all(step[0] == "var" for step in body[:-1])):
-            _, op_id, payload_id, arity = body[-1]
+            _, op_id, payload_id, arity, sort = body[-1]
             steps = [("simple", op_id, payload_id,
-                      tuple(step[1] for step in body[:-1]), tuple(wraps))]
+                      tuple(step[1] for step in body[:-1]), tuple(wraps),
+                      sort)]
         self._build_programs[id(pattern)] = (pattern, steps)
         return steps
 
@@ -1024,14 +1026,16 @@ class DenseEGraph:
 
         The build program is resolved against ``slots`` once per call, so
         each row costs one find per child, one interning lookup and one
-        union — no substitution dict and no :class:`ENode`.
+        union — no substitution dict and no :class:`ENode`.  A
+        :data:`~repro.egraph.enode.SORTED_OPS` node is built over its
+        children sorted by canonical class id.
         """
         cached = self._build_programs.get(id(build))
         steps = cached[1] if cached is not None else self._compile_build(build)
         try:
             steps = [(step[0], slots[step[1]]) if step[0] == "var"
                      else step[:3] + (tuple(slots[name] for name in step[3]),
-                                      step[4])
+                                      *step[4:])
                      if step[0] == "simple" else step for step in steps]
         except KeyError as error:
             raise KeyError(f"pattern variable {error.args[0]} unbound "
@@ -1046,13 +1050,13 @@ class DenseEGraph:
         if first[0] == "simple":
             # One operator over pattern variables, the dominant rule shape:
             # intern the node straight from the row.
-            _, op_id, payload_id, picks, wraps = first
+            _, op_id, payload_id, picks, wraps, sort = first
             intern_node = self._intern_node
             node_ids = self._node_ids
             if node_ids is None:
                 node_ids = self._index_nodes()
             node_get = node_ids.get
-            binary = len(picks) == 2
+            binary = len(picks) == 2 and not sort
             left, right = picks if binary else (0, 0)
             for row in rows:
                 if binary:
@@ -1066,8 +1070,10 @@ class DenseEGraph:
                     if node_id is None:
                         node_id = intern_node(op_id, payload_id, (a, b))
                 else:
-                    node_id = intern_node(op_id, payload_id, tuple(
-                        [find(row[slot]) for slot in picks]))
+                    children = [find(row[slot]) for slot in picks]
+                    if sort:
+                        children.sort()
+                    node_id = intern_node(op_id, payload_id, tuple(children))
                 new_class = hashcons_get(node_id)
                 if new_class is None or parent[new_class] != new_class:
                     new_class = add_node(node_id)
@@ -1098,12 +1104,13 @@ class DenseEGraph:
         for step in steps:
             kind = step[0]
             if kind == "node":
-                _, op_id, payload_id, arity = step
-                if arity == 2:
+                _, op_id, payload_id, arity, sort = step
+                if arity == 2 and not sort:
                     children = (find(stack[-2]), find(stack[-1]))
                     del stack[-2:]
                 else:
-                    children = tuple(find(item) for item in stack[-arity:])
+                    children = tuple(sorted(map(find, stack[-arity:])) if sort
+                                     else map(find, stack[-arity:]))
                     del stack[-arity:]
                 append(add_node(intern_node(op_id, payload_id, children)))
             elif kind == "var":

@@ -38,12 +38,13 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
 
 from .enode import ENode, Op
-from .pattern import MatchPlan, Pattern, Row, Slots, instantiate, pattern_vars
+from .pattern import MatchPlan, Pattern, Request, Row, Slots, instantiate
 from .unionfind import UnionFind
 
 __all__ = ["EClass", "EGraph", "enode_sort_key"]
@@ -397,23 +398,36 @@ class EGraph:
         return canonical
 
     def search_rows(self, plan: MatchPlan,
-                    restrict: Optional[AbstractSet[int]] = None,
-                    limit: Optional[int] = None) -> Tuple[List[Row], Slots]:
+                    restrict: Optional[AbstractSet[int]] = None) -> List[Row]:
         """:meth:`MatchPlan.search` as match rows (the engine-neutral form
         :func:`~repro.egraph.rewrite.apply_rules` consumes).
 
         Row ``(root, c1, c2, ...)`` binds the plan's variables in
-        :func:`pattern_vars` order; ``slots`` names their positions.  With
-        a ``limit`` the stream is consumed up to ``limit + 1`` matches.
+        :func:`pattern_vars` order; ``plan.slots`` names their positions.
         """
-        names = pattern_vars(plan.pattern)
-        slots = {name: index for index, name in enumerate(names, 1)}
-        rows: List[Row] = []
-        for root, subst in plan.search(self, restrict):
-            rows.append((root, *[subst[name] for name in names]))
-            if limit is not None and len(rows) > limit:
-                break
-        return rows, slots
+        names = list(plan.slots)
+        return [(root, *[subst[name] for name in names])
+                for root, subst in plan.search(self, restrict)]
+
+    def search_batch(self, requests: Sequence[Request]
+                     ) -> List[Optional[List[List[Row]]]]:
+        """Answer one round's searches: per request, the rows of each of
+        its plans, or ``None`` when they add up to more than the request's
+        budget.  A plain loop over :meth:`search_rows` — the oracle for the
+        dense engine's shared matcher."""
+        results: List[Optional[List[List[Row]]]] = []
+        for budget, searches in requests:
+            found: Optional[List[List[Row]]] = []
+            count = 0
+            for plan, restrict in searches:
+                rows = self.search_rows(plan, restrict)
+                count += len(rows)
+                if budget is not None and count > budget:
+                    found = None
+                    break
+                found.append(rows)
+            results.append(found)
+        return results
 
     def apply_rows(self, build: Pattern, rows: Iterable[Row],
                    slots: Slots) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Optional, Tuple
 
-__all__ = ["ENode", "Op", "OPERATOR_ARITIES", "is_leaf_op"]
+__all__ = ["ENode", "Op", "OPERATOR_ARITIES", "SORTED_OPS", "is_leaf_op"]
 
 
 class Op:
@@ -52,6 +52,14 @@ OPERATOR_ARITIES = {
     Op.FST: 1,
     Op.SND: 1,
 }
+
+
+#: Symmetric operators that a rule's right-hand side always builds over its
+#: children sorted by canonical class id (the paper's redundancy pruning,
+#: optimisation trick 3): two discoveries of one function in different
+#: child orders then meet in one node by hash-consing, with no permutation
+#: rules.
+SORTED_OPS = frozenset({Op.XOR3, Op.MAJ})
 
 
 def is_leaf_op(op: str) -> bool:

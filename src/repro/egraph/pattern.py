@@ -22,7 +22,7 @@ from typing import (
     Union,
 )
 
-from .enode import ENode, Op
+from .enode import SORTED_OPS, ENode, Op
 
 if TYPE_CHECKING:  # egraph.py imports this module for the row adapter
     from .egraph import EGraph
@@ -37,15 +37,25 @@ __all__ = [
     "Subst",
     "Row",
     "Slots",
+    "Search",
+    "Request",
 ]
 
 Subst = Dict[str, int]
 
 #: One match as the engines hand it from search to apply: the root class in
-#: position 0, every pattern variable's class at the position ``Slots``
-#: gives it (other positions are matcher scratch).
+#: position 0, then each pattern variable's class in :func:`pattern_vars`
+#: order (``Slots`` maps a variable name to its position).
 Row = Tuple[int, ...]
 Slots = Dict[str, int]
+
+#: One plan to search: the compiled plan and the classes its root may be
+#: (``None`` = anywhere in the e-graph).
+Search = Tuple["MatchPlan", Optional[AbstractSet[int]]]
+#: One rule's searches with its match budget (``None`` = unbounded), the
+#: unit an engine's ``search_batch`` answers: every plan's rows, or
+#: ``None`` once the searches together find more than ``budget`` matches.
+Request = Tuple[Optional[int], Sequence[Search]]
 
 
 @dataclass(frozen=True)
@@ -208,12 +218,16 @@ class MatchPlan:
     * a ``restrict`` set (the dirty frontier expanded to this plan's height)
       intersects the candidates, which is what makes delta matching O(changed
       region) instead of O(e-graph).
+
+    ``slots`` names the row position of each pattern variable: a match
+    row is ``(root, *classes)`` in :func:`pattern_vars` order.
     """
 
     pattern: Pattern
     root_op: Optional[str]
     height: int
     op_min_depth: Dict[str, int] = field(default_factory=dict)
+    slots: Slots = field(default_factory=dict)
 
     def candidate_roots(self, egraph: EGraph,
                         restrict: Optional[AbstractSet[int]] = None
@@ -287,8 +301,10 @@ class MatchPlan:
 @lru_cache(maxsize=None)
 def compile_pattern(pattern: Pattern) -> MatchPlan:
     """Compile ``pattern`` into a cached, reusable :class:`MatchPlan`."""
+    slots = {name: index
+             for index, name in enumerate(pattern_vars(pattern), 1)}
     if isinstance(pattern, PatternVar):
-        return MatchPlan(pattern=pattern, root_op=None, height=0)
+        return MatchPlan(pattern=pattern, root_op=None, height=0, slots=slots)
 
     op_min_depth: Dict[str, int] = {}
     height = 0
@@ -303,11 +319,15 @@ def compile_pattern(pattern: Pattern) -> MatchPlan:
             op_min_depth[node.op] = depth
         stack += [(child, depth + 1) for child in reversed(node.children)]
     return MatchPlan(pattern=pattern, root_op=pattern.op, height=height,
-                     op_min_depth=op_min_depth)
+                     op_min_depth=op_min_depth, slots=slots)
 
 
 def instantiate(egraph: EGraph, pattern: Pattern, subst: Subst) -> int:
-    """Insert the instantiation of ``pattern`` under ``subst`` into the e-graph."""
+    """Insert the instantiation of ``pattern`` under ``subst`` into the e-graph.
+
+    A :data:`~repro.egraph.enode.SORTED_OPS` node is built over its
+    children sorted by canonical class id.
+    """
     if isinstance(pattern, PatternVar):
         try:
             return subst[pattern.name]
@@ -318,4 +338,6 @@ def instantiate(egraph: EGraph, pattern: Pattern, subst: Subst) -> int:
     if pattern.op in (Op.VAR, Op.CONST):
         return egraph.add(ENode(pattern.op, (), pattern.payload))
     children = tuple(instantiate(egraph, child, subst) for child in pattern.children)
+    if pattern.op in SORTED_OPS:
+        children = tuple(sorted(map(egraph.find, children)))
     return egraph.add(ENode(pattern.op, children))

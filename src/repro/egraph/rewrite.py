@@ -19,20 +19,25 @@ search while banned, so delta matching stays complete without ever falling
 back to a full rescan.
 
 Matches are int rows from search to union.  Both engines expose the same
-two methods, and a round is one loop over them:
+two methods, and a round is one call to the first and a loop over the
+second:
 
-* ``search_rows(plan, restrict, limit) -> (rows, slots)`` returns a
-  rule's matches as the matcher built them — a tuple per match, root
-  class in position 0, each pattern variable's class at ``slots[name]``.
-  ``limit`` is the rule's remaining budget: the search stops as soon as
-  one match past it exists.
+* ``search_batch(requests)`` answers every active rule at once.  A
+  request is a rule's match budget and its ``(plan, restrict)`` searches;
+  the answer is each plan's rows, or ``None`` once the rule's matches
+  exceed its budget.  A row is ``(root, *variables)``: the root class,
+  then each pattern variable's class at ``plan.slots[name]``.  The object
+  engine loops over ``search_rows``; the dense engine shares the steps
+  that rules have in common (:mod:`repro.egraph.matcher`).
 * ``apply_rows(build, rows, slots) -> unions`` instantiates the rule's
-  right-hand side per row and unions it with the row's root.
+  right-hand side per row and unions it with the row's root.  ``xor3``
+  and ``maj`` nodes are built over children sorted by canonical class id
+  (:data:`~repro.egraph.enode.SORTED_OPS`).
 
 The dense engine never builds a :data:`~repro.egraph.pattern.Subst` on
 this path; the object engine's adapter builds one per row.  Only rules
-with an ``applier`` or a ``condition`` see a ``Subst``, built from the
-row, so their callable signatures are unchanged.
+with a ``condition`` see a ``Subst``, built from the row, so the
+condition's signature is unchanged.
 
 Determinism: matches are generated in a stable order (candidate roots
 ascend by e-class insertion seq, e-nodes within a class by
@@ -61,6 +66,7 @@ from .egraph import EGraph
 from .pattern import (
     MatchPlan,
     Pattern,
+    Request,
     Row,
     Slots,
     Subst,
@@ -84,10 +90,6 @@ class Rewrite:
         condition: optional predicate ``f(egraph, class_id, subst) -> bool``
             filtering matches before application.
         group: free-form tag (e.g. ``"R1"`` / ``"R2-xor"`` / ``"R2-maj"``).
-        applier: optional callable ``f(egraph, subst) -> class_id`` used instead
-            of instantiating ``rhs``; used by BoolE to insert symmetric
-            operators (XOR3/MAJ) with canonically sorted children so that
-            congruent discoveries merge without permutation rules.
     """
 
     name: str
@@ -96,7 +98,6 @@ class Rewrite:
     bidirectional: bool = False
     condition: Optional[Callable[[EGraph, int, Subst], bool]] = None
     group: str = ""
-    applier: Optional[Callable[[EGraph, Subst], int]] = None
     _plans: Optional[List[Tuple[MatchPlan, Pattern]]] = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -116,15 +117,6 @@ class Rewrite:
                 f"rule {name}: rhs variables {sorted(missing)} not bound by lhs")
         return cls(name=name, lhs=lhs_pattern, rhs=rhs_pattern,
                    bidirectional=bidirectional, group=group, condition=condition)
-
-    @classmethod
-    def with_applier(cls, name: str, lhs: str,
-                     applier: Callable[[EGraph, Subst], int], *,
-                     group: str = "", condition=None) -> "Rewrite":
-        """Build a rule whose right-hand side is a custom applier callable."""
-        lhs_pattern = parse_pattern(lhs)
-        return cls(name=name, lhs=lhs_pattern, rhs=lhs_pattern, group=group,
-                   condition=condition, applier=applier)
 
     def searchers(self) -> List[Tuple[Pattern, Pattern]]:
         """Return the (search, build) pattern pairs of this rule."""
@@ -397,7 +389,7 @@ class _DirtyFrontier:
 
 
 def _substs(rows: Iterable[Row], slots: Slots) -> Iterator[Subst]:
-    """One :data:`Subst` per row, for appliers and conditions."""
+    """One :data:`Subst` per row, for conditions."""
     names = tuple(slots)
     if len(names) < 2:  # itemgetter returns a tuple only for two or more
         for row in rows:
@@ -413,20 +405,6 @@ def _passing(egraph: EGraph, rule: Rewrite, rows: List[Row],
     """The rows of ``rule``'s matches that its ``condition`` accepts."""
     return [row for row, subst in zip(rows, _substs(rows, slots))
             if rule.condition(egraph, row[0], subst)]
-
-
-def _apply(egraph: EGraph, rule: Rewrite, build: Pattern, rows: List[Row],
-           slots: Slots) -> int:
-    """Apply one rule's rows in order; returns the number of unions."""
-    if rule.applier is None:
-        return egraph.apply_rows(build, rows, slots)
-    applier = rule.applier
-    union = egraph.union
-    unions = 0
-    for row, subst in zip(rows, _substs(rows, slots)):
-        if union(row[0], applier(egraph, subst)):
-            unions += 1
-    return unions
 
 
 def apply_rules(egraph: EGraph, rules: Sequence[Rewrite],
@@ -469,7 +447,8 @@ def apply_rules(egraph: EGraph, rules: Sequence[Rewrite],
                        else _DirtyFrontier(egraph, dirty_set))
 
     stats: Dict[str, RuleStats] = {}
-    planned: List[Tuple[Rewrite, Pattern, List[Row], Slots]] = []
+    active: List[Tuple[Rewrite, Optional[AbstractSet[int]], Optional[int]]] = []
+    requests: List[Request] = []
     for rule in rules:
         rule_stats = stats.setdefault(rule.name, RuleStats())
         if scheduler is not None and scheduler.is_banned(rule.name):
@@ -490,26 +469,29 @@ def apply_rules(egraph: EGraph, rules: Sequence[Rewrite],
             else:  # debt from banned iterations widens this rule's frontier
                 frontier = _DirtyFrontier(egraph, rule_dirty)
             budget = scheduler.budget(rule.name)
+        active.append((rule, rule_dirty, budget))
+        # The budget counts matches that pass the condition, so a rule
+        # with one is searched in full and judged below.
+        requests.append((budget if rule.condition is None else None, [
+            (plan, None if frontier is None else frontier.at(plan.height))
+            for plan, _ in rule.plans()]))
 
-        # Search each plan for at most the rule's remaining allowance:
-        # one match past it is enough to know the rule is over.
-        found: List[Tuple[Pattern, List[Row], Slots]] = []
+    planned: List[Tuple[Rewrite, Pattern, List[Row], Slots]] = []
+    for (rule, rule_dirty, budget), found in zip(
+            active, egraph.search_batch(requests)):
+        rule_stats = stats[rule.name]
         count = 0
-        over = False
-        for plan, build in rule.plans():
-            restrict = None if frontier is None else frontier.at(plan.height)
-            if rule.condition is None:
-                rows, slots = egraph.search_rows(
-                    plan, restrict, None if budget is None else budget - count)
-            else:  # the allowance counts matches that pass the condition
-                rows, slots = egraph.search_rows(plan, restrict)
-                rows = _passing(egraph, rule, rows, slots)
+        kept: List[Tuple[Rewrite, Pattern, List[Row], Slots]] = []
+        for (plan, build), rows in zip(rule.plans(), found or ()):
+            if rule.condition is not None:
+                rows = _passing(egraph, rule, rows, plan.slots)
             count += len(rows)
             if budget is not None and count > budget:
-                over = True
+                found = None
                 break
-            found.append((build, rows, slots))
-        if over:
+            if rows:
+                kept.append((rule, build, rows, plan.slots))
+        if found is None:
             # Egg-style back-off: applying a partial match set would make the
             # result depend on which matches happened to come first, so drop
             # them all, ban the rule, and remember what it failed to search.
@@ -519,13 +501,12 @@ def apply_rules(egraph: EGraph, rules: Sequence[Rewrite],
         if scheduler is not None:
             scheduler.clear_debt(rule.name)
         rule_stats.matches += count
-        planned.extend((rule, build, rows, slots)
-                       for build, rows, slots in found if rows)
+        planned += kept
 
     for rule, build, rows, slots in planned:
         rule_stats = stats[rule.name]
         rule_stats.applications += len(rows)
-        rule_stats.unions += _apply(egraph, rule, build, rows, slots)
+        rule_stats.unions += egraph.apply_rows(build, rows, slots)
 
     egraph.rebuild()
 
@@ -555,16 +536,16 @@ def _verify_delta_complete(egraph: EGraph, rules: Sequence[Rewrite],
                                       or scheduler.has_debt(rule.name)):
             continue
         for plan, build in rule.plans():
-            rows, slots = egraph.search_rows(plan)
+            rows = egraph.search_rows(plan)
             if rule.condition is not None:
-                rows = _passing(egraph, rule, rows, slots)
+                rows = _passing(egraph, rule, rows, plan.slots)
             # pending: this round created it, next round sees it
             fresh = pending.at(plan.height)
             rows = [row for row in rows if row[0] not in fresh]
             if rows:
-                suspects.append((rule, build, rows, slots))
+                suspects.append((rule, build, rows, plan.slots))
     missed = [rule.name for rule, build, rows, slots in suspects
-              if _apply(egraph, rule, build, rows, slots)]
+              if egraph.apply_rows(build, rows, slots)]
     egraph.rebuild()
     if missed:
         raise AssertionError(

@@ -111,7 +111,11 @@ class RunnerReport:
     resumed_at: Optional[int] = None
     #: E-nodes scanned by the e-matcher over the run (engine-specific
     #: metric: the dense engine counts operator-span scans, the reference
-    #: engine full-class scans).  In-memory observability only.
+    #: engine full-class scans).  The dense engine runs a step that
+    #: several rules' patterns share once per partial match and counts
+    #: its span once, so its count is lower than the sum over rules
+    #: (``runner.*_ematch_ops`` fell when prefix sharing landed).
+    #: In-memory observability only.
     ematch_ops: int = 0
 
     def ematch_ops_per_second(self) -> float:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import math
 import os
 import tempfile
 import zlib
@@ -272,6 +273,16 @@ def _number(value: Any, what: str) -> float:
     if type(value) not in (int, float):
         raise SnapshotError(f"{what} must be a number")
     return value
+
+
+def _finite(value: Any, what: str, *, positive: bool = False) -> float:
+    """A finite number, ``> 0`` when ``positive`` and ``>= 0`` otherwise
+    (NaN fails both)."""
+    number = _number(value, what)
+    if not (0 < number < math.inf if positive else 0 <= number < math.inf):
+        raise SnapshotError(f"{what} must be finite and "
+                            + ("> 0" if positive else ">= 0"))
+    return number
 
 
 def _optional(value: Any, read: Callable, *args: Any) -> Any:
@@ -605,9 +616,12 @@ def _limits_from_wire(wire: Dict) -> RunnerLimits:
     _fields(wire, ("max_iterations", "max_nodes", "max_classes",
                    "time_limit", "match_limit", "ban_length"),
             "runner limits")
-    for name in ("max_iterations", "max_nodes", "max_classes"):
-        _int(wire[name], f"limit {name}")
-    _number(wire["time_limit"], "limit time_limit")
+    # The ranges of BoolEOptions: a resumed run must keep a wall-clock
+    # bound and room for at least one node and class.
+    _int(wire["max_iterations"], "limit max_iterations")
+    for name in ("max_nodes", "max_classes"):
+        _int(wire[name], f"limit {name}", low=1)
+    _finite(wire["time_limit"], "limit time_limit", positive=True)
     _optional(wire["match_limit"], _int, "limit match_limit", 1)
     _int(wire["ban_length"], "limit ban_length", low=1)
     return RunnerLimits(**wire)
@@ -649,7 +663,7 @@ def checkpoint_from_wire(wire: Dict,
                              "debug_check_full"),
         report=report_from_wire(wire["report"]),
         scheduler=scheduler_from_wire(wire["scheduler"]),
-        elapsed=_number(wire["elapsed"], "checkpoint elapsed"),
+        elapsed=_finite(wire["elapsed"], "checkpoint elapsed"),
     )
     if egraph is not None:
         _known_classes(egraph, dirty or (), "checkpoint dirty",

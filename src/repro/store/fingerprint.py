@@ -20,8 +20,8 @@ Invalidation rules (see ``docs/serialization.md``):
   runs after the cache boundary); unknown future fields are picked up
   automatically via ``dataclasses.fields``;
 * ruleset fingerprints cover each rule's name, pattern text, direction,
-  group and the qualified names of condition/applier callables.  A change
-  to a callable's *body* is invisible to the fingerprint — pass a new
+  group and the qualified name of its condition callable.  A change to
+  a callable's *body* is invisible to the fingerprint — pass a new
   ``revision`` tag (or bump the codec version) when editing rule
   semantics in place.
 """
@@ -123,16 +123,15 @@ def fingerprint_ruleset(rules: Iterable[Rewrite],
     """Fingerprint a ruleset by each rule's observable definition.
 
     ``revision`` is an opaque tag mixed into the digest; rule modules can
-    bump it when a condition/applier *body* changes (the fingerprint only
-    sees callables' qualified names).
+    bump it when a condition *body* changes (the fingerprint only sees
+    callables' qualified names).
     """
     return canonical_digest({
         "kind": "ruleset",
         "revision": revision,
         "rules": [
             [rule.name, str(rule.lhs), str(rule.rhs), rule.bidirectional,
-             rule.group, _describe_callable(rule.condition),
-             _describe_callable(rule.applier)]
+             rule.group, _describe_callable(rule.condition)]
             for rule in rules
         ],
     })

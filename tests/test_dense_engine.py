@@ -24,7 +24,6 @@ import json
 import os
 import subprocess
 import sys
-from itertools import accumulate, islice
 from pathlib import Path
 from unittest import mock
 
@@ -50,8 +49,8 @@ from repro.egraph import (
     compile_pattern,
     parse_pattern,
 )
-from repro.egraph.dense import _ROOT_CHUNK
-from repro.generators import csa_multiplier
+from repro.egraph.rewrite import _DirtyFrontier
+from repro.generators import booth_multiplier, csa_multiplier
 from repro.opt import post_mapping_flow
 from repro.service import JobService, ServiceWorker
 from repro.store import KIND_SATURATED, ArtifactStore, aig_to_wire
@@ -265,59 +264,103 @@ def _rule_stats(report):
     return [iteration.rule_stats for iteration in report.iterations]
 
 
-class TestSearchRowsLimit:
-    """``search_rows(limit=k)`` computes exactly the root chunks that the
-    old per-match generator computed before a caller stopped consuming at
-    its ``k + 1``-th match, so ``match_ops`` (``runner.*_ematch_ops``) is
-    unchanged."""
+def _r1_state(arch: str, width: int) -> dict:
+    """A post-mapping multiplier's e-graph after the pipeline's R1."""
+    generator = csa_multiplier if arch == "csa" else booth_multiplier
+    graph = as_engine(aig_to_egraph(
+        post_mapping_flow(generator(width).aig)).egraph, "dense")
+    Runner(RunnerLimits(max_iterations=3)).run(graph, basic_rules())
+    return graph.export_state()
+
+
+#: Every R1/R2 plan, one search request each.
+_PLANS = [plan for rule in basic_rules() + identification_rules()
+          for plan, _ in rule.plans()]
+
+
+class TestBatchedSearch:
+    """The dense engine's shared matcher returns exactly the object
+    engine's rows, plan by plan, and reaches the same over/under decision
+    for every budget-limited request."""
+
+    @pytest.fixture(scope="class", params=["csa4", "booth4", "csa8"])
+    def states(self, request):
+        """Two rounds to search — the R1 state as a full scan, and the
+        state after one full R2 round restricted to the dirty classes it
+        left (the next round's delta) — each with its requests and the
+        object engine's unbounded answers."""
+        arch, width = request.param[:-1], int(request.param[-1])
+        state = _r1_state(arch, width)
+        graph = DenseEGraph.from_state(state)
+        apply_rules(graph, identification_rules())
+        dirty = graph.take_dirty()
+        assert dirty
+        rounds = []
+        for round_state, round_dirty in ((state, None),
+                                         (graph.export_state(), dirty)):
+            python = EGraph.from_state(round_state)
+            # One frontier (the oracle's) for both, so only search differs.
+            frontier = (None if round_dirty is None
+                        else _DirtyFrontier(python, round_dirty))
+            searches = [[(plan, None if frontier is None
+                          else frontier.at(plan.height))]
+                        for plan in _PLANS]
+            expected = python.search_batch(
+                [(None, plan_searches) for plan_searches in searches])
+            assert sum(len(rows[0]) for rows in expected) > 0
+            rounds.append((round_state, searches, expected))
+        return rounds
 
     @staticmethod
-    def _chunks(graph, plan):
-        # The pre-row matcher's work units: one root chunk at a time.
-        steps, _ = graph._compile_match(plan.pattern)
-        roots = plan.candidate_roots(graph, None)
-        for start in range(0, len(roots), _ROOT_CHUNK):
-            seed = [(root,) for root in roots[start:start + _ROOT_CHUNK]]
-            yield graph._run_match(steps, seed)
+    def _dense(state, searches, budgets):
+        return DenseEGraph.from_state(state).search_batch(
+            list(zip(budgets, searches)))
 
-    def _generator_stream(self, graph, plan):
-        for rows in self._chunks(graph, plan):
-            yield from rows
+    def test_full_scan_rows_match_object_engine(self, states):
+        state, searches, expected = states[0]
+        assert self._dense(state, searches, [None] * len(_PLANS)) == expected
 
-    def test_limit_matches_generator_consumption(self):
-        base = aig_to_egraph(post_mapping_flow(csa_multiplier(8).aig)).egraph
-        Runner(RunnerLimits(max_iterations=1)).run(base, basic_rules())
-        state = base.export_state()
+    def test_delta_round_rows_match_object_engine(self, states):
+        state, searches, expected = states[1]
+        assert self._dense(state, searches, [None] * len(_PLANS)) == expected
+
+    def test_budget_decisions_match_object_engine(self, states):
+        for state, searches, unbounded in states:
+            counts = [len(rows[0]) for rows in unbounded]
+            # Alternate just-over and exactly-at budgets, so members leave
+            # a group mid-search while their neighbours keep matching.
+            budgets = [max(count - 1 + index % 2, 0)
+                       for index, count in enumerate(counts)]
+            # The object engine's answer: every row under budget, None over.
+            expected = [None if count > budget else rows for count, budget,
+                        rows in zip(counts, budgets, unbounded)]
+            assert any(rows is None for rows in expected)
+            assert not all(rows is None for rows in expected)
+            assert self._dense(state, searches, budgets) == expected
+
+    @given(random_adder_aigs())
+    @settings(max_examples=10, deadline=None)
+    def test_same_match_sequence_on_random_adders(self, aig):
+        """On random adder netlists after R1, every R1/R2 plan's rows
+        match the object engine's, match for match."""
+        graph = aig_to_egraph(aig).egraph
+        Runner(RunnerLimits(max_iterations=3)).run(graph, basic_rules())
+        state = graph.export_state()
+        requests = [(None, [(plan, None)]) for plan in _PLANS]
+        assert DenseEGraph.from_state(state).search_batch(
+            requests) == EGraph.from_state(state).search_batch(requests)
+
+    def test_rule_budget_spans_its_plans(self, states):
+        """A request's budget counts the rows of all its plans."""
+        state = states[0][0]
         plan = compile_pattern(parse_pattern("(& ?a ?b)"))
-        probe = DenseEGraph.from_state(state)
-        total = len(probe.search_rows(plan)[0])
-        # several root chunks
-        assert len(plan.candidate_roots(probe, None)) > 2 * _ROOT_CHUNK
-        # Limits landing exactly on a chunk's last row are the edge: the
-        # generator's consumer still pulls one more match from the next
-        # chunk.
-        boundaries = list(accumulate(
-            len(rows) for rows in self._chunks(probe, plan)))
-        for limit in sorted({0, 1, total // 2, total - 1, total, total + 5,
-                             *boundaries}):
-            old = DenseEGraph.from_state(state)
-            consumed = list(islice(self._generator_stream(old, plan),
-                                   limit + 1))
-            new = DenseEGraph.from_state(state)
-            rows, slots = new.search_rows(plan, None, limit)
-            assert new.match_ops == old.match_ops, limit
-            assert rows[:limit + 1] == consumed
-            assert len(rows) > limit or len(rows) == total
-        # The object engine's adapter yields the same matches.
-        python = EGraph.from_state(state)
-        rows, slots = python.search_rows(plan, None, 7)
-        assert len(rows) == 8
-        dense_rows, dense_slots = DenseEGraph.from_state(state).search_rows(
-            plan, None, 7)
-        assert [[row[slots[name]] for name in ("?a", "?b")]
-                for row in rows] == [[row[dense_slots[name]]
-                                      for name in ("?a", "?b")]
-                                     for row in dense_rows[:8]]
+        total = len(EGraph.from_state(state).search_rows(plan))
+        for budget in (2 * total - 1, 2 * total):
+            requests = [(budget, [(plan, None), (plan, None)])]
+            expected = EGraph.from_state(state).search_batch(requests)
+            assert DenseEGraph.from_state(state).search_batch(
+                requests) == expected
+            assert (expected[0] is None) == (budget < 2 * total)
 
 
 # ----------------------------------------------------------------------

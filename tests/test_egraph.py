@@ -15,6 +15,7 @@ from repro.egraph import (
     TreeCostExtractor,
     UnionFind,
     apply_rules,
+    as_engine,
     ematch,
     expr_of,
     parse_pattern,
@@ -201,21 +202,20 @@ class TestRewriteRules:
         stats = apply_rules(eg, [rule])
         assert stats["never"].applications == 0
 
-    def test_applier_rule_sorts_children(self):
-        from repro.core.rules_xor_maj import _sorted_applier
-        eg = EGraph()
-        root1 = eg.add_expr(("^", ("^", "a", "b"), "c"))
-        root2 = eg.add_expr(("^", ("^", "c", "b"), "a"))
-        # make the nested xor classes equal so both become xor3 over {a,b,c}
-        rules = [
-            Rewrite.parse("xor-comm", "(^ ?a ?b)", "(^ ?b ?a)"),
-            Rewrite.parse("xor-assoc", "(^ (^ ?a ?b) ?c)", "(^ ?a (^ ?b ?c))",
-                          bidirectional=True),
-            Rewrite.with_applier("xor3", "(^ (^ ?a ?b) ?c)",
-                                 _sorted_applier(Op.XOR3, ("?a", "?b", "?c"))),
-        ]
-        Runner(RunnerLimits(max_iterations=6)).run(eg, rules)
-        assert eg.find(root1) == eg.find(root2)
+    def test_sorted_rhs_sorts_children(self):
+        """An ``(xor3 ...)`` right-hand side is built over children sorted
+        by class id on both engines, so permuted discoveries meet."""
+        for engine in ("python", "dense"):
+            eg = as_engine(EGraph(), engine)
+            root1 = eg.add_expr(("^", ("^", "a", "b"), "c"))
+            root2 = eg.add_expr(("^", ("^", "c", "b"), "a"))
+            rules = [Rewrite.parse("xor3", "(^ (^ ?a ?b) ?c)",
+                                   "(xor3 ?a ?b ?c)")]
+            apply_rules(eg, rules)
+            assert eg.find(root1) == eg.find(root2), engine
+            (node,) = [node for node in eg.enodes(root1)
+                       if node.op == Op.XOR3]
+            assert list(node.children) == sorted(node.children), engine
 
     def test_node_limit_stops_runner(self):
         eg = EGraph()

@@ -1,7 +1,7 @@
 """Golden pins for saturation: exact values recorded on the pre-row-path
 engine.
 
-Both engines share one ``apply_rules`` loop (``search_rows`` →
+Both engines share one ``apply_rules`` loop (``search_batch`` →
 ``apply_rows``), so the dense-vs-python oracle cannot catch a bug in that
 loop.  These pins can: for small post-mapping multipliers at r1 = r2 = 3
 they hold the saturated graph's wire sha256, a digest of every per-rule
@@ -48,7 +48,9 @@ CASES = {
 #: Recorded on the engine before matches became int rows end to end; the
 #: store keys were re-recorded whenever fields left ``BoolEOptions`` (and
 #: with them the options fingerprint): the flat match cap and the
-#: matching-mode options, then the rule-variant and pruning switches.
+#: matching-mode options, then the rule-variant and pruning switches; and
+#: once more when the R2 sorted-children appliers became ``(xor3 ...)`` /
+#: ``(maj ...)`` right-hand sides (the ruleset fingerprint covers them).
 GOLDEN = {
     "booth4": {
         "egraph_sha256":
@@ -62,7 +64,7 @@ GOLDEN = {
             "310cf9d9227671a0857924cd3e8350fadf3ed701cb87c9a4c818f4ad3881c705",
         "r2_unions": 14337,
         "store_key":
-            "5a55c66d86224192b64c4124ecf7166dcd4833803edf62274adc3779c37f0438",
+            "0e47c7cd1fa107364b4c2246b5addc506b15c53bcb93b975191fd1cd0b1f1d30",
     },
     "csa4": {
         "egraph_sha256":
@@ -76,7 +78,7 @@ GOLDEN = {
             "5b1f6574b4a183061ffa39849de9b20a5577810b9e88bebea5f7e672d87fdd6b",
         "r2_unions": 6289,
         "store_key":
-            "1ae35eb6a7685477d424bd6388ed932e606cbaaf47871d4eee5be7d14c5d8dcc",
+            "b367f70afb93f771f56875ca75798662f1bb5d4d6f559f02bebea654b426b1ff",
     },
     "csa4-banned": {
         "egraph_sha256":
@@ -90,7 +92,7 @@ GOLDEN = {
             "ce8e00a973878d93ba92dd1d020856ab8675d2a67e59d112ab36070985b8970c",
         "r2_unions": 988,
         "store_key":
-            "8395751cc51bbabe378dcdb1c80ab8da07a91cc02e7f6921fb7aec801a1249fb",
+            "8594d59f0cbd7abd6217bc84587c54a900e2f4b5b0e5289e27579a8aa7666f67",
     },
     "csa4-python": {
         "egraph_sha256":
@@ -104,7 +106,7 @@ GOLDEN = {
             "5b1f6574b4a183061ffa39849de9b20a5577810b9e88bebea5f7e672d87fdd6b",
         "r2_unions": 6289,
         "store_key":
-            "1ae35eb6a7685477d424bd6388ed932e606cbaaf47871d4eee5be7d14c5d8dcc",
+            "b367f70afb93f771f56875ca75798662f1bb5d4d6f559f02bebea654b426b1ff",
     },
 }
 

@@ -310,6 +310,27 @@ class TestMalformedCheckpoint:
 
         self._assert_recomputes(tmp_path, damage)
 
+    @pytest.mark.parametrize("section, field, value", [
+        ("limits", "time_limit", float("nan")),
+        ("limits", "time_limit", -5),
+        ("limits", "time_limit", float("inf")),
+        ("limits", "max_nodes", 0),
+        ("limits", "max_classes", 0),
+        (None, "elapsed", float("nan")),
+        (None, "elapsed", -1e9),
+    ])
+    def test_unsafe_limits_degrade_to_recompute(
+            self, tmp_path, section, field, value):
+        """Limits outside ``BoolEOptions``' ranges (no wall-clock bound,
+        no room for a node) and a non-finite or negative elapsed time
+        are rejected, so the phase re-runs instead of resuming."""
+        def damage(runner):
+            (runner if section is None else runner[section])[field] = value
+            with pytest.raises(SnapshotError):
+                checkpoint_from_wire(runner)
+
+        self._assert_recomputes(tmp_path, damage)
+
     # The wire fields of the removed flat per-rule cap and of the old
     # configurable growth factors, assembled from parts so the removed
     # names appear nowhere else in the tree.
