@@ -37,6 +37,11 @@ Performance and semantics (ISSUE 4 rewrite — the warm-store hot path):
   parent's entry was computed from while the accept-only-improvements
   rule kept the optimistic key forever — on the 16-bit CSA it claimed
   267 root FAs over a netlist that contains 161.
+* **Int tables.**  Operators, children, costs and tie-break keys come
+  from the dense engine's node columns
+  (:meth:`~repro.egraph.DenseEGraph.node_table`); an :class:`ENode` is
+  decoded only for each class's chosen node.  The same fixpoint over
+  decoded ``ENode`` tables is the oracle in ``tests/enode_scans.py``.
 
 Results are deterministic across ``PYTHONHASHSEED`` values and agree with
 the reference entry-for-entry wherever the reference is self-consistent;
@@ -49,11 +54,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from itertools import chain, compress, islice, repeat
+from operator import sub
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..aig import AIG
-from ..egraph import EGraph, ENode, Op
-from ..egraph.extract import worklist_tables
+from ..egraph import EGraph, ENode, Op, as_engine
 from .construct import ConstructionResult
 
 __all__ = ["CostEntry", "BoolEExtraction", "BoolEExtractor", "FABlockRecord",
@@ -165,42 +171,82 @@ class BoolEExtractor:
         A topological (Kahn) first pass evaluates each e-node as soon as all
         of its child classes have entries; later improvements re-enter the
         same queue but touch only the nodes that reference the improved
-        class.  All tables are built in one deterministic scan (classes in
-        seq order, nodes in ``enode_sort_key`` order), so the whole pass is
-        independent of ``PYTHONHASHSEED``.
+        class.  Every table is built from the dense engine's int node
+        columns (:meth:`~repro.egraph.DenseEGraph.node_table`: classes in
+        seq order, nodes in ``enode_sort_key`` order), so the pass is
+        independent of ``PYTHONHASHSEED`` and decodes an :class:`ENode`
+        only for each class's chosen node.  An object-engine graph is
+        converted with :func:`~repro.egraph.as_engine` first; the result
+        keeps the graph it was given.
         """
         egraph.rebuild()
-        node_cost = self.node_cost
+        graph = as_engine(egraph, "dense")
+        table = graph.node_table()
 
-        # ---- one deterministic setup scan -------------------------------
-        # Shared with TreeCostExtractor: dense class indices in seq order,
-        # nodes flattened with owners/children/tie-breaks, Kahn in-degrees
-        # and the insertion-ordered node-level dependency index.
-        (class_list, nodes, owner, children, tiebreak, waiting,
-         users) = worklist_tables(egraph)
+        # ---- one deterministic setup pass over the int columns ----------
+        # Extractor node ``i`` is graph node ``graph_nodes[i]``; classes
+        # are addressed by their position in seq order.
+        class_list = table.class_ids
         num_classes = len(class_list)
-
-        # BoolE-specific node tables: per-operator base costs, and the
-        # FA-bearing classes enumerated into dense bit positions (the nodes
-        # list is in (class seq, node sort) order, so bit assignment is
-        # deterministic).
-        base: List[int] = [node_cost.get(node.op, 1) for node in nodes]
+        graph_nodes = table.nodes
+        num_nodes = len(graph_nodes)
+        class_off = table.class_off
+        owner: List[int] = list(chain.from_iterable(map(
+            repeat, range(num_classes),
+            map(sub, islice(class_off, 1, None), class_off))))
+        node_op = list(map(table.node_op.__getitem__, graph_nodes))
+        node_off = table.node_off
+        node_child = table.node_child
+        class_index = dict(zip(class_list, range(num_classes)))
+        position_of = class_index.__getitem__
+        children: List[Tuple[int, ...]] = [
+            tuple(map(position_of,
+                      node_child[node_off[node]:node_off[node + 1]]))
+            for node in graph_nodes]
+        # node_tiebreak_key from the columns: (op name, child seqs,
+        # payload text).
+        op_names = table.op_names
+        seqs = table.class_seqs.__getitem__
+        payload_text = [str(payload) for payload in table.payloads]
+        node_payload = table.node_payload
+        tiebreak: List[Tuple] = [
+            (op_names[op_id], tuple(map(seqs, kids)),
+             payload_text[node_payload[node]])
+            for node, op_id, kids in zip(graph_nodes, node_op, children)]
+        base_of_op = [self.node_cost.get(name, 1) for name in op_names]
+        base: List[int] = list(map(base_of_op.__getitem__, node_op))
+        # FA-bearing classes enumerated into dense bit positions in node
+        # order, which is (class seq, node sort) order.
         fa_index: List[int] = []      # bit position -> FA class id
-        fa_self_bit: List[int] = [0] * len(nodes)
-        fa_bit_of_class: Dict[int, int] = {}
-        for node_id, node in enumerate(nodes):
-            if node.op == Op.FA:
+        fa_self_bit: List[int] = [0] * num_nodes
+        if Op.FA in op_names:
+            fa_bit_of_class: Dict[int, int] = {}
+            for node_id in compress(range(num_nodes), map(
+                    op_names.index(Op.FA).__eq__, node_op)):
                 class_position = owner[node_id]
                 bit = fa_bit_of_class.get(class_position)
                 if bit is None:
                     bit = fa_bit_of_class[class_position] = 1 << len(fa_index)
                     fa_index.append(class_list[class_position])
                 fa_self_bit[node_id] = bit
+        # Kahn in-degrees (distinct child classes) and the node-level
+        # dependency index: child class -> the nodes that read it, in node
+        # order.
+        waiting: List[int] = [0] * num_nodes
+        users: List[List[int]] = [[] for _ in range(num_classes)]
+        for node_id, kids in enumerate(children):
+            if kids:
+                distinct = set(kids) if len(kids) > 1 else kids
+                waiting[node_id] = len(distinct)
+                for child_position in distinct:
+                    users[child_position].append(node_id)
 
         # ---- cost propagation -------------------------------------------
-        # Best entry per class as parallel arrays (choice < 0 = no entry).
+        # Best entry per class as parallel arrays (choice < 0 = no entry);
+        # ``best_count`` caches ``best_mask[i].bit_count()``.
         best_mask: List[int] = [0] * num_classes
         best_size: List[int] = [0] * num_classes
+        best_count: List[int] = [0] * num_classes
         choice: List[int] = [-1] * num_classes
 
         def evaluate(node_id: int) -> Tuple[int, int]:
@@ -211,31 +257,38 @@ class BoolEExtractor:
                 size += best_size[child_position]
             return mask, (size if size <= _SIZE_CAP else _SIZE_CAP)
 
-        def propagate(seeds) -> bool:
+        def propagate(seeds: Iterable[int]) -> bool:
             """Run the worklist fixpoint from ``seeds``; True if anything
-            was accepted."""
+            was accepted.  The hot loop inlines :func:`evaluate`."""
             queue = deque(seeds)
-            queued = bytearray(len(nodes))
+            queued = bytearray(num_nodes)
             for node_id in queue:
                 queued[node_id] = 1
+            popleft = queue.popleft
+            append = queue.append
             changed = False
             while queue:
-                node_id = queue.popleft()
+                node_id = popleft()
                 queued[node_id] = 0
-                mask, size = evaluate(node_id)
+                mask = fa_self_bit[node_id]
+                size = base[node_id]
+                for child_position in children[node_id]:
+                    mask |= best_mask[child_position]
+                    size += best_size[child_position]
+                if size > _SIZE_CAP:
+                    size = _SIZE_CAP
+                count = mask.bit_count()
                 class_position = owner[node_id]
                 current = choice[class_position]
-                if current < 0:
-                    accept = True
-                else:
-                    current_mask = best_mask[class_position]
+                if current >= 0:
+                    current_count = best_count[class_position]
                     current_size = best_size[class_position]
-                    count = mask.bit_count()
-                    current_count = current_mask.bit_count()
                     if count != current_count:
-                        accept = count > current_count
+                        if count < current_count:
+                            continue
                     elif size != current_size:
-                        accept = size < current_size
+                        if size > current_size:
+                            continue
                     elif node_id == current:
                         # Same choice, but a child's tie-break swap changed
                         # *which* FA classes flow up while keeping their
@@ -244,20 +297,20 @@ class BoolEExtractor:
                         # discipline here is what keeps the chosen-node
                         # graph acyclic for reconstruction; any residual
                         # staleness is fixed by the value-repair pass.)
-                        accept = mask != current_mask
-                    else:
-                        # Equal (FA count, size): break the tie by (op,
-                        # child seqs, payload) so the chosen representative
-                        # does not depend on evaluation order.
-                        accept = tiebreak[node_id] < tiebreak[current]
-                if not accept:
-                    continue
+                        if mask == best_mask[class_position]:
+                            continue
+                    elif not tiebreak[node_id] < tiebreak[current]:
+                        # Equal (FA count, size): the (op, child seqs,
+                        # payload) tie-break keeps the chosen
+                        # representative independent of evaluation order.
+                        continue
                 changed = True
                 spread = (current < 0
                           or mask != best_mask[class_position]
                           or size != best_size[class_position])
                 best_mask[class_position] = mask
                 best_size[class_position] = size
+                best_count[class_position] = count
                 choice[class_position] = node_id
                 if current < 0:
                     # First entry: release Kahn successors of this class.
@@ -266,14 +319,14 @@ class BoolEExtractor:
                         waiting[user] = remaining
                         if not remaining and not queued[user]:
                             queued[user] = 1
-                            queue.append(user)
+                            append(user)
                 elif spread:
                     # Improvement/refresh: only re-evaluate the e-nodes
                     # that actually consume this class (released ones).
                     for user in users[class_position]:
                         if not waiting[user] and not queued[user]:
                             queued[user] = 1
-                            queue.append(user)
+                            append(user)
             return changed
 
         def repair() -> bytearray:
@@ -314,13 +367,14 @@ class BoolEExtractor:
                 mask, size = evaluate(choice[class_position])
                 best_mask[class_position] = mask
                 best_size[class_position] = size
+                best_count[class_position] = mask.bit_count()
                 for user in chosen_users[class_position]:
                     chosen_indegree[user] -= 1
                     if not chosen_indegree[user]:
                         queue.append(user)
             return repaired
 
-        propagate(node_id for node_id in range(len(nodes))
+        propagate(node_id for node_id in range(num_nodes)
                   if not waiting[node_id])
         repaired = repair()
 
@@ -335,8 +389,6 @@ class BoolEExtractor:
         # a root is discarded and refinement stops.
         if self.refine_rounds > 0:
             if roots is not None:
-                class_index = {class_id: position for position, class_id
-                               in enumerate(class_list)}
                 root_positions = []
                 seen_roots = set()
                 for root in roots:
@@ -373,7 +425,7 @@ class BoolEExtractor:
             best_score = round_score(repaired)
             snapshot = (best_mask[:], best_size[:], choice[:])
             for _ in range(self.refine_rounds):
-                changed = propagate(node_id for node_id in range(len(nodes))
+                changed = propagate(node_id for node_id in range(num_nodes)
                                     if not waiting[node_id])
                 if not changed:
                     break
@@ -390,13 +442,14 @@ class BoolEExtractor:
         fa_index_tuple = tuple(fa_index)
         extraction = BoolEExtraction(egraph=egraph, fa_index=fa_index_tuple)
         entries = extraction.entries
+        decode = graph.decode
         for class_position, class_id in enumerate(class_list):
             node_id = choice[class_position]
             if node_id >= 0:
                 entries[class_id] = CostEntry(
                     fa_mask=best_mask[class_position],
                     size=best_size[class_position],
-                    node=nodes[node_id],
+                    node=decode(graph_nodes[node_id]),
                     fa_index=fa_index_tuple)
         return extraction
 

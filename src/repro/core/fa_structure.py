@@ -11,11 +11,31 @@ classes respectively (Figure 3 of the paper).  Extraction then treats the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
-from ..egraph import EGraph, ENode, Op
+from ..egraph import EGraph, ENode, MatchPlan, Op, compile_pattern, parse_pattern
 
 __all__ = ["FAPair", "FAInsertionReport", "insert_fa_structures", "count_npn_fa_pairs"]
+
+#: The only operators pairing and the NPN count read.  Both engines answer
+#: these plans with candidate classes in seq order and each class's nodes
+#: in ``enode_sort_key`` order, so the rows arrive in the order of a full
+#: ``classes()`` × ``enodes()`` scan without decoding any other node.
+_XOR3 = compile_pattern(parse_pattern(f"({Op.XOR3} ?a ?b ?c)"))
+_MAJ = compile_pattern(parse_pattern(f"({Op.MAJ} ?a ?b ?c)"))
+_NOT = compile_pattern(parse_pattern(f"({Op.NOT} ?x)"))
+
+
+def _input_triples(egraph: EGraph, plan: MatchPlan,
+                   rename: Optional[Callable[[int], int]] = None
+                   ) -> Iterator[Tuple[int, Tuple[int, int, int]]]:
+    """``(class, sorted inputs)`` of every ``plan`` node over three distinct
+    input classes (after ``rename``), in match order.  A node with a
+    repeated input is a degenerate block, not a full adder."""
+    for root, *inputs in egraph.search_rows(plan):
+        a, b, c = sorted(inputs if rename is None else map(rename, inputs))
+        if a < b < c:
+            yield root, (a, b, c)
 
 
 @dataclass(frozen=True)
@@ -56,23 +76,14 @@ def insert_fa_structures(egraph: EGraph) -> FAInsertionReport:
     The e-graph is rebuilt afterwards.
     """
     egraph.rebuild()
-    # ``classes()``/``enodes()`` iterate in stable (seq / structural) order,
-    # so discovery order — and with it ``setdefault`` winners and the pair
-    # list below — is independent of the hash seed.
-    xor_by_inputs: Dict[Tuple[int, ...], int] = {}
-    maj_by_inputs: Dict[Tuple[int, ...], int] = {}
-    for eclass in list(egraph.classes()):
-        class_id = egraph.find(eclass.id)
-        for node in egraph.enodes(class_id):
-            if node.op not in (Op.XOR3, Op.MAJ):
-                continue
-            key = tuple(sorted(egraph.find(child) for child in node.children))
-            if len(set(key)) != 3:
-                continue  # degenerate (repeated input) blocks are not FAs
-            if node.op == Op.XOR3:
-                xor_by_inputs.setdefault(key, class_id)
-            else:
-                maj_by_inputs.setdefault(key, class_id)
+    # Rows come in seq order, so ``setdefault`` keeps the earliest class
+    # per input triple whatever the hash seed.
+    xor_by_inputs: Dict[Tuple[int, int, int], int] = {}
+    for class_id, key in _input_triples(egraph, _XOR3):
+        xor_by_inputs.setdefault(key, class_id)
+    maj_by_inputs: Dict[Tuple[int, int, int], int] = {}
+    for class_id, key in _input_triples(egraph, _MAJ):
+        maj_by_inputs.setdefault(key, class_id)
 
     report = FAInsertionReport()
     for key, sum_class in sorted(
@@ -96,19 +107,6 @@ def insert_fa_structures(egraph: EGraph) -> FAInsertionReport:
     return report
 
 
-def _complement_map(egraph: EGraph) -> Dict[int, int]:
-    """Map each e-class to the class of its complement (where one exists)."""
-    complements: Dict[int, int] = {}
-    for eclass in egraph.classes():
-        class_id = egraph.find(eclass.id)
-        for node in egraph.enodes(class_id):
-            if node.op == Op.NOT:
-                child = egraph.find(node.children[0])
-                complements[class_id] = child
-                complements.setdefault(child, class_id)
-    return complements
-
-
 def count_npn_fa_pairs(egraph: EGraph) -> int:
     """Count FA structures up to NPN equivalence of their inputs.
 
@@ -117,7 +115,12 @@ def count_npn_fa_pairs(egraph: EGraph) -> int:
     is the quantity Figure 4 reports as "NPN FAs" for BoolE.
     """
     egraph.rebuild()
-    complements = _complement_map(egraph)
+    # Each class maps to the class of its complement, where one exists; a
+    # class's own NOT node wins over a NOT that points at it.
+    complements: Dict[int, int] = {}
+    for class_id, child in egraph.search_rows(_NOT):
+        complements[class_id] = child
+        complements.setdefault(child, class_id)
 
     def canonical_input(class_id: int) -> int:
         other = complements.get(class_id)
@@ -125,19 +128,8 @@ def count_npn_fa_pairs(egraph: EGraph) -> int:
             return class_id
         return min(class_id, other)
 
-    xor_keys: Set[Tuple[int, ...]] = set()
-    maj_keys: Set[Tuple[int, ...]] = set()
-    for eclass in egraph.classes():
-        class_id = egraph.find(eclass.id)
-        for node in egraph.enodes(class_id):
-            if node.op not in (Op.XOR3, Op.MAJ):
-                continue
-            key = tuple(sorted(canonical_input(egraph.find(child))
-                               for child in node.children))
-            if len(set(key)) != 3:
-                continue
-            if node.op == Op.XOR3:
-                xor_keys.add(key)
-            else:
-                maj_keys.add(key)
+    xor_keys: Set[Tuple[int, int, int]] = {
+        key for _, key in _input_triples(egraph, _XOR3, canonical_input)}
+    maj_keys: Set[Tuple[int, int, int]] = {
+        key for _, key in _input_triples(egraph, _MAJ, canonical_input)}
     return len(xor_keys & maj_keys)

@@ -51,8 +51,9 @@ a fresh graph, so the snapshot codec never builds an :class:`ENode`.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import compress, islice
-from operator import countOf, eq, le, lt, sub
+from operator import countOf, eq, le, lt, ne, sub
 from typing import (
     AbstractSet,
     Dict,
@@ -60,6 +61,7 @@ from typing import (
     Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -78,7 +80,7 @@ from .pattern import (
     Slots,
 )
 
-__all__ = ["DenseEGraph", "as_engine", "PAYLOAD_TYPES"]
+__all__ = ["DenseEGraph", "NodeTable", "as_engine", "PAYLOAD_TYPES"]
 
 #: Candidate roots are fed through a group's matcher in chunks of this
 #: many classes; a rule whose budget is exceeded at a chunk end leaves the
@@ -144,6 +146,31 @@ def _offset_column(columns: Dict, name: str, rows: int) -> List[int]:
     if column[0] != 0 or not all(map(le, column, islice(column, 1, None))):
         raise ValueError(f"column {name!r} is not a monotone offset array")
     return column
+
+
+class NodeTable(NamedTuple):
+    """Read-only int view of a clean graph's canonical e-nodes, for the
+    whole-graph passes after saturation (:meth:`DenseEGraph.node_table`).
+
+    Class ``class_ids[i]`` owns ``nodes[class_off[i]:class_off[i + 1]]``;
+    the node columns are indexed by node id, and node ``n``'s children are
+    ``node_child[node_off[n]:node_off[n + 1]]``.  The columns are the
+    graph's own lists: valid until the graph next changes.
+    """
+
+    #: Canonical class ids in seq order, and their seqs.
+    class_ids: List[int]
+    class_seqs: List[int]
+    class_off: List[int]
+    #: Each class's canonical node ids in ``enode_sort_key`` order.
+    nodes: List[int]
+    node_op: List[int]
+    node_payload: List[int]
+    node_off: List[int]
+    node_child: List[int]
+    #: Operator name by op id, payload by payload id.
+    op_names: List[str]
+    payloads: List[Hashable]
 
 
 class _DenseClass:
@@ -306,7 +333,8 @@ class DenseEGraph:
                                  self._intern_payload(node.payload),
                                  tuple(node.children))
 
-    def _decode(self, node_id: int) -> ENode:
+    def decode(self, node_id: int) -> ENode:
+        """The :class:`ENode` of an interned node id (memoised)."""
         node = self._node_obj[node_id]
         if node is None:
             offsets = self._node_off
@@ -346,6 +374,10 @@ class DenseEGraph:
                 result = self._intern_node(self._node_op[node_id],
                                            self._node_payload[node_id],
                                            tuple(children))
+                # Its children are all roots: it is its own canonical form
+                # for the rest of the epoch.
+                self._canon_stamp[result] = self._epoch
+                self._node_canon[result] = result
             else:
                 result = node_id
         self._canon_stamp[node_id] = self._epoch
@@ -425,9 +457,13 @@ class DenseEGraph:
         cached = self._enode_cache.get(root)
         if cached is None:
             canonical = self._canonical
-            cached = sorted({canonical(node_id)
-                             for node_id in self._classes[root].node_ids},
-                            key=self._node_sort_key())
+            stamps = self._canon_stamp
+            canon = self._node_canon
+            epoch = self._epoch
+            ids = {canon[node_id] if stamps[node_id] == epoch
+                   else canonical(node_id)
+                   for node_id in self._classes[root].node_ids}
+            cached = sorted(ids, key=self._node_sort_key())
             self._enode_cache[root] = cached
         return cached
 
@@ -474,11 +510,30 @@ class DenseEGraph:
         root = self._find(class_id)
         decoded = self._decoded_cache.get(root)
         if decoded is None:
-            decode = self._decode
+            decode = self.decode
             decoded = [decode(node_id)
                        for node_id in self._canonical_ids(root)]
             self._decoded_cache[root] = decoded
         return decoded
+
+    def node_table(self) -> NodeTable:
+        """The canonical e-nodes as int columns: the int form of
+        ``classes()`` × ``enodes()``, with no :class:`ENode` built.  Call
+        it on a clean graph (after :meth:`rebuild`)."""
+        class_ids = self._ordered_class_ids()
+        class_off = [0]
+        nodes: List[int] = []
+        canonical_ids = self._canonical_ids
+        for class_id in class_ids:
+            nodes += canonical_ids(class_id)
+            class_off.append(len(nodes))
+        return NodeTable(
+            class_ids=list(class_ids),
+            class_seqs=list(map(self._seq.__getitem__, class_ids)),
+            class_off=class_off, nodes=nodes, node_op=self._node_op,
+            node_payload=self._node_payload, node_off=self._node_off,
+            node_child=self._node_child, op_names=self._op_names,
+            payloads=self._payloads)
 
     def _invalidate_caches(self) -> None:
         if self._enode_cache:
@@ -1126,7 +1181,7 @@ class DenseEGraph:
         """Identical structure (and, downstream, identical bytes) to
         :meth:`EGraph.export_state` — interned ids decode back to e-nodes
         and the union-find is exported fully path-compressed."""
-        decode = self._decode
+        decode = self.decode
         classes = {}
         for class_id in sorted(self._classes):
             eclass = self._classes[class_id]
@@ -1345,8 +1400,13 @@ class DenseEGraph:
         graph._node_child = list(node_child)
         graph._node_ids = None
         graph._node_obj = [None] * count
-        graph._node_canon = [-1] * count
-        graph._canon_stamp = [-1] * count
+        # A node over root classes only is its own canonical form at the
+        # fresh graph's epoch 0; the others canonicalise on first use.
+        graph._node_canon = list(range(count))
+        stamps = graph._canon_stamp = [graph._epoch] * count
+        for slot in compress(range(len(node_child)), map(
+                ne, map(uf.__getitem__, node_child), node_child)):
+            stamps[bisect_right(node_off, slot) - 1] = -1
         pairs = [0] * (2 * len(parent_nodes))
         pairs[0::2] = parent_nodes
         pairs[1::2] = parent_classes
@@ -1371,7 +1431,7 @@ class DenseEGraph:
             if count >= limit:
                 lines.append("...")
                 break
-            nodes = ", ".join(str(self._decode(node_id))
+            nodes = ", ".join(str(self.decode(node_id))
                               for node_id in eclass.node_ids)
             lines.append(f"class {eclass.id}: {nodes}")
         return "\n".join(lines)

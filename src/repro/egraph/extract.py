@@ -9,7 +9,7 @@ Two extractors are provided here:
   expressions and to count operators.
 
 The BoolE-specific DAG extractor that maximises the number of exact full
-adders lives in :mod:`repro.core.extraction`; it reuses the utilities here.
+adders lives in :mod:`repro.core.extraction`.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ def node_tiebreak_key(egraph: EGraph, node: ENode):
 
 
 def worklist_tables(egraph: EGraph):
-    """One deterministic setup scan shared by the worklist extractors.
+    """The deterministic setup scan of :class:`TreeCostExtractor`.
 
     Returns ``(class_list, nodes, owner, children, tiebreak, waiting,
     users)``: canonical class ids in seq order; the e-nodes flattened in
@@ -92,9 +92,9 @@ def worklist_tables(egraph: EGraph):
     per-node count of distinct unresolved child classes (Kahn in-degrees);
     and the node-level dependency index — child class position → the node
     ids that reference it, in insertion order, so propagation walks users
-    deterministically.  Shared by :class:`TreeCostExtractor` and
-    :class:`repro.core.extraction.BoolEExtractor` so fixes to the
-    mechanics cannot diverge between them.
+    deterministically.  It decodes every e-node, because a cost function
+    takes an :class:`ENode`; :class:`repro.core.extraction.BoolEExtractor`
+    builds the same tables from the dense engine's int columns instead.
     """
     class_list = [egraph.find(eclass.id) for eclass in egraph.classes()]
     class_index = {class_id: index

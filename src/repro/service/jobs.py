@@ -303,6 +303,10 @@ class JobRecord:
     depends_on: List[str] = field(default_factory=list)
     #: Claim-ordering key: higher first, age breaks ties.
     priority: int = 0
+    #: Index of this job in its sweep's submission order (0 for single
+    #: jobs): members of one sweep share ``created``, so this, not the
+    #: job id, decides which of them a fleet claims first.
+    position: int = 0
     #: Capability tags a worker must offer to claim this job.
     requires: List[str] = field(default_factory=list)
     #: Sweep record this job was materialised by, if any.
@@ -326,6 +330,7 @@ class JobRecord:
             "events": [dict(event) for event in self.events],
             "depends_on": list(self.depends_on),
             "priority": self.priority,
+            "position": self.position,
             "requires": list(self.requires),
             "sweep_id": self.sweep_id,
         }
@@ -349,6 +354,7 @@ class JobRecord:
             events=[dict(event) for event in payload.get("events", [])],
             depends_on=[str(key) for key in payload.get("depends_on", [])],
             priority=int(payload.get("priority", 0)),
+            position=int(payload.get("position", 0)),
             requires=[str(tag) for tag in payload.get("requires", [])],
             sweep_id=payload.get("sweep_id"),
         )
@@ -595,7 +601,8 @@ class JobService:
           not offer are skipped; ``None`` disables the filter (the
           admin's whole-queue view);
         * **priority** — survivors sort by ``(-priority, created,
-          job_id)``: explicit priority first, then age.
+          position, job_id)``: explicit priority first, then age, then
+          submission order within a sweep.
         """
         offered = (None if capabilities is None
                    else frozenset(capabilities))
@@ -617,7 +624,7 @@ class JobService:
                 continue
             ready.append(record)
         ready.sort(key=lambda record: (-record.priority, record.created,
-                                       record.job_id))
+                                       record.position, record.job_id))
         return ready
 
     # ------------------------------------------------------------------
@@ -787,7 +794,7 @@ class JobService:
     def _enqueue_sweep_member(self, spec: JobSpec, plan: PipelinePlan,
                               now: float, *, sweep_id: str,
                               depends_on: List[str], priority: int,
-                              requires: List[str],
+                              position: int, requires: List[str],
                               schedule: str) -> JobRecord:
         """Queue one sweep member (unless a live record already covers it).
 
@@ -809,7 +816,7 @@ class JobService:
             updated=now,
             attempts=existing.attempts if existing is not None else 0,
             depends_on=list(depends_on), priority=priority,
-            requires=list(requires), sweep_id=sweep_id)
+            position=position, requires=list(requires), sweep_id=sweep_id)
         record.add_event("queued", now, cold_phases=plan.cold_phases,
                          resume_phase=plan.resume_phase, schedule=schedule,
                          sweep_id=sweep_id)
@@ -850,8 +857,8 @@ class JobService:
         counts: Dict[str, int] = {schedule: 0
                                   for schedule in SWEEP_SCHEDULES}
         items: List[Dict] = []
-        for (spec, job_priority, job_requires), job, item in zip(
-                members, jobs, plan.items):
+        for position, ((spec, job_priority, job_requires), job, item) in \
+                enumerate(zip(members, jobs, plan.items)):
             item_plan = item.plan
             if item_plan is None:  # pragma: no cover - errors raised above
                 raise RuntimeError(f"missing plan for {item.name}")
@@ -869,7 +876,8 @@ class JobService:
                 self._enqueue_sweep_member(
                     spec, item_plan, now, sweep_id=sweep_id,
                     depends_on=depends_on, priority=job_priority,
-                    requires=job_requires, schedule=schedule)
+                    position=position, requires=job_requires,
+                    schedule=schedule)
             counts[schedule] += 1
             items.append({
                 "name": item.name,

@@ -3,7 +3,8 @@
 The codec turns e-graphs (via :meth:`repro.egraph.DenseEGraph.to_columns`),
 :meth:`repro.egraph.BackoffScheduler.export_state` and
 :class:`repro.egraph.RunnerCheckpoint` into a compact JSON *wire form* and
-back, and reads/writes the wire form as gzip-compressed snapshot files.
+back, and reads/writes the wire form as snapshot files: one gzip member
+holding a JSON skeleton and the payload's int lists as packed blobs.
 
 Design points:
 
@@ -14,13 +15,17 @@ Design points:
   :class:`~repro.egraph.DenseEGraph` — no :class:`~repro.egraph.ENode` is
   built on either side.  Object-engine graphs reach the codec through
   :func:`~repro.egraph.as_engine`.
+* **Blobs.**  Every list of plain ints in a payload (the columns above,
+  and any other long enough) leaves the JSON and is stored as a packed
+  little-endian array after it, so writing and reading a snapshot costs
+  array conversions instead of decimal text (:func:`write_snapshot`).
 * **Determinism.**  The columns number e-nodes in a canonical order
   (class ids ascending, nodes by
   :func:`~repro.egraph.egraph.enode_sort_key`, then parent lists, then
-  the hashcons) and JSON is written with sorted keys, so snapshotting the
-  same e-graph twice — under any ``PYTHONHASHSEED``, with either engine —
-  produces byte-identical files (gzip is written with a zeroed mtime for
-  the same reason).
+  the hashcons), JSON is written with sorted keys and blobs in that same
+  key order, so snapshotting the same e-graph twice — under any
+  ``PYTHONHASHSEED``, with either engine — produces byte-identical files
+  (gzip is written with a zeroed mtime for the same reason).
 * **Versioning.**  Every file carries ``codec_version``; loading a
   mismatched version raises :class:`SnapshotVersionError`.  The version
   also salts every fingerprint (:mod:`repro.store.fingerprint`), so a
@@ -37,13 +42,15 @@ on load.
 
 from __future__ import annotations
 
-import gzip
 import json
 import math
+import operator
 import os
+import sys
 import tempfile
 import zlib
-from itertools import chain
+from array import array
+from itertools import chain, compress
 from operator import countOf, itemgetter
 from pathlib import Path
 from typing import (TYPE_CHECKING, AbstractSet, Any, Callable, Dict,
@@ -119,15 +126,24 @@ __all__ = [
 #: v4: the e-graph section is flat int columns encoded from and decoded
 #: into the dense engine (:meth:`DenseEGraph.to_columns`), replacing the
 #: nested, object-interned class/node lists; deflate level 6.
-CODEC_VERSION = 4
+#:
+#: v5: the file is a JSON skeleton plus packed little-endian blobs, one
+#: per list of plain ints in the payload (:func:`write_snapshot`), deflated
+#: at level 1.  The wire dicts themselves are unchanged.
+CODEC_VERSION = 5
 
 SNAPSHOT_FORMAT = "repro.store/snapshot"
 
-#: Deflate level of snapshot files.  Measured on the 16-bit CSA saturated
-#: snapshot (8.8 MB of JSON): level 6 compresses 2x faster than gzip's
-#: default 9 for +0.3% bytes; level 1 is faster still but +12% bytes.
-#: Part of the format's byte-identity, so a constant, not an option.
-_DEFLATE_LEVEL = 6
+#: Deflate level of snapshot files.  Packed int blobs leave deflate much
+#: less to find than JSON digits did: on the 16-bit CSA saturated e-graph
+#: (1.9 MB on disk) level 1 writes the file 2.7x faster than level 6 for
+#: 1.5% more bytes, and level 9 is slower still.  Part of the format's
+#: byte-identity, so a constant, not an option.
+_DEFLATE_LEVEL = 1
+
+#: ``wbits`` of a zlib stream in gzip framing (header, CRC-32, length):
+#: a snapshot is one gzip member, so ``zcat`` still opens it.
+_GZIP_WBITS = 31
 
 #: Snapshot file kinds written by this module / the pipeline cache.
 KIND_EGRAPH = "egraph"
@@ -678,31 +694,170 @@ def checkpoint_from_wire(wire: Dict,
 # ----------------------------------------------------------------------
 # Snapshot file I/O
 # ----------------------------------------------------------------------
+#: Packed-blob element types, narrowest first: array typecode -> (byte
+#: width, lowest value, highest value + 1).  Every blob is little-endian.
+_BLOB_TYPES = {
+    "B": (1, 0, 1 << 8), "b": (1, -(1 << 7), 1 << 7),
+    "H": (2, 0, 1 << 16), "h": (2, -(1 << 15), 1 << 15),
+    "I": (4, 0, 1 << 32), "i": (4, -(1 << 31), 1 << 31),
+    "Q": (8, 0, 1 << 64), "q": (8, -(1 << 63), 1 << 63),
+}
+if any(array(code).itemsize != width
+       for code, (width, _, _) in _BLOB_TYPES.items()):  # pragma: no cover
+    raise ImportError("the snapshot codec needs 1/2/4/8-byte array types")
+
+#: Int lists shorter than this stay in the JSON skeleton: a blob table
+#: entry would cost more than it saves.
+_MIN_BLOB = 16
+
+
+def _blob_type(column: List[int]) -> Optional[str]:
+    """The narrowest typecode holding every int of ``column``; ``None``
+    when none does (an int beyond 64 bits stays JSON)."""
+    low, high = min(column), max(column)
+    for code, (_, lowest, limit) in _BLOB_TYPES.items():
+        if lowest <= low and high < limit:
+            return code
+    return None
+
+
+_is_container = frozenset((dict, list, tuple)).__contains__
+
+
+def _nothing_to_pack(containers: List) -> bool:
+    """True when no list or tuple in ``containers``, or nested in them, is
+    long enough to pack and none of them holds a dict: checked level by
+    level with builtins, so a long table of short rows costs a few C
+    passes instead of a call per row."""
+    level = containers
+    while level:
+        if countOf(map(type, level), dict) or max(map(len, level)) >= _MIN_BLOB:
+            return False
+        flat = list(chain.from_iterable(level))
+        level = list(compress(flat, map(_is_container, map(type, flat))))
+    return True
+
+
+def _pack(value: Any, path: List[Union[str, int]],
+          blobs: List[List], chunks: List[bytes]) -> Any:
+    """``value`` with every list (or tuple: JSON reads both back as a list)
+    of at least :data:`_MIN_BLOB` plain ints (``bool`` is not one)
+    replaced by ``None``; each replaced list is appended to ``chunks`` as
+    packed bytes and to ``blobs`` as ``[path, typecode, count]``.
+    Containers are walked in JSON order (dict keys sorted), and one that
+    holds nothing packable is returned as is."""
+    if type(value) is dict:
+        if not all(type(key) is str for key in value):
+            return value  # json.dumps would rename the keys: leave it
+        packed = {key: _pack(item, path + [key], blobs, chunks)
+                  for key, item in sorted(value.items())}
+        if all(packed[key] is value[key] for key in packed):
+            return value
+        return packed
+    if type(value) not in (list, tuple):
+        return value
+    if countOf(map(type, value), int) == len(value):
+        code = _blob_type(value) if len(value) >= _MIN_BLOB else None
+        if code is None:
+            return value
+        column = array(code, value)
+        if sys.byteorder == "big":  # pragma: no cover - little-endian hosts
+            column.byteswap()
+        blobs.append([list(path), code, len(column)])
+        chunks.append(column.tobytes())
+        return None
+    if _nothing_to_pack(list(compress(value, map(_is_container,
+                                                 map(type, value))))):
+        return value  # e.g. a table of short rows: skip it at C speed
+    items = [_pack(item, path + [index], blobs, chunks)
+             if _is_container(type(item)) else item
+             for index, item in enumerate(value)]
+    if all(map(operator.is_, items, value)):
+        return value
+    return items
+
+
+def _unpack(document: Dict, blobs: Any, body: bytes) -> None:
+    """Put every blob of ``body`` back at its path in ``document``.
+
+    The blob table must name known typecodes, account for ``body`` to
+    the byte, and point each blob at a ``None`` placeholder inside the
+    payload, reached through dict keys and list indices."""
+    total = 0
+    for entry in _list(blobs, "blob table"):
+        path, code, count = _list(entry, "blob table entry", 3)
+        if type(code) is not str or code not in _BLOB_TYPES:
+            raise SnapshotError(f"unknown blob typecode {code!r}")
+        total += _BLOB_TYPES[code][0] * _int(count, "blob length")
+    if total != len(body):
+        raise SnapshotError(f"blob table declares {total} bytes, "
+                            f"the file holds {len(body)}")
+    offset = 0
+    for path, code, count in blobs:
+        steps = _list(path, "blob path")
+        if not steps or steps[0] != "payload":
+            raise SnapshotError(f"blob path {steps!r} is outside the payload")
+        container: Any = document
+        for step in steps[:-1]:
+            container = _step(container, step)
+        last = steps[-1]
+        if _step(container, last) is not None:
+            raise SnapshotError(f"blob path {steps!r} has no placeholder")
+        width = _BLOB_TYPES[code][0]
+        column = array(code, body[offset:offset + width * count])
+        if sys.byteorder == "big":  # pragma: no cover - little-endian hosts
+            column.byteswap()
+        offset += width * count
+        container[last] = column.tolist()
+
+
+def _step(container: Any, step: Any) -> Any:
+    """``container[step]`` for a dict key or an in-range list index."""
+    if type(container) is dict and type(step) is str and step in container:
+        return container[step]
+    if (type(container) is list and type(step) is int
+            and 0 <= step < len(container)):
+        return container[step]
+    raise SnapshotError(f"blob path step {step!r} does not resolve")
+
+
 def write_snapshot(path: Union[str, Path], kind: str, payload: Dict,
                    meta: Optional[Dict] = None) -> Path:
-    """Atomically write a versioned, gzip-compressed snapshot file.
+    """Atomically write a versioned snapshot file.
 
-    The document is JSON with sorted keys inside a gzip stream whose mtime
-    field is zeroed, so identical state produces byte-identical files.
+    The file is one gzip member (deflate level :data:`_DEFLATE_LEVEL`,
+    zeroed mtime) holding a JSON skeleton with sorted keys, a newline,
+    then the packed little-endian int blobs the skeleton's ``blobs``
+    table lists (see ``docs/serialization.md``), so identical state
+    produces byte-identical files.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    blobs: List[List] = []
+    chunks: List[bytes] = []
     document = {
         "format": SNAPSHOT_FORMAT,
         "codec_version": CODEC_VERSION,
         "kind": kind,
         "meta": meta or {},
-        "payload": payload,
+        "payload": _pack(payload, ["payload"], blobs, chunks),
+        "blobs": blobs,
     }
+    # ensure_ascii (the default) escapes every control character, so the
+    # skeleton holds no raw newline and the first one ends it.
+    head = json.dumps(document, sort_keys=True,
+                      separators=(",", ":")).encode("ascii")
     handle, tmp_name = tempfile.mkstemp(dir=path.parent,
                                         prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(handle, "wb") as raw:
-            with gzip.GzipFile(fileobj=raw, mode="wb", mtime=0,
-                               compresslevel=_DEFLATE_LEVEL) as zipped:
-                zipped.write(json.dumps(
-                    document, sort_keys=True,
-                    separators=(",", ":")).encode("utf-8"))
+            deflate = zlib.compressobj(_DEFLATE_LEVEL, zlib.DEFLATED,
+                                       _GZIP_WBITS)
+            raw.write(deflate.compress(head))
+            raw.write(deflate.compress(b"\n"))
+            for chunk in chunks:
+                raw.write(deflate.compress(chunk))
+            raw.write(deflate.flush())
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -715,16 +870,25 @@ def write_snapshot(path: Union[str, Path], kind: str, payload: Dict,
 
 def read_snapshot(path: Union[str, Path],
                   expected_kind: Optional[str] = None) -> Dict:
-    """Read a snapshot document, validating format, version and kind."""
+    """Read a snapshot document, validating format, version and kind.
+
+    Anything but one complete gzip member holding a well-formed skeleton
+    and exactly the blobs it declares raises :class:`SnapshotError`; a
+    file of another codec version (a v4 file is plain gzip-JSON) raises
+    :class:`SnapshotVersionError` before any blob is read.
+    """
     path = Path(path)
     try:
-        document = json.loads(
-            gzip.decompress(path.read_bytes()).decode("utf-8"))
-    except (OSError, EOFError, zlib.error, ValueError,
-            RecursionError) as error:
-        # Truncated gzip raises EOFError, corrupt deflate data zlib.error,
-        # and a pathologically nested document RecursionError: all of
-        # them are unreadable snapshots, never crashes of the reader.
+        inflate = zlib.decompressobj(_GZIP_WBITS)
+        data = inflate.decompress(path.read_bytes())
+        if not inflate.eof or inflate.unused_data:
+            raise ValueError("truncated file or trailing bytes")
+        head, newline, body = data.partition(b"\n")
+        document = json.loads(head)
+    except (OSError, zlib.error, ValueError, RecursionError) as error:
+        # Corrupt deflate data raises zlib.error, a bad skeleton
+        # ValueError, and a pathologically nested one RecursionError: all
+        # of them are unreadable snapshots, never crashes of the reader.
         raise SnapshotError(f"cannot read snapshot {path}: {error}") from error
     if not isinstance(document, dict) or document.get("format") != SNAPSHOT_FORMAT:
         raise SnapshotError(f"{path} is not a {SNAPSHOT_FORMAT} file")
@@ -733,6 +897,9 @@ def read_snapshot(path: Union[str, Path],
         raise SnapshotVersionError(
             f"{path} was written by codec version {version}, "
             f"this build reads version {CODEC_VERSION}")
+    if not newline or "blobs" not in document:
+        raise SnapshotError(f"{path} has no blob section")
+    _unpack(document, document.pop("blobs"), body)
     if expected_kind is not None and document.get("kind") != expected_kind:
         raise SnapshotError(
             f"{path} holds a {document.get('kind')!r} snapshot, "

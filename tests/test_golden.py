@@ -50,7 +50,8 @@ CASES = {
 #: with them the options fingerprint): the flat match cap and the
 #: matching-mode options, then the rule-variant and pruning switches; and
 #: once more when the R2 sorted-children appliers became ``(xor3 ...)`` /
-#: ``(maj ...)`` right-hand sides (the ruleset fingerprint covers them).
+#: ``(maj ...)`` right-hand sides (the ruleset fingerprint covers them);
+#: and for the codec v5 bump (the codec version salts every key).
 GOLDEN = {
     "booth4": {
         "egraph_sha256":
@@ -64,7 +65,7 @@ GOLDEN = {
             "310cf9d9227671a0857924cd3e8350fadf3ed701cb87c9a4c818f4ad3881c705",
         "r2_unions": 14337,
         "store_key":
-            "0e47c7cd1fa107364b4c2246b5addc506b15c53bcb93b975191fd1cd0b1f1d30",
+            "b1f480cb534e2d4a4f0a52e0c07f72eafb0acd8d09de483107b91ee95e3b8c7e",
     },
     "csa4": {
         "egraph_sha256":
@@ -78,7 +79,7 @@ GOLDEN = {
             "5b1f6574b4a183061ffa39849de9b20a5577810b9e88bebea5f7e672d87fdd6b",
         "r2_unions": 6289,
         "store_key":
-            "b367f70afb93f771f56875ca75798662f1bb5d4d6f559f02bebea654b426b1ff",
+            "cc90982ca912075bfecf7be1350182cb9918348662c8ad28c35653e1f32c594e",
     },
     "csa4-banned": {
         "egraph_sha256":
@@ -92,7 +93,7 @@ GOLDEN = {
             "ce8e00a973878d93ba92dd1d020856ab8675d2a67e59d112ab36070985b8970c",
         "r2_unions": 988,
         "store_key":
-            "8594d59f0cbd7abd6217bc84587c54a900e2f4b5b0e5289e27579a8aa7666f67",
+            "72fc6f45893e4e43bcea865d82271dfa6d2920a3eea5c94bdb39694d227b6610",
     },
     "csa4-python": {
         "egraph_sha256":
@@ -106,7 +107,7 @@ GOLDEN = {
             "5b1f6574b4a183061ffa39849de9b20a5577810b9e88bebea5f7e672d87fdd6b",
         "r2_unions": 6289,
         "store_key":
-            "b367f70afb93f771f56875ca75798662f1bb5d4d6f559f02bebea654b426b1ff",
+            "cc90982ca912075bfecf7be1350182cb9918348662c8ad28c35653e1f32c594e",
     },
 }
 

@@ -1048,6 +1048,38 @@ class TestPriorityAndCapabilities:
         assert ordered == [response["jobs"][1]["job_id"],
                            response["jobs"][0]["job_id"]]
 
+    def test_sweep_claimed_in_submission_order(self, tmp_path):
+        """Members of one sweep share ``created``; their claim order is
+        the submission order even when their job ids sort the other way
+        (a key roll must not reshuffle which job a fleet starts first)."""
+        requests = [fast_request(width=width) for width in (2, 3, 4)]
+        probe = JobService(tmp_path / "probe").submit_sweep(
+            {"jobs": requests})
+        ids = [job["job_id"] for job in probe["jobs"]]
+        # Submit in descending job-id order: job_id alone would claim
+        # them in exactly the reverse order.
+        order = sorted(range(len(requests)), key=ids.__getitem__,
+                       reverse=True)
+        service = JobService(tmp_path / "store")
+        response = service.submit_sweep(
+            {"jobs": [requests[index] for index in order]})
+        submitted = [job["job_id"] for job in response["jobs"]]
+        assert submitted == sorted(submitted, reverse=True)
+        assert [record.job_id for record in service.claimable()] == submitted
+        assert [service.load(job_id).position
+                for job_id in submitted] == [0, 1, 2]
+
+    def test_position_defaults_to_zero(self, tmp_path):
+        """Single jobs and records written before ``position`` existed
+        sort as position 0."""
+        service = JobService(tmp_path / "store")
+        job_id = service.submit(fast_request(width=2))["job_id"]
+        record = service.load(job_id)
+        assert record.position == 0
+        payload = record.to_payload()
+        del payload["position"]
+        assert JobRecord.from_payload(payload).position == 0
+
     def test_capability_gate_filters_claimable(self, tmp_path):
         service = JobService(tmp_path / "store")
         service.submit_sweep({"jobs": [fast_request(width=2)],

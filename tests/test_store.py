@@ -69,6 +69,8 @@ from repro.store import (
     write_snapshot,
 )
 
+from repro.store.codec import SNAPSHOT_FORMAT
+
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -185,6 +187,207 @@ class TestSnapshotFiles:
         save_egraph(tmp_path / "graph.json.gz", EGraph())
         leftovers = [p for p in tmp_path.iterdir() if "tmp" in p.name]
         assert leftovers == []
+
+
+def _container_parts(path):
+    """A v5 file's skeleton document and its blob bytes."""
+    head, _, body = gzip.decompress(path.read_bytes()).partition(b"\n")
+    return json.loads(head), body
+
+
+def _write_container(path, skeleton, body, tail=b""):
+    """A hand-built gzip container: ``skeleton`` JSON, newline, ``body``
+    (plus ``tail`` after the gzip member)."""
+    path.write_bytes(gzip.compress(
+        json.dumps(skeleton).encode("ascii") + b"\n" + body) + tail)
+    return path
+
+
+#: Values the container must give back exactly: bools (not ints), negative
+#: ints, ints from 2**63 to 2**64 (unsigned 64-bit blobs) and beyond 64
+#: bits (JSON), short and empty lists, mixed lists, nested tables and a
+#: tuple (read back as a list, as JSON does).
+ROUND_TRIP_PAYLOAD = {
+    "bools": [True, False] * 10,
+    "negative": list(range(-40, 0)),
+    "wide": [2**63 + index for index in range(20)],
+    "wider": [2**64 + index for index in range(20)],
+    "short": [1, 2, 3],
+    "empty": [],
+    "mixed": [1, "two", 3.0, None, True] * 4,
+    "bytes": list(range(256)) * 2,
+    "signed": [-(2**31)] + [2**31 - 1] * 16,
+    "nested": {"rows": [[index, -index, 2 * index] for index in range(20)],
+               "columns": [list(range(index, index + 20))
+                           for index in range(3)]},
+    "scalar": 7,
+    "tuple": tuple(range(100, 120)),
+}
+
+
+class TestSnapshotContainer:
+    """The v5 container: a gzip member holding a JSON skeleton, a newline
+    and the packed int blobs its ``blobs`` table lists.  A malformed file
+    raises SnapshotError (or SnapshotVersionError) and nothing else."""
+
+    def _written(self, tmp_path, payload=None):
+        return write_snapshot(tmp_path / "x.json.gz", "egraph",
+                              payload if payload is not None
+                              else {"egraph": egraph_to_wire(
+                                  _saturated_egraph())})
+
+    def test_values_round_trip_unchanged(self, tmp_path):
+        path = self._written(tmp_path, ROUND_TRIP_PAYLOAD)
+        document = read_snapshot(path)
+        # JSON text tells True from 1, so this also checks the types.
+        assert json.dumps(document["payload"], sort_keys=True) == \
+            json.dumps(ROUND_TRIP_PAYLOAD, sort_keys=True)
+        skeleton, body = _container_parts(path)
+        packed = {tuple(entry[0]) for entry in skeleton["blobs"]}
+        assert ("payload", "negative") in packed
+        assert ("payload", "wide") in packed
+        assert ("payload", "nested", "columns", 0) in packed
+        assert ("payload", "tuple") in packed
+        for name in ("bools", "wider", "short", "empty", "mixed"):
+            assert ("payload", name) not in packed
+            assert skeleton["payload"][name] == ROUND_TRIP_PAYLOAD[name]
+        assert len(body) == sum(
+            {"B": 1, "b": 1, "H": 2, "h": 2, "I": 4, "i": 4, "Q": 8,
+             "q": 8}[code] * count for _, code, count in skeleton["blobs"])
+
+    def test_identical_state_gives_identical_bytes(self, tmp_path):
+        first = write_snapshot(tmp_path / "a.json.gz", "k",
+                               ROUND_TRIP_PAYLOAD)
+        second = write_snapshot(tmp_path / "b.json.gz", "k",
+                                json.loads(json.dumps(ROUND_TRIP_PAYLOAD)))
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_hand_built_container_reads(self, tmp_path):
+        """The helpers below build files the reader accepts, so each
+        rejection is down to the one defect it introduces."""
+        path = self._written(tmp_path)
+        skeleton, body = _container_parts(path)
+        expected = read_snapshot(path)
+        _write_container(path, skeleton, body)
+        assert read_snapshot(path) == expected
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_wrong_blob_length_raises(self, tmp_path, delta):
+        path = self._written(tmp_path)
+        skeleton, body = _container_parts(path)
+        skeleton["blobs"][0][2] += delta
+        with pytest.raises(SnapshotError, match="blob"):
+            read_snapshot(_write_container(path, skeleton, body))
+
+    def test_lengths_summing_right_still_checked(self, tmp_path):
+        """Two blobs trading lengths keep the byte total but not the
+        columns' declared sizes."""
+        path = self._written(tmp_path)
+        skeleton, body = _container_parts(path)
+        same = [entry for entry in skeleton["blobs"]
+                if entry[1] == skeleton["blobs"][0][1]]
+        same[0][2] += 1
+        same[1][2] -= 1
+        with pytest.raises(SnapshotError):
+            document = read_snapshot(_write_container(path, skeleton, body))
+            egraph_from_wire(document["payload"]["egraph"])
+
+    def test_missing_blob_entry_raises(self, tmp_path):
+        path = self._written(tmp_path)
+        skeleton, body = _container_parts(path)
+        del skeleton["blobs"][-1]
+        with pytest.raises(SnapshotError, match="blob"):
+            read_snapshot(_write_container(path, skeleton, body))
+
+    def test_extra_blob_entry_raises(self, tmp_path):
+        path = self._written(tmp_path)
+        skeleton, body = _container_parts(path)
+        skeleton["blobs"].append(list(skeleton["blobs"][0]))
+        with pytest.raises(SnapshotError, match="blob"):
+            read_snapshot(_write_container(path, skeleton, body + body))
+
+    @pytest.mark.parametrize("code", ["d", "f", "l", "u", "", 3, None])
+    def test_unknown_typecode_raises(self, tmp_path, code):
+        path = self._written(tmp_path)
+        skeleton, body = _container_parts(path)
+        skeleton["blobs"][0][1] = code
+        with pytest.raises(SnapshotError, match="typecode"):
+            read_snapshot(_write_container(path, skeleton, body))
+
+    @pytest.mark.parametrize("blob_path", [
+        [], ["meta"], ["payload", "missing"], ["payload", "egraph", "ops", 0],
+        ["payload", "egraph", "sizes"], ["payload", 0], "payload"])
+    def test_bad_blob_path_raises(self, tmp_path, blob_path):
+        path = self._written(tmp_path)
+        skeleton, body = _container_parts(path)
+        skeleton["blobs"][0][0] = blob_path
+        with pytest.raises(SnapshotError):
+            read_snapshot(_write_container(path, skeleton, body))
+
+    def test_trailing_bytes_inside_raise(self, tmp_path):
+        path = self._written(tmp_path)
+        skeleton, body = _container_parts(path)
+        with pytest.raises(SnapshotError, match="blob"):
+            read_snapshot(_write_container(path, skeleton, body + b"\0"))
+
+    @pytest.mark.parametrize("tail", [b"\0", b"\0" * 8, b"junk",
+                                      b"\x1f\x8b"])
+    def test_trailing_bytes_after_the_member_raise(self, tmp_path, tail):
+        path = self._written(tmp_path)
+        path.write_bytes(path.read_bytes() + tail)
+        with pytest.raises(SnapshotError):
+            read_snapshot(path)
+
+    def test_second_gzip_member_raises(self, tmp_path):
+        path = self._written(tmp_path)
+        path.write_bytes(path.read_bytes() + gzip.compress(b"{}"))
+        with pytest.raises(SnapshotError):
+            read_snapshot(path)
+
+    def test_missing_blob_section_raises(self, tmp_path):
+        path = self._written(tmp_path)
+        skeleton, _ = _container_parts(path)
+        path.write_bytes(gzip.compress(json.dumps(skeleton).encode()))
+        with pytest.raises(SnapshotError, match="blob section"):
+            read_snapshot(path)
+
+    def test_v4_gzip_json_file_is_a_version_error(self, tmp_path):
+        """What codec v4 wrote: the whole document as gzip-JSON."""
+        path = tmp_path / "v4.json.gz"
+        path.write_bytes(gzip.compress(json.dumps({
+            "format": SNAPSHOT_FORMAT, "codec_version": 4,
+            "kind": "egraph", "meta": {},
+            "payload": {"egraph": egraph_to_wire(_saturated_egraph())},
+        }, sort_keys=True, separators=(",", ":")).encode(), mtime=0))
+        with pytest.raises(SnapshotVersionError, match="version 4"):
+            read_snapshot(path)
+
+    def test_every_truncation_raises(self, tmp_path):
+        path = self._written(tmp_path)
+        intact = path.read_bytes()
+        for keep in range(0, len(intact), max(1, len(intact) // 97)):
+            path.write_bytes(intact[:keep])
+            with pytest.raises(SnapshotError):
+                read_snapshot(path)
+
+    def test_bit_flips_raise_or_read_identically(self, tmp_path):
+        path = self._written(tmp_path)
+        intact = path.read_bytes()
+        expected = read_snapshot(path)
+        step = max(1, len(intact) // 211)
+        for index in list(range(0, 12)) + list(range(12, len(intact), step)):
+            for bit in (0, 7):
+                damaged = bytearray(intact)
+                damaged[index] ^= 1 << bit
+                path.write_bytes(bytes(damaged))
+                try:
+                    document = read_snapshot(path)
+                except SnapshotError:
+                    continue
+                # Only bits gzip ignores may survive (the header's FTEXT
+                # hint, mtime, XFL and OS bytes, the deflate stream's
+                # final padding bits): never a different document.
+                assert document == expected
 
 
 class TestCorruptSnapshots:
@@ -353,13 +556,14 @@ class TestColumnDecodeFuzz:
             else:
                 index = data.draw(st.integers(0, len(damaged) - 1))
                 damaged[index] ^= 1 << data.draw(st.integers(0, 7))
+            expected = read_snapshot(path)
             path.write_bytes(bytes(damaged))
             try:
                 document = read_snapshot(path)
             except SnapshotError:
                 return
             # Only bits gzip ignores (header mtime/XFL/OS) may survive.
-            assert document == json.loads(gzip.decompress(intact))
+            assert document == expected
 
 
 @functools.lru_cache(maxsize=None)
