@@ -91,11 +91,6 @@ class AdderTreeReport:
         """Number of detected HAs up to NPN equivalence (includes exact)."""
         return len(self.half_adders)
 
-    @property
-    def num_exact_has(self) -> int:
-        """Number of detected HAs that are exactly XOR2/AND2 pairs."""
-        return sum(1 for ha in self.half_adders if ha.exact)
-
 
 def detect_adder_tree(aig: AIG, k: int = 3, max_cuts_per_node: int = 8,
                       detect_half_adders: bool = True) -> AdderTreeReport:

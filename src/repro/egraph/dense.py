@@ -80,7 +80,8 @@ from .pattern import (
     Slots,
 )
 
-__all__ = ["DenseEGraph", "NodeTable", "as_engine", "PAYLOAD_TYPES"]
+__all__ = ["DenseEGraph", "NodeTable", "as_engine", "PAYLOAD_TYPES",
+           "read_node_columns", "write_node_columns"]
 
 #: Candidate roots are fed through a group's matcher in chunks of this
 #: many classes; a rule whose budget is exceeded at a chunk end leaves the
@@ -97,7 +98,7 @@ def _ranks(keys: List) -> List[int]:
     return rank
 
 
-def _tabled(values: List[int]) -> Tuple[List[int], List[int]]:
+def _tabled(values: Sequence[Hashable]) -> Tuple[List, List[int]]:
     """The distinct ``values`` in order of first use, and ``values``
     rewritten as indices into that table."""
     table = list(dict.fromkeys(values))
@@ -146,6 +147,63 @@ def _offset_column(columns: Dict, name: str, rows: int) -> List[int]:
     if column[0] != 0 or not all(map(le, column, islice(column, 1, None))):
         raise ValueError(f"column {name!r} is not a monotone offset array")
     return column
+
+
+def write_node_columns(ops: Sequence[str], payloads: Sequence[Hashable],
+                       children: Iterable[Sequence[int]]) -> Dict[str, List]:
+    """The node-table columns of a snapshot or an extraction artifact.
+
+    Node ``i`` is ``ops[i]`` with leaf payload ``payloads[i]`` over the
+    ``i``-th child list of ``children``.  Operators and payloads are
+    tabled in order of first use; children are flattened CSR-style.
+    """
+    op_table, node_op = _tabled(ops)
+    payload_table, node_payload = _tabled(payloads)
+    node_off = [0]
+    node_child: List[int] = []
+    for kids in children:
+        node_child += kids
+        node_off.append(len(node_child))
+    return {"ops": op_table, "payloads": payload_table, "node_op": node_op,
+            "node_payload": node_payload, "node_off": node_off,
+            "node_child": node_child}
+
+
+def read_node_columns(columns: Dict, child_high: Optional[int],
+                      count: Optional[int] = None) -> Tuple[List, ...]:
+    """``(ops, payloads, node_op, node_payload, node_off, node_child)``
+    as :func:`write_node_columns` writes them: distinct tables in order of
+    first use, ``count`` nodes when given, known arities and child ids
+    below ``child_high`` (``None``: the caller checks them).  Raises
+    ``KeyError``, ``TypeError`` or ``ValueError`` on the first violation.
+    """
+    ops = columns["ops"]
+    payloads = columns["payloads"]
+    if type(ops) is not list or type(payloads) is not list or not (
+            set(map(type, ops)) <= {str}
+            and set(map(type, payloads)) <= set(PAYLOAD_TYPES)):
+        raise TypeError("operator/payload tables must be lists of "
+                        "strings/JSON scalars")
+    if len(set(ops)) != len(ops) or len(set(payloads)) != len(payloads):
+        raise ValueError("duplicate operator or payload table entry")
+    node_op = _int_column(columns, "node_op", length=count, high=len(ops))
+    count = len(node_op)
+    node_payload = _int_column(columns, "node_payload", length=count,
+                               high=len(payloads))
+    node_off = _offset_column(columns, "node_off", count)
+    node_child = _int_column(columns, "node_child", length=node_off[-1],
+                             high=child_high)
+    for table, column in ((ops, node_op), (payloads, node_payload)):
+        if list(dict.fromkeys(column)) != list(range(len(table))):
+            raise ValueError("operator/payload table is not in first-use "
+                             "order")
+    for op_id, arity in sorted(set(zip(node_op, map(
+            sub, islice(node_off, 1, None), node_off)))):
+        expected = OPERATOR_ARITIES.get(ops[op_id])
+        if expected is not None and expected != arity:
+            raise ValueError(f"operator {ops[op_id]!r} expects "
+                             f"{expected} children, got {arity}")
+    return ops, payloads, node_op, node_payload, node_off, node_child
 
 
 class NodeTable(NamedTuple):
@@ -1234,9 +1292,10 @@ class DenseEGraph:
         then the hashcons in insertion order — so the columns depend only
         on the e-graph's observable state, never on internal node ids:
         both engines (the object engine via :func:`as_engine`) produce
-        identical columns for identical state.  Operators and payloads are
-        tabled in order of first use.  Classes are implicit: they are the
-        roots of the (fully path-compressed) union-find array, ascending.
+        identical columns for identical state.  The node columns come from
+        :func:`write_node_columns`, which extraction artifacts share.
+        Classes are implicit: they are the roots of the (fully
+        path-compressed) union-find array, ascending.
         ``sizes`` declares the length of every column whose length no
         other column implies, so a truncated column never decodes.  See
         ``docs/serialization.md`` for the column table.
@@ -1269,30 +1328,21 @@ class DenseEGraph:
         visits += hashcons_nodes
         order = list(dict.fromkeys(visits))
         renumber = dict(zip(order, range(len(order)))).__getitem__
-        op_table, node_op = _tabled(
-            list(map(self._node_op.__getitem__, order)))
-        payload_table, node_payload = _tabled(
-            list(map(self._node_payload.__getitem__, order)))
         offsets = self._node_off
         buffer = self._node_child
-        node_off = [0]
-        node_child: List[int] = []
-        for node_id in order:
-            node_child += buffer[offsets[node_id]:offsets[node_id + 1]]
-            node_off.append(len(node_child))
         dirty = sorted(self._dirty)
         return {
             "sizes": {"uf": len(uf), "node_op": len(order),
                       "hashcons_nodes": len(hashcons_nodes),
                       "dirty": len(dirty), "pending": len(self._pending)},
             "uf": uf,
-            "ops": [self._op_names[op_id] for op_id in op_table],
-            "payloads": [self._payloads[payload_id]
-                         for payload_id in payload_table],
-            "node_op": node_op,
-            "node_payload": node_payload,
-            "node_off": node_off,
-            "node_child": node_child,
+            **write_node_columns(
+                list(map(self._op_names.__getitem__,
+                         map(self._node_op.__getitem__, order))),
+                list(map(self._payloads.__getitem__,
+                         map(self._node_payload.__getitem__, order))),
+                (buffer[offsets[node_id]:offsets[node_id + 1]]
+                 for node_id in order)),
             "class_node_off": class_node_off,
             "class_nodes": list(map(renumber, class_nodes)),
             "class_parent_off": class_parent_off,
@@ -1313,7 +1363,7 @@ class DenseEGraph:
         The columns become the node table as they are (wire node index ==
         node id), so no :class:`ENode` is built.  Every column is checked
         first — lengths, monotone offsets, index ranges, operator arities,
-        table types and uniqueness, and that the union-find array is
+        tables (:func:`read_node_columns`), and that the union-find array is
         path-compressed (so ``find`` cannot loop) — and a malformed input
         raises ``KeyError``, ``TypeError`` or ``ValueError`` before any
         graph exists.  The node interning table and the operator index are
@@ -1328,32 +1378,9 @@ class DenseEGraph:
         size = len(uf)
         if list(map(uf.__getitem__, uf)) != uf:
             raise ValueError("union-find array is not path-compressed")
-        ops = columns["ops"]
-        payloads = columns["payloads"]
-        if type(ops) is not list or type(payloads) is not list:
-            raise TypeError("operator/payload tables must be lists")
-        if not set(map(type, ops)) <= {str}:
-            raise TypeError("operator names must be strings")
-        if not set(map(type, payloads)) <= set(PAYLOAD_TYPES):
-            raise TypeError("payloads must be JSON scalars")
-        op_ids = dict(zip(ops, range(len(ops))))
-        payload_ids = dict(zip(payloads, range(len(payloads))))
-        if len(op_ids) != len(ops) or len(payload_ids) != len(payloads):
-            raise ValueError("duplicate operator or payload table entry")
-        node_op = _int_column(columns, "node_op", length=sizes["node_op"],
-                              high=len(ops))
+        ops, payloads, node_op, node_payload, node_off, node_child = \
+            read_node_columns(columns, size, sizes["node_op"])
         count = len(node_op)
-        node_payload = _int_column(columns, "node_payload", length=count,
-                                   high=len(payloads))
-        node_off = _offset_column(columns, "node_off", count)
-        node_child = _int_column(columns, "node_child",
-                                 length=node_off[-1], high=size)
-        for op_id, arity in sorted(set(zip(node_op, map(
-                sub, islice(node_off, 1, None), node_off)))):
-            expected = OPERATOR_ARITIES.get(ops[op_id])
-            if expected is not None and expected != arity:
-                raise ValueError(f"operator {ops[op_id]!r} expects "
-                                 f"{expected} children, got {arity}")
         class_ids = _roots(uf)
         class_node_off = _offset_column(columns, "class_node_off",
                                         len(class_ids))
@@ -1389,10 +1416,10 @@ class DenseEGraph:
         graph = cls()
         graph._uf = list(uf)
         graph._op_names = list(ops)
-        graph._op_ids = op_ids
+        graph._op_ids = dict(zip(ops, range(len(ops))))
         graph._rank_ops()
         graph._payloads = list(payloads)
-        graph._payload_ids = payload_ids
+        graph._payload_ids = dict(zip(payloads, range(len(payloads))))
         graph._rank_payloads()
         graph._node_op = list(node_op)
         graph._node_payload = list(node_payload)

@@ -98,13 +98,6 @@ class ENode:
             return self
         return ENode(self.op, new_children, self.payload)
 
-    def map_children(self, func) -> "ENode":
-        """Return a copy with ``func`` applied to every child id."""
-        if not self.children:
-            return self
-        return ENode(self.op, tuple(func(child) for child in self.children),
-                     self.payload)
-
     def __str__(self) -> str:
         if self.op == Op.VAR:
             return str(self.payload)

@@ -143,10 +143,6 @@ class ExtractionResult:
         """Return the chosen e-node of a class."""
         return self.choice(class_id).node
 
-    def cost_of(self, class_id: int) -> float:
-        """Return the extraction cost of a class."""
-        return self.choice(class_id).cost
-
     def reachable_classes(self, roots: Sequence[int]) -> List[int]:
         """Return all classes reachable from ``roots`` through chosen nodes."""
         seen: List[int] = []

@@ -85,10 +85,6 @@ class CellLibrary:
         """Return all cell names."""
         return sorted(self._cells)
 
-    def cells_of_arity(self, arity: int) -> List[Cell]:
-        """Return the cells with the given number of inputs."""
-        return [cell for cell in self._cells.values() if cell.num_inputs == arity]
-
     def match_table(self, max_arity: int = 4
                     ) -> Dict[Tuple[int, int], List[Tuple[Cell, Tuple[int, ...], bool]]]:
         """Build the mapper's match index.

@@ -248,10 +248,6 @@ class JobSpec:
         base = defaults if defaults is not None else BoolEOptions()
         return dataclasses.replace(base, **self.options)
 
-    def options_signature(self) -> Tuple[Tuple[str, object], ...]:
-        """Hashable identity of the overrides (pipeline-cache key)."""
-        return tuple(sorted(self.options.items()))
-
     def to_payload(self) -> Dict:
         payload: Dict = {
             "name": self.name,

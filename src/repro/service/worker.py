@@ -202,6 +202,9 @@ class ServiceWorker:
                          taken_over_from=lease.taken_over_from)
         service.save(record)
 
+        # Set when another worker takes the lease over: from then on the
+        # record is theirs to write, whether this run succeeds or fails.
+        deposed = threading.Event()
         try:
             pipeline, aig, plan = service.plan_spec(record.spec)
             now = time.time()
@@ -211,7 +214,6 @@ class ServiceWorker:
             service.save(record)
 
             stop = threading.Event()
-            deposed = threading.Event()
             beat = threading.Thread(target=self._heartbeat_loop,
                                     args=(lease, stop, deposed), daemon=True)
             beat.start()
@@ -221,9 +223,8 @@ class ServiceWorker:
                 stop.set()
                 beat.join()
             if deposed.is_set():
-                # Another worker took the stale-looking lease over; the
-                # terminal state is theirs to write.  Our artifacts are
-                # content-addressed, so nothing needs undoing.
+                # Our artifacts are content-addressed, so nothing needs
+                # undoing.
                 return None
 
             now = time.time()
@@ -247,6 +248,8 @@ class ServiceWorker:
             self.jobs_completed += 1
             return record.job_id
         except Exception as error:  # noqa: BLE001 - terminal state capture
+            if deposed.is_set():
+                return None
             now = time.time()
             record.state = STATE_FAILED
             record.updated = now

@@ -14,7 +14,9 @@ Design points:
   offsets, hashcons, seqs) and decoded straight back into a
   :class:`~repro.egraph.DenseEGraph` — no :class:`~repro.egraph.ENode` is
   built on either side.  Object-engine graphs reach the codec through
-  :func:`~repro.egraph.as_engine`.
+  :func:`~repro.egraph.as_engine`.  The ``kind="extraction"`` wire form
+  keeps its chosen nodes in the same node columns
+  (:func:`~repro.egraph.dense.write_node_columns`).
 * **Blobs.**  Every list of plain ints in a payload (the columns above,
   and any other long enough) leaves the JSON and is stored as a packed
   little-endian array after it, so writing and reading a snapshot costs
@@ -50,19 +52,17 @@ import sys
 import tempfile
 import zlib
 from array import array
-from itertools import chain, compress
-from operator import countOf, itemgetter
+from itertools import chain, compress, islice
+from operator import countOf
 from pathlib import Path
-from typing import (TYPE_CHECKING, AbstractSet, Any, Callable, Dict,
-                    Hashable, Iterable, List, Optional, Sequence, Tuple,
-                    Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
+                    Optional, Sequence, Tuple, Union)
 
 from ..aig import AIG, AndGate
 
 if TYPE_CHECKING:  # import cycle: repro.core imports repro.store
     from ..core.extraction import BoolEExtraction
 from ..egraph import (
-    OPERATOR_ARITIES,
     BackoffScheduler,
     DenseEGraph,
     EGraph,
@@ -75,7 +75,8 @@ from ..egraph import (
     StopReason,
     as_engine,
 )
-from ..egraph.dense import PAYLOAD_TYPES
+from ..egraph.dense import (PAYLOAD_TYPES, read_node_columns,
+                            write_node_columns)
 
 __all__ = [
     "CODEC_VERSION",
@@ -130,7 +131,10 @@ __all__ = [
 #: v5: the file is a JSON skeleton plus packed little-endian blobs, one
 #: per list of plain ints in the payload (:func:`write_snapshot`), deflated
 #: at level 1.  The wire dicts themselves are unchanged.
-CODEC_VERSION = 5
+#:
+#: v6: the extraction wire form is the e-graph's node columns plus four
+#: parallel entry columns, replacing its private payload table and rows.
+CODEC_VERSION = 6
 
 SNAPSHOT_FORMAT = "repro.store/snapshot"
 
@@ -173,58 +177,6 @@ class SnapshotVersionError(SnapshotError):
 
 
 # ----------------------------------------------------------------------
-# E-node interning
-# ----------------------------------------------------------------------
-class _NodeTable:
-    """Interns operators, leaf payloads and e-nodes into index tables."""
-
-    def __init__(self) -> None:
-        self.ops: List[str] = []
-        self._op_index: Dict[str, int] = {}
-        self.payloads: List[List] = []
-        self._payload_index: Dict[Tuple[str, Hashable], int] = {}
-        self.nodes: List[List] = []
-        self._node_index: Dict[ENode, int] = {}
-
-    def _intern_op(self, op: str) -> int:
-        index = self._op_index.get(op)
-        if index is None:
-            index = self._op_index[op] = len(self.ops)
-            self.ops.append(op)
-        return index
-
-    def _intern_payload(self, payload: Hashable) -> int:
-        if payload is None:
-            return -1
-        if isinstance(payload, bool):
-            tag = "b"
-        elif isinstance(payload, str):
-            tag = "s"
-        elif isinstance(payload, int):
-            tag = "i"
-        else:
-            raise SnapshotError(
-                f"cannot serialize e-node payload of type "
-                f"{type(payload).__name__!r} (supported: str, bool, int)")
-        wire = [tag, payload]
-        key = (tag, payload)
-        index = self._payload_index.get(key)
-        if index is None:
-            index = self._payload_index[key] = len(self.payloads)
-            self.payloads.append(wire)
-        return index
-
-    def intern(self, node: ENode) -> int:
-        index = self._node_index.get(node)
-        if index is None:
-            index = self._node_index[node] = len(self.nodes)
-            self.nodes.append([self._intern_op(node.op),
-                               list(node.children),
-                               self._intern_payload(node.payload)])
-        return index
-
-
-# ----------------------------------------------------------------------
 # Strict wire readers
 # ----------------------------------------------------------------------
 # The report, checkpoint and extraction decoders accept exactly what their
@@ -258,25 +210,13 @@ def _int(value: Any, what: str, low: int = 0,
     return value
 
 
-def _ints(value: Any, what: str, low: int = 0,
-          high: Optional[int] = None) -> List[int]:
-    """A list of ints in ``[low, high)``, checked with O(n) builtins."""
+def _ints(value: Any, what: str) -> List[int]:
+    """A list of non-negative ints, checked with O(n) builtins."""
     column = _list(value, what)
-    if countOf(map(type, column), int) != len(column) or (column and (
-            min(column) < low or (high is not None
-                                  and max(column) >= high))):
-        raise SnapshotError(f"{what} must be ints in [{low}, "
-                            f"{'inf' if high is None else high})")
+    if countOf(map(type, column), int) != len(column) or (
+            column and min(column) < 0):
+        raise SnapshotError(f"{what} must be non-negative ints")
     return column
-
-
-def _columns(value: Any, what: str, width: int) -> List[List]:
-    """A list of ``width``-entry lists, transposed into ``width`` columns."""
-    rows = _list(value, what)
-    if countOf(map(type, rows), list) != len(rows) or not set(
-            map(len, rows)) <= {width}:
-        raise SnapshotError(f"{what} must be lists of {width}")
-    return [list(map(itemgetter(index), rows)) for index in range(width)]
 
 
 def _of(value: Any, kind: type, what: str) -> Any:
@@ -311,12 +251,6 @@ def _ascending(ids: List[int], what: str) -> List[int]:
     return ids
 
 
-def _first_use(indices: Iterable[int], count: int, what: str) -> None:
-    """An interning table lists its entries in order of first use."""
-    if list(dict.fromkeys(indices)) != list(range(count)):
-        raise SnapshotError(f"{what} table is not in first-use order")
-
-
 def _known_classes(egraph: Any, ids: Iterable[int], what: str, *,
                    canonical: bool) -> None:
     """Every id must be allocated in ``egraph`` (and a current class when
@@ -330,52 +264,20 @@ def _known_classes(egraph: Any, ids: Iterable[int], what: str, *,
             raise SnapshotError(f"{what} names unknown class {class_id}")
 
 
-def _payload(wire: Any) -> Hashable:
-    tag, value = _list(wire, "payload", 2)
-    kind = {"b": bool, "s": str, "i": int}.get(tag) if type(tag) is str \
-        else None
-    if kind is None:
-        raise SnapshotError(f"unknown payload tag {tag!r}")
-    return _of(value, kind, "payload value")
-
-
-def _nodes(wire: Dict, classes: AbstractSet[int]) -> List[ENode]:
-    """Decode a :class:`_NodeTable` (ops, payloads, nodes) exactly."""
-    ops = _list(wire["ops"], "operator table")
-    if countOf(map(type, ops), str) != len(ops) or len(set(ops)) != len(ops):
-        raise SnapshotError("operator table must hold distinct names")
-    payload_wires = _list(wire["payloads"], "payload table")
-    payloads = [_payload(entry) for entry in payload_wires]
-    if len(set(map(tuple, payload_wires))) != len(payloads):
-        raise SnapshotError("duplicate payload table entry")
-    op_indices, children, payload_indices = _columns(
-        wire["nodes"], "node table", 3)
-    _ints(op_indices, "node operator", high=len(ops))
-    _ints(payload_indices, "node payload", low=-1, high=len(payloads))
-    if countOf(map(type, children), list) != len(children) or not (
-            classes.issuperset(_ints(list(chain.from_iterable(children)),
-                                     "node child"))):
-        raise SnapshotError("node children must be lists of classes")
-    for op_index, arity in sorted(set(zip(op_indices, map(len, children)))):
-        expected = OPERATOR_ARITIES.get(ops[op_index])
-        if expected is not None and expected != arity:
-            raise SnapshotError(f"operator {ops[op_index]!r} expects "
-                                f"{expected} children")
-    _first_use(op_indices, len(ops), "operator")
-    _first_use([index for index in payload_indices if index >= 0],
-               len(payloads), "payload")
-    nodes = [ENode(ops[op_index], tuple(kids),
-                   None if payload_index < 0 else payloads[payload_index])
-             for op_index, kids, payload_index
-             in zip(op_indices, children, payload_indices)]
-    if len(set(nodes)) != len(nodes):
-        raise SnapshotError("duplicate node table entry")
-    return nodes
-
-
 # ----------------------------------------------------------------------
 # E-graph wire form
 # ----------------------------------------------------------------------
+def _serializable(columns: Dict) -> Dict:
+    """``columns`` (from :func:`~repro.egraph.dense.write_node_columns`)
+    when every payload of its table is a JSON scalar."""
+    for payload in columns["payloads"]:
+        if not isinstance(payload, PAYLOAD_TYPES):
+            raise SnapshotError(
+                f"cannot serialize e-node payload of type "
+                f"{type(payload).__name__!r} (supported: str, bool, int)")
+    return columns
+
+
 def egraph_to_wire(egraph: Union[EGraph, DenseEGraph]) -> Dict:
     """Encode the complete e-graph state as flat JSON columns.
 
@@ -383,13 +285,7 @@ def egraph_to_wire(egraph: Union[EGraph, DenseEGraph]) -> Dict:
     :func:`~repro.egraph.as_engine`, which preserves every bit of state,
     so both engines write identical columns.
     """
-    wire = as_engine(egraph, "dense").to_columns()
-    for payload in wire["payloads"]:
-        if not isinstance(payload, PAYLOAD_TYPES):
-            raise SnapshotError(
-                f"cannot serialize e-node payload of type "
-                f"{type(payload).__name__!r} (supported: str, bool, int)")
-    return wire
+    return _serializable(as_engine(egraph, "dense").to_columns())
 
 
 def egraph_from_wire(wire: Dict) -> DenseEGraph:
@@ -433,24 +329,36 @@ def aig_from_wire(wire: Dict) -> AIG:
     )
 
 
+#: Fields of the extraction wire form: the chosen nodes' columns, the
+#: FA decode table and four parallel entry columns.
+_EXTRACTION_FIELDS = ("ops", "payloads", "node_op", "node_payload",
+                      "node_off", "node_child", "fa_index", "entry_class",
+                      "entry_node", "entry_size", "entry_fa_mask")
+
+
 def extraction_to_wire(extraction: "BoolEExtraction") -> Dict:
     """Encode a :class:`~repro.core.extraction.BoolEExtraction`.
 
-    Chosen e-nodes are interned exactly like e-graph snapshots; each entry
-    stores ``(class id, node index, size, fa_mask)`` with the shared
-    ``fa_index`` decode table alongside.  Entries are written in ascending
-    class-id order so identical extractions produce identical wire bytes.
+    The chosen e-nodes become node columns exactly like an e-graph
+    snapshot's (:func:`~repro.egraph.dense.write_node_columns`), in order
+    of first use; entry ``i`` is ``entry_class[i]``, ``entry_node[i]``,
+    ``entry_size[i]`` and ``entry_fa_mask[i]`` (a bitmask over
+    ``fa_index``), in ascending class-id order so identical extractions
+    produce identical wire bytes.
     """
-    table = _NodeTable()
-    entries = [[class_id, table.intern(entry.node), entry.size, entry.fa_mask]
-               for class_id, entry in sorted(extraction.entries.items())]
-    return {
-        "ops": table.ops,
-        "payloads": table.payloads,
-        "nodes": table.nodes,
-        "fa_index": list(extraction.fa_index),
-        "entries": entries,
-    }
+    entries = sorted(extraction.entries.items())
+    nodes = list(dict.fromkeys(entry.node for _, entry in entries))
+    node_index = dict(zip(nodes, range(len(nodes))))
+    wire = _serializable(write_node_columns(
+        [node.op for node in nodes], [node.payload for node in nodes],
+        [node.children for node in nodes]))
+    wire.update(
+        fa_index=list(extraction.fa_index),
+        entry_class=[class_id for class_id, _ in entries],
+        entry_node=[node_index[entry.node] for _, entry in entries],
+        entry_size=[entry.size for _, entry in entries],
+        entry_fa_mask=[entry.fa_mask for _, entry in entries])
+    return wire
 
 
 def extraction_from_wire(wire: Dict, egraph: EGraph) -> "BoolEExtraction":
@@ -470,32 +378,41 @@ def extraction_from_wire(wire: Dict, egraph: EGraph) -> "BoolEExtraction":
     # packages are loaded).
     from ..core.extraction import BoolEExtraction, CostEntry
 
-    _fields(wire, ("ops", "payloads", "nodes", "fa_index", "entries"),
-            "extraction")
+    _fields(wire, _EXTRACTION_FIELDS, "extraction")
     classes = set(egraph.class_ids())
-    nodes = _nodes(wire, classes)
+    try:
+        ops, payloads, node_op, node_payload, node_off, node_child = \
+            read_node_columns(wire, None)
+    except (TypeError, ValueError) as error:
+        raise SnapshotError(
+            f"malformed extraction node columns: {error!r}") from error
+    if not classes.issuperset(node_child):
+        raise SnapshotError("node child is not a class")
+    nodes = [ENode(ops[op_id], tuple(node_child[low:high]),
+                   payloads[payload_id])
+             for op_id, payload_id, low, high in zip(
+                 node_op, node_payload, node_off, islice(node_off, 1, None))]
+    if len(set(nodes)) != len(nodes):
+        raise SnapshotError("duplicate node table entry")
     fa_index = tuple(_ints(wire["fa_index"], "fa_index"))
     if len(set(fa_index)) != len(fa_index) or not classes.issuperset(
             fa_index):
         raise SnapshotError("fa_index must list distinct classes")
-    class_ids, node_indices, sizes, fa_masks = _columns(
-        wire["entries"], "extraction entries", 4)
-    if not classes.issuperset(_ints(class_ids, "entry class")):
+    entries = [_ints(wire[name], name) for name in _EXTRACTION_FIELDS[-4:]]
+    if len(set(map(len, entries))) != 1:
+        raise SnapshotError("entry columns differ in length")
+    class_ids, node_indices, _, fa_masks = entries
+    if not classes.issuperset(class_ids):
         raise SnapshotError("entry class is not a class")
     _ascending(class_ids, "entry classes")
-    _ints(node_indices, "entry node", high=len(nodes))
-    _ints(sizes, "entry size")
-    if max(_ints(fa_masks, "entry fa_mask"), default=0).bit_length() > len(
-            fa_index):
+    if list(dict.fromkeys(node_indices)) != list(range(len(nodes))):
+        raise SnapshotError("entry nodes are not in first-use order")
+    if max(fa_masks, default=0).bit_length() > len(fa_index):
         raise SnapshotError("entry fa_mask exceeds fa_index")
-    _first_use(node_indices, len(nodes), "node")
-    extraction = BoolEExtraction(egraph=egraph, fa_index=fa_index)
-    for class_id, node_index, size, fa_mask in zip(
-            class_ids, node_indices, sizes, fa_masks):
-        extraction.entries[class_id] = CostEntry(
-            fa_mask=fa_mask, size=size, node=nodes[node_index],
-            fa_index=fa_index)
-    return extraction
+    return BoolEExtraction(egraph=egraph, fa_index=fa_index, entries={
+        class_id: CostEntry(fa_mask=fa_mask, size=size,
+                            node=nodes[node_index], fa_index=fa_index)
+        for class_id, node_index, size, fa_mask in zip(*entries)})
 
 
 # ----------------------------------------------------------------------

@@ -51,7 +51,7 @@ CASES = {
 #: matching-mode options, then the rule-variant and pruning switches; and
 #: once more when the R2 sorted-children appliers became ``(xor3 ...)`` /
 #: ``(maj ...)`` right-hand sides (the ruleset fingerprint covers them);
-#: and for the codec v5 bump (the codec version salts every key).
+#: and for the codec v5 and v6 bumps (the codec version salts every key).
 GOLDEN = {
     "booth4": {
         "egraph_sha256":
@@ -65,7 +65,7 @@ GOLDEN = {
             "310cf9d9227671a0857924cd3e8350fadf3ed701cb87c9a4c818f4ad3881c705",
         "r2_unions": 14337,
         "store_key":
-            "b1f480cb534e2d4a4f0a52e0c07f72eafb0acd8d09de483107b91ee95e3b8c7e",
+            "5823b986734002f182c0048ee6f053531a9cb7adb961a50b9c26153a3fdfe4f8",
     },
     "csa4": {
         "egraph_sha256":
@@ -79,7 +79,7 @@ GOLDEN = {
             "5b1f6574b4a183061ffa39849de9b20a5577810b9e88bebea5f7e672d87fdd6b",
         "r2_unions": 6289,
         "store_key":
-            "cc90982ca912075bfecf7be1350182cb9918348662c8ad28c35653e1f32c594e",
+            "7281b1fe61edd6794237142f8d55ba8eb16bb12378cb9159942cefb6c8767a8e",
     },
     "csa4-banned": {
         "egraph_sha256":
@@ -93,7 +93,7 @@ GOLDEN = {
             "ce8e00a973878d93ba92dd1d020856ab8675d2a67e59d112ab36070985b8970c",
         "r2_unions": 988,
         "store_key":
-            "72fc6f45893e4e43bcea865d82271dfa6d2920a3eea5c94bdb39694d227b6610",
+            "8c19354d6133af6caf9722925871f43ef3020513e08edd5d7d6f6162ff598a51",
     },
     "csa4-python": {
         "egraph_sha256":
@@ -107,7 +107,7 @@ GOLDEN = {
             "5b1f6574b4a183061ffa39849de9b20a5577810b9e88bebea5f7e672d87fdd6b",
         "r2_unions": 6289,
         "store_key":
-            "cc90982ca912075bfecf7be1350182cb9918348662c8ad28c35653e1f32c594e",
+            "7281b1fe61edd6794237142f8d55ba8eb16bb12378cb9159942cefb6c8767a8e",
     },
 }
 

@@ -15,6 +15,7 @@ import os
 import socket
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -262,6 +263,37 @@ class TestJobService:
         again = service.submit(fast_request())
         assert again["state"] == STATE_QUEUED
 
+
+    def test_deposed_worker_failure_leaves_new_owner_record(
+            self, tmp_path, monkeypatch):
+        """A run that raises after another worker took the lease over must
+        not save its stale copy of the record as failed."""
+        service = JobService(tmp_path / "store")
+        job_id = service.submit(fast_request())["job_id"]
+        worker = ServiceWorker(service.store, ttl=0.2)
+        lost = threading.Event()
+
+        def heartbeat(lease):
+            lost.set()
+            return False
+
+        def run(pipeline, aig, store=None):
+            assert lost.wait(10)
+            # The heir's claim lands while the deposed run is still going.
+            heir = service.load(job_id)
+            heir.worker = "heir"
+            heir.add_event("claimed", time.time(), worker="heir")
+            service.save(heir)
+            raise RuntimeError("deposed run fails")
+
+        monkeypatch.setattr(worker.leases, "heartbeat", heartbeat)
+        monkeypatch.setattr(BoolEPipeline, "run", run)
+        assert worker.run_once() is None
+        record = service.load(job_id)
+        assert record.state == STATE_RUNNING and record.error is None
+        assert record.worker == "heir"
+        assert record.events[-1]["event"] == "claimed"
+        assert record.events[-1]["worker"] == "heir"
 
 # ----------------------------------------------------------------------
 # Leases

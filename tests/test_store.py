@@ -647,6 +647,9 @@ class TestWireDecodeFuzz:
 
     def test_intact_payloads_round_trip(self):
         extraction = json.loads(_extraction_payload_text())["extraction"]
+        # Flat columns only: the node and entry rows are gone since v6.
+        assert all(type(column) is list and list not in map(type, column)
+                   for column in extraction.values())
         egraph = egraph_from_wire(
             json.loads(_saturated_payload_text())["egraph"])
         assert extraction_to_wire(
@@ -691,13 +694,72 @@ class TestWireDecodeFuzz:
             checkpoint_to_wire, wire)
 
 
+def _extraction_blob_paths(store, key):
+    """The ``extraction`` keys a stored artifact packs as blobs."""
+    head, _, _ = gzip.decompress(
+        store.path_for(key).read_bytes()).partition(b"\n")
+    return {path[2] for path, _, _ in json.loads(head)["blobs"]
+            if path[:2] == ["payload", "extraction"]}
+
+
+def _swap_first_two(column):
+    column[0], column[1] = column[1], column[0]
+
+
+def _non_class_child(wire, egraph):
+    classes = set(egraph.class_ids())
+    wire["node_child"][0] = min(set(range(max(classes))) - classes)
+
+
+def _ops_reversed(wire, _):
+    """The same nodes over a reversed operator table."""
+    last = len(wire["ops"]) - 1
+    wire["ops"].reverse()
+    wire["node_op"][:] = [last - op_id for op_id in wire["node_op"]]
+
+
+def _last_node_duplicated(wire, _):
+    """The last node overwritten with a copy of the one before it."""
+    offsets = wire["node_off"]
+    low, high = offsets[-3], offsets[-2]
+    wire["node_child"][high:] = wire["node_child"][low:high]
+    offsets[-1] = 2 * high - low
+    for column in ("node_op", "node_payload"):
+        wire[column][-1] = wire[column][-2]
+
+
+#: One malformed extraction wire form per check of the decoder: each is
+#: a SnapshotError, never a restored extraction.
+_MALFORMED_EXTRACTIONS = {
+    "entry-columns-unequal": lambda wire, _: wire["entry_size"].pop(),
+    "entry-node-out-of-range": lambda wire, _: wire["entry_node"].__setitem__(
+        0, len(wire["node_op"])),
+    "entry-node-not-first-use": lambda wire, _: _swap_first_two(
+        wire["entry_node"]),
+    "entry-class-unsorted": lambda wire, _: _swap_first_two(
+        wire["entry_class"]),
+    "child-not-a-class": _non_class_child,
+    "mask-beyond-fa-index": lambda wire, _: wire["entry_fa_mask"].__setitem__(
+        0, 1 << len(wire["fa_index"])),
+    "bool-in-node-column": lambda wire, _: wire["node_op"].__setitem__(
+        0, True),
+    "duplicate-op": lambda wire, _: wire["ops"].append(wire["ops"][0]),
+    "duplicate-payload": lambda wire, _: wire["payloads"].append(
+        wire["payloads"][0]),
+    "op-table-not-first-use": _ops_reversed,
+    "duplicate-node": _last_node_duplicated,
+}
+
+
 class TestMalformedExtractionArtifact:
-    @pytest.mark.parametrize("field, value", [
-        ("node_index", -1), ("fa_mask", "3"), ("size", True)])
-    def test_malformed_entry_is_recomputed_not_served(
-            self, tmp_path, field, value):
-        """A well-formed file whose extraction entry is garbage must not be
-        restored as an extraction cache hit."""
+    #: Entry field -> the column that holds it.
+    COLUMNS = {"node_index": "entry_node", "size": "entry_size",
+               "fa_mask": "entry_fa_mask"}
+
+    def _assert_recomputed(self, tmp_path, tamper):
+        """Store a cold run's extraction artifact after ``tamper(wire,
+        egraph)`` edits it: it must no longer decode, and a rerun must
+        recompute the extraction instead of serving it."""
         store = ArtifactStore(tmp_path)
         pipeline = BoolEPipeline(BoolEOptions(r1_iterations=2,
                                               r2_iterations=2), store=store)
@@ -706,14 +768,40 @@ class TestMalformedExtractionArtifact:
         (entry,) = [entry for entry in store.entries()
                     if entry.kind == KIND_EXTRACTION]
         payload = store.get(entry.key, expected_kind=KIND_EXTRACTION)
-        position = ("class_id", "node_index", "size", "fa_mask").index(field)
-        payload["extraction"]["entries"][0][position] = value
+        tamper(payload["extraction"], cold.construction.egraph)
         store.put(entry.key, payload, kind=KIND_EXTRACTION, meta=entry.meta)
-
+        with pytest.raises(SnapshotError):
+            extraction_from_wire(
+                store.get(entry.key)["extraction"], cold.construction.egraph)
         rerun = pipeline.run(aig)
         assert rerun.cache_hit and not rerun.extraction_cache_hit
         assert rerun.fa_blocks == cold.fa_blocks
         assert rerun.extracted_aig.gates == cold.extracted_aig.gates
+
+    @pytest.mark.parametrize("field, value", [
+        ("node_index", -1), ("fa_mask", "3"), ("size", True)])
+    def test_malformed_entry_is_recomputed_not_served(
+            self, tmp_path, field, value):
+        """A well-formed file whose extraction entry is garbage must not be
+        restored as an extraction cache hit."""
+        self._assert_recomputed(
+            tmp_path, lambda wire, _: wire[self.COLUMNS[field]].__setitem__(
+                0, value))
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED_EXTRACTIONS))
+    def test_each_column_check_raises_and_recomputes(self, tmp_path, case):
+        self._assert_recomputed(tmp_path, _MALFORMED_EXTRACTIONS[case])
+
+    def test_csa8_artifact_packs_entry_and_node_columns(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        BoolEPipeline(BoolEOptions(r1_iterations=2, r2_iterations=2),
+                      store=store).run(post_mapping_flow(
+                          csa_multiplier(8).aig))
+        (entry,) = [entry for entry in store.entries()
+                    if entry.kind == KIND_EXTRACTION]
+        assert _extraction_blob_paths(store, entry.key) >= {
+            "entry_class", "entry_node", "entry_size", "node_op",
+            "node_payload", "node_off", "node_child"}
 
 
 class TestSchedulerRoundTrip:
