@@ -18,7 +18,7 @@ from repro.egraph import Runner, RunnerLimits
 
 def _single_phase(aig, iterations: int):
     construction = aig_to_egraph(aig)
-    rules = basic_rules(True) + identification_rules(True)
+    rules = basic_rules(True) + identification_rules()
     limits = RunnerLimits(max_iterations=iterations, max_nodes=400_000,
                           time_limit=120.0)
     Runner(limits).run(construction.egraph, rules)
@@ -33,7 +33,7 @@ def _two_phase(aig, r1_iterations: int, r2_iterations: int):
     limits2 = RunnerLimits(max_iterations=r2_iterations, max_nodes=400_000,
                            time_limit=120.0)
     Runner(limits1).run(construction.egraph, basic_rules(True))
-    Runner(limits2).run(construction.egraph, identification_rules(True))
+    Runner(limits2).run(construction.egraph, identification_rules())
     report = insert_fa_structures(construction.egraph)
     return report.num_exact_fas, construction.egraph.num_nodes
 

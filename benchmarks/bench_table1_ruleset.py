@@ -16,7 +16,7 @@ def test_table1_ruleset_counts(benchmark):
 
     def run():
         summary.clear()
-        summary.update(ruleset_summary(lightweight=False, include_variants=True))
+        summary.update(ruleset_summary(lightweight=False))
         aig = AIG()
         a, b, c = (aig.add_input(name) for name in "abc")
         s, carry = aig.full_adder(a, b, c)

@@ -15,16 +15,55 @@ from typing import Callable, Dict, Hashable, List, Optional, Tuple
 from ..aig import AIG, lit_is_compl, lit_not, lit_var
 from ..egraph import EGraph, ENode, Op
 
-__all__ = ["ConstructionResult", "PlannedConstruction", "aig_to_egraph",
-           "planned_construction"]
+__all__ = ["ConstructionResult", "DeferredEGraph", "PlannedConstruction",
+           "aig_to_egraph", "planned_construction"]
+
+
+class DeferredEGraph:
+    """An ``egraph`` attribute that may be loaded on first access.
+
+    A fully warm pipeline run serves its answer from the extraction
+    artifact alone; the saturated e-graph that answer refers to stays in
+    the store until a caller reads ``egraph``, which then calls the loader
+    once (see :meth:`defer_egraph`).
+    """
+
+    _egraph: Optional[EGraph] = None
+    _load_egraph: Optional[Callable[[], EGraph]] = None
+
+    @property
+    def egraph(self) -> EGraph:
+        if self._egraph is None:
+            if self._load_egraph is None:
+                raise AttributeError("no e-graph is attached")
+            self._egraph = self._load_egraph()
+            self._load_egraph = None
+        return self._egraph
+
+    @egraph.setter
+    def egraph(self, egraph: EGraph) -> None:
+        self._egraph = egraph
+        self._load_egraph = None
+
+    @property
+    def egraph_loaded(self) -> bool:
+        """True once the e-graph is in memory (no loader left to call)."""
+        return self._egraph is not None
+
+    def defer_egraph(self, load: Callable[[], EGraph]) -> None:
+        """Drop the e-graph; ``load()`` supplies it on the next access."""
+        self._egraph = None
+        self._load_egraph = load
 
 
 @dataclass
-class ConstructionResult:
+class ConstructionResult(DeferredEGraph):
     """The e-graph built from an AIG plus signal bookkeeping.
 
     Attributes:
-        egraph: the constructed e-graph.
+        egraph: the constructed e-graph (loaded on first access when the
+            construction was restored from an extraction artifact, see
+            :class:`DeferredEGraph`).
         aig: the source netlist.
         class_of_var: map from AIG variable index to its e-class id (as
             created; call ``egraph.find`` before using after saturation).
@@ -34,7 +73,7 @@ class ConstructionResult:
             (positive literals always present; complemented ones when used).
     """
 
-    egraph: EGraph
+    egraph: EGraph = field(repr=False, compare=False)
     aig: AIG
     class_of_var: Dict[int, int] = field(default_factory=dict)
     output_classes: List[int] = field(default_factory=list)

@@ -60,7 +60,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 
 from ..aig import AIG
 from ..egraph import EGraph, ENode, Op, as_engine
-from .construct import ConstructionResult
+from .construct import ConstructionResult, DeferredEGraph
 
 __all__ = ["CostEntry", "BoolEExtraction", "BoolEExtractor", "FABlockRecord",
            "reconstruct_aig"]
@@ -100,14 +100,16 @@ class CostEntry:
 
 
 @dataclass
-class BoolEExtraction:
+class BoolEExtraction(DeferredEGraph):
     """Result of the DAG extraction: one cost entry per reachable e-class.
 
     ``fa_index`` maps bitmask positions back to FA e-class ids (shared by
-    every entry's :attr:`CostEntry.fa_mask`).
+    every entry's :attr:`CostEntry.fa_mask`).  ``egraph`` is the graph the
+    entries' class ids refer to; an extraction restored from the store
+    loads it on first access (:class:`~repro.core.construct.DeferredEGraph`).
     """
 
-    egraph: EGraph
+    egraph: EGraph = field(repr=False, compare=False)
     entries: Dict[int, CostEntry] = field(default_factory=dict)
     fa_index: Tuple[int, ...] = ()
 
@@ -165,7 +167,8 @@ class BoolEExtractor:
         self.refine_rounds = refine_rounds
 
     def extract(self, egraph: EGraph,
-                roots: Optional[Sequence[int]] = None) -> BoolEExtraction:
+                roots: Optional[Sequence[int]] = None, *,
+                start: Optional[BoolEExtraction] = None) -> BoolEExtraction:
         """Run the bottom-up cost propagation (Algorithm 2).
 
         A topological (Kahn) first pass evaluates each e-node as soon as all
@@ -178,6 +181,15 @@ class BoolEExtractor:
         only for each class's chosen node.  An object-engine graph is
         converted with :func:`~repro.egraph.as_engine` first; the result
         keeps the graph it was given.
+
+        ``start`` is a single-pass (``refine_rounds=0``) extraction of the
+        same graph under the same cost table, such as the stored one a
+        warm run finds: its entries are the first pass's choices and
+        repaired values, so the refinement rounds start from them instead
+        of recomputing the pass.  The first pass is deterministic, so the
+        result is identical; a ``start`` that does not fit the graph (a
+        different ``fa_index``, a class or chosen node the graph lacks) is
+        ignored.
         """
         egraph.rebuild()
         graph = as_engine(egraph, "dense")
@@ -374,8 +386,49 @@ class BoolEExtractor:
                         queue.append(user)
             return repaired
 
-        propagate(node_id for node_id in range(num_nodes)
-                  if not waiting[node_id])
+        def resume(start: BoolEExtraction) -> bool:
+            """Load ``start`` as the first pass's outcome: choices, values
+            and the Kahn counters they leave (a node waits on its child
+            classes without an entry).  False, with nothing changed, when
+            ``start`` does not fit this graph."""
+            if start.fa_index != tuple(fa_index):
+                return False
+            op_of = dict(zip(op_names, range(len(op_names))))
+            payloads = table.payloads
+            chosen = []
+            for class_id, entry in start.entries.items():
+                position = class_index.get(class_id)
+                node = entry.node
+                if position is None or node.op not in op_of:
+                    return False
+                op_id = op_of[node.op]
+                kids = tuple(map(class_index.get, node.children))
+                for node_id in range(class_off[position],
+                                     class_off[position + 1]):
+                    if (node_op[node_id] == op_id
+                            and children[node_id] == kids
+                            and payloads[node_payload[graph_nodes[node_id]]]
+                            == node.payload):
+                        chosen.append((position, node_id, entry))
+                        break
+                else:
+                    return False
+            for position, node_id, entry in chosen:
+                choice[position] = node_id
+                best_mask[position] = entry.fa_mask
+                best_size[position] = entry.size
+                best_count[position] = entry.fa_mask.bit_count()
+            for node_id, kids in enumerate(children):
+                if kids:
+                    waiting[node_id] = len({child for child in kids
+                                            if choice[child] < 0})
+            return True
+
+        if start is None or not resume(start):
+            propagate(node_id for node_id in range(num_nodes)
+                      if not waiting[node_id])
+        # Repair is idempotent on repaired values: after ``resume`` it
+        # only recomputes the repaired-class bitmap.
         repaired = repair()
 
         # ---- bounded choose→repair refinement ---------------------------

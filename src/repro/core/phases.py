@@ -37,10 +37,11 @@ from __future__ import annotations
 import time
 import weakref
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List,
                     Optional, Tuple, Union)
 
-from ..egraph import Op, Runner, RunnerCheckpoint, as_engine
+from ..egraph import Op, Runner, RunnerCheckpoint, RunnerReport, as_engine
 from ..store import (
     KIND_CHECKPOINT,
     KIND_EXTRACTION,
@@ -64,7 +65,7 @@ from .construct import ConstructionResult, aig_to_egraph, planned_construction
 if TYPE_CHECKING:  # circular: pipeline builds its phases from here
     from ..aig import AIG
     from .pipeline import BoolEOptions, BoolEPipeline
-from .extraction import FABlockRecord, reconstruct_aig
+from .extraction import BoolEExtraction, FABlockRecord, reconstruct_aig
 from .fa_structure import FAPair, FAInsertionReport, count_npn_fa_pairs, insert_fa_structures
 
 __all__ = [
@@ -184,9 +185,12 @@ class Phase:
     def cache_key(self, ctx: PhaseContext) -> Optional[str]:
         return None
 
-    def restorable(self, ctx: PhaseContext) -> bool:
-        """True when :meth:`from_wire` could decode against ``ctx`` now."""
-        return True
+    def prerequisites(self, ctx: PhaseContext
+                      ) -> Tuple[Tuple[str, str], ...]:
+        """``(key, kind)`` of the artifacts that must be in the store (only
+        present, never loaded) for this phase's boundary artifact to be
+        restored at this point of the walk."""
+        return ()
 
     def checkpoint_key(self, ctx: PhaseContext) -> Optional[str]:
         """Content key of this phase's mid-phase checkpoint artifact."""
@@ -382,6 +386,10 @@ class _ExecuteStep:
             ctx.timings[phase.load_timing] = time.perf_counter() - started
         return None
 
+    def present(self, key: str, kind: str) -> bool:
+        assert self.store is not None
+        return self.store.probe(key, expected_kind=kind)
+
     def run(self, ctx: PhaseContext, phase: Phase, resume: Any) -> None:
         phase.run(ctx, resume=resume)
 
@@ -415,6 +423,10 @@ class _PlanStep:
             if each.enabled(ctx):
                 each.plan_provide(ctx)
         return None
+
+    def present(self, key: str, kind: str) -> bool:
+        assert self.probe is not None
+        return self.probe(key, kind)
 
     def run(self, ctx: PhaseContext, phase: Phase, resume: Any) -> None:
         phase.plan_provide(ctx)
@@ -500,7 +512,11 @@ class PhaseGraph:
                     key, kind = phase.checkpoint_key(ctx), KIND_CHECKPOINT
                     covered = phases[index:j]
                 else:
-                    key = cache_key(phase) if phase.restorable(ctx) else None
+                    key = cache_key(phase)
+                    if key is not None and not all(
+                            step.present(*needed)
+                            for needed in phase.prerequisites(ctx)):
+                        key = None
                     kind, covered = phase.kind or "", phases[index:j + 1]
                 if key is not None:
                     token = step.attempt(ctx, covered, phase, kind, key)
@@ -570,8 +586,9 @@ def _construction_to_wire(construction: ConstructionResult) -> Dict:
 
 def _construction_from_wire(wire: Dict, egraph: Any,
                             aig: "AIG") -> ConstructionResult:
-    # ``egraph`` is a restored DenseEGraph; ConstructionResult is typed by
-    # the EGraph API, which both engines implement.
+    # ``egraph`` is a restored DenseEGraph (or ``None`` for one loaded
+    # later); ConstructionResult is typed by the EGraph API, which both
+    # engines implement.
     return ConstructionResult(
         egraph=egraph,
         aig=aig,
@@ -581,6 +598,52 @@ def _construction_from_wire(wire: Dict, egraph: Any,
         literal_classes={lit: class_id
                          for lit, class_id in wire["literal_classes"]},
     )
+
+
+def _untimed_report(report: RunnerReport) -> Dict:
+    """``report``'s wire form with its wall-clock fields zeroed."""
+    wire = report_to_wire(report)
+    wire["total_time"] = 0.0
+    for iteration in wire["iterations"]:
+        iteration["elapsed"] = 0.0
+    return wire
+
+
+def _saturation_to_wire(ctx: PhaseContext, *, timed: bool = True) -> Dict:
+    """Everything phases 1–4 publish except the e-graph itself: shared by
+    the saturated snapshot and the (self-contained) extraction artifact.
+    ``timed=False`` zeroes the reports' wall-clock fields, so an artifact
+    that embeds them stays a pure function of its key."""
+    fa_report: FAInsertionReport = ctx["fa_report"]
+    reports = report_to_wire if timed else _untimed_report
+    return {
+        "construction": _construction_to_wire(ctx["construction"]),
+        "r1_report": reports(ctx["r1_report"]),
+        "r2_report": reports(ctx["r2_report"]),
+        "fa_pairs": [[list(pair.inputs), pair.sum_class,
+                      pair.carry_class, pair.fa_class]
+                     for pair in fa_report.pairs],
+        "num_npn_fas": ctx["num_npn"],
+    }
+
+
+def _saturation_from_wire(payload: Dict, egraph: Any,
+                          aig: "AIG") -> Dict[str, Any]:
+    """Decode :func:`_saturation_to_wire` into context products (nothing is
+    published: a payload whose tail is malformed must leave the context
+    as it was)."""
+    return {
+        "construction": _construction_from_wire(
+            payload["construction"], egraph, aig),
+        "r1_report": report_from_wire(payload["r1_report"]),
+        "r2_report": report_from_wire(payload["r2_report"]),
+        "fa_report": FAInsertionReport(pairs=[
+            FAPair(inputs=tuple(inputs), sum_class=sum_class,
+                   carry_class=carry_class, fa_class=fa_class)
+            for inputs, sum_class, carry_class, fa_class
+            in payload["fa_pairs"]]),
+        "num_npn": payload["num_npn_fas"],
+    }
 
 
 class _BoolEPhase(Phase):
@@ -757,40 +820,15 @@ class InsertFAPhase(_BoolEPhase):
             ctx.timings["npn_count"] = time.perf_counter() - started
 
     def to_wire(self, ctx: PhaseContext) -> Dict:
-        construction: ConstructionResult = ctx["construction"]
-        fa_report: FAInsertionReport = ctx["fa_report"]
-        return {
-            "egraph": egraph_to_wire(construction.egraph),
-            "construction": _construction_to_wire(construction),
-            "r1_report": report_to_wire(ctx["r1_report"]),
-            "r2_report": report_to_wire(ctx["r2_report"]),
-            "fa_pairs": [[list(pair.inputs), pair.sum_class,
-                          pair.carry_class, pair.fa_class]
-                         for pair in fa_report.pairs],
-            "num_npn_fas": ctx["num_npn"],
-        }
+        return {"egraph": egraph_to_wire(ctx["construction"].egraph),
+                **_saturation_to_wire(ctx)}
 
     def from_wire(self, ctx: PhaseContext, payload: Dict) -> None:
         # Fully decode before publishing anything into the context: a
         # payload whose tail is malformed must not leave a half-restored
         # (already saturated!) e-graph for the fresh phases to mangle.
         egraph = egraph_from_wire(payload["egraph"])
-        construction = _construction_from_wire(
-            payload["construction"], egraph, ctx["aig"])
-        r1_report = report_from_wire(payload["r1_report"])
-        r2_report = report_from_wire(payload["r2_report"])
-        fa_report = FAInsertionReport(pairs=[
-            FAPair(inputs=tuple(inputs), sum_class=sum_class,
-                   carry_class=carry_class, fa_class=fa_class)
-            for inputs, sum_class, carry_class, fa_class
-            in payload["fa_pairs"]
-        ])
-        num_npn = payload["num_npn_fas"]
-        ctx["construction"] = construction
-        ctx["r1_report"] = r1_report
-        ctx["r2_report"] = r2_report
-        ctx["fa_report"] = fa_report
-        ctx["num_npn"] = num_npn
+        ctx.state.update(_saturation_from_wire(payload, egraph, ctx["aig"]))
 
     def artifact_meta(self, ctx: PhaseContext) -> Dict:
         aig = ctx["aig"]
@@ -816,11 +854,22 @@ class InsertFAPhase(_BoolEPhase):
         }
 
 
+def _output_classes(ctx: PhaseContext) -> List[int]:
+    """The extraction roots: construction's output classes, predicted
+    e-graph-free (:func:`planned_construction`) before construction ran or
+    was restored."""
+    construction = ctx.get("construction") or planned_construction(ctx["aig"])
+    return construction.output_classes
+
+
 class ExtractPhase(_BoolEPhase):
     """Stage 5: DAG cost propagation (Algorithm 2).
 
     No boundary artifact of its own — the ``reconstruct`` artifact covers
-    stages 5–6 together (the two are only ever consumed as a pair).
+    stages 5–6 together (the two are only ever consumed as a pair).  A
+    refining extractor resumes from the stored ``refine_rounds=0``
+    extraction of the same snapshot when there is one
+    (:meth:`BoolEExtractor.extract`'s ``start``).
     """
 
     name = "extract"
@@ -833,12 +882,39 @@ class ExtractPhase(_BoolEPhase):
         construction: ConstructionResult = ctx["construction"]
         started = time.perf_counter()
         ctx["extraction"] = self.pipeline.extractor.extract(
-            construction.egraph, roots=construction.output_classes)
+            construction.egraph, roots=construction.output_classes,
+            start=self._first_pass(ctx))
         ctx.timings["extract"] = time.perf_counter() - started
+
+    def _first_pass(self, ctx: PhaseContext) -> Optional[BoolEExtraction]:
+        """The stored single-pass extraction of this snapshot (same cost
+        table, same roots), or ``None`` when there is none to resume from
+        or it does not decode."""
+        base_key = ctx.get("base_key")
+        if (not self.pipeline.extractor.refine_rounds or ctx.store is None
+                or base_key is None):
+            return None
+        key = self.pipeline.extraction_key(
+            base_key, ctx["construction"].output_classes, refine_rounds=0)
+        try:
+            payload = ctx.store.get(key, expected_kind=KIND_EXTRACTION)
+            if payload is None or payload.get("saturated_key") != base_key:
+                return None
+            return extraction_from_wire(payload["extraction"])
+        except _DECODE_ERRORS:
+            return None
 
 
 class ReconstructPhase(_BoolEPhase):
-    """Stage 6: materialise the extraction as an AIG with explicit FAs."""
+    """Stage 6: materialise the extraction as an AIG with explicit FAs.
+
+    Its ``kind="extraction"`` artifact is self-contained: next to the
+    extraction and the netlist it carries the saturated key, the shape of
+    the saturated graph and everything else phases 1–4 publish
+    (:func:`_saturation_to_wire`).  Restored at the start of a walk it
+    stands in for all six phases, and the saturated e-graph is loaded only
+    if a caller reads ``construction.egraph``.
+    """
 
     name = "reconstruct"
     kind = KIND_EXTRACTION
@@ -851,16 +927,18 @@ class ReconstructPhase(_BoolEPhase):
 
     def cache_key(self, ctx: PhaseContext) -> Optional[str]:
         base_key = ctx.get("base_key")
-        if base_key is None or "construction" not in ctx:
+        if base_key is None:
             return None
-        return self.pipeline.extraction_key(
-            base_key, ctx["construction"].output_classes)
+        return self.pipeline.extraction_key(base_key, _output_classes(ctx))
 
-    def restorable(self, ctx: PhaseContext) -> bool:
-        # Extraction entries refer to class ids of the *saturated* e-graph;
-        # decoding against anything earlier would bind them to the wrong
-        # classes.  ``fa_report`` marks the saturation boundary.
-        return "fa_report" in ctx
+    def prerequisites(self, ctx: PhaseContext
+                      ) -> Tuple[Tuple[str, str], ...]:
+        # Standing in for phases 1–4 too, the artifact needs their snapshot
+        # in the store: ``cache_hit`` keeps meaning "the saturated graph is
+        # stored", and the deferred ``construction.egraph`` loads from it.
+        if "fa_report" in ctx:
+            return ()
+        return ((ctx["base_key"], KIND_SATURATED),)
 
     def run(self, ctx: PhaseContext, resume: Any = None) -> None:
         started = time.perf_counter()
@@ -872,24 +950,43 @@ class ReconstructPhase(_BoolEPhase):
 
     def to_wire(self, ctx: PhaseContext) -> Dict:
         blocks: List[FABlockRecord] = ctx["fa_blocks"]
+        egraph = ctx["construction"].egraph
         return {
             "extraction": extraction_to_wire(ctx["extraction"]),
             "extracted_aig": aig_to_wire(ctx["extracted_aig"]),
             "fa_blocks": [[list(block.inputs), block.sum_lit,
                            block.carry_lit] for block in blocks],
+            "saturated_key": ctx["base_key"],
+            "egraph_shape": [egraph.num_classes, egraph.num_nodes],
+            **_saturation_to_wire(ctx, timed=False),
         }
 
     def from_wire(self, ctx: PhaseContext, payload: Dict) -> None:
         # Fully decode before publishing (see InsertFAPhase.from_wire).
-        construction: ConstructionResult = ctx["construction"]
-        extraction = extraction_from_wire(payload["extraction"],
-                                          construction.egraph)
+        if payload["saturated_key"] != ctx["base_key"]:
+            raise SnapshotError("extraction artifact belongs to another "
+                                "saturated graph")
+        classes, nodes = payload["egraph_shape"]
+        if type(classes) is not int or type(nodes) is not int:
+            raise SnapshotError("egraph_shape must be two ints")
+        products = _saturation_from_wire(payload, None, ctx["aig"])
+        extraction = extraction_from_wire(payload["extraction"])
         extracted_aig = aig_from_wire(payload["extracted_aig"])
         fa_blocks = [
             FABlockRecord(inputs=tuple(inputs), sum_lit=sum_lit,
                           carry_lit=carry_lit)
             for inputs, sum_lit, carry_lit in payload["fa_blocks"]
         ]
+        if "construction" not in ctx:
+            # Restored ahead of phases 1–4: their products come from this
+            # artifact, and the e-graph from the snapshot on first access.
+            construction = products["construction"]
+            construction.defer_egraph(partial(
+                self.pipeline.saturated_egraph, ctx["aig"], ctx.store))
+            ctx["egraph_shape"] = (classes, nodes)
+            ctx.state.update(products)
+        construction = ctx["construction"]
+        extraction.defer_egraph(partial(getattr, construction, "egraph"))
         ctx["extraction"] = extraction
         ctx["extracted_aig"] = extracted_aig
         ctx["fa_blocks"] = fa_blocks

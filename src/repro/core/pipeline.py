@@ -20,8 +20,9 @@ restores the deepest warm phase instead of recomputing, persisting
 boundary artifacts on the way (see ``docs/serialization.md``).  Phases
 5–6 share a second, independent ``kind="extraction"`` artifact keyed on
 (saturated-graph key, extractor cost table, reconstruction roots,
-refinement budget): a fully warm run loads the snapshot and the
-extraction products and skips cost propagation entirely.
+refinement budget).  It is self-contained: a fully warm run loads only
+that artifact, skips cost propagation entirely, and loads the saturated
+snapshot only if a caller reads ``result.construction.egraph``.
 
 With ``checkpoint_every`` set, the two saturation phases additionally
 write mid-phase ``kind="checkpoint"`` artifacts every N iterations: a
@@ -42,7 +43,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..aig import AIG
-from ..egraph import RunnerLimits, RunnerReport
+from ..egraph import EGraph, RunnerLimits, RunnerReport
 from ..store import (
     ArtifactStore,
     combine_cache_key,
@@ -94,9 +95,8 @@ class BoolEOptions:
             fingerprints.
 
     Saturation always runs on :class:`~repro.egraph.DenseEGraph` with delta
-    e-matching, R2 always includes the input-polarity rule variants, and
-    the saturated graph is always pruned of permuted duplicates (paper
-    trick 3).  The object-graph engine and the full-scan and cross-check
+    e-matching, and the saturated graph is always pruned of permuted
+    duplicates (paper trick 3).  The object-graph engine and the full-scan and cross-check
     matchers are test oracles, reached below the options
     (see ``docs/architecture.md``).
     """
@@ -173,8 +173,9 @@ class BoolEResult:
     #: Name of the phase this run resumed mid-way from a
     #: ``kind="checkpoint"`` artifact (``None`` for uninterrupted runs).
     resumed_phase: Optional[str] = None
-    #: (classes, nodes) snapshot kept by :meth:`lightweight` so the shape
-    #: properties survive dropping the e-graph.
+    #: (classes, nodes) of the saturated e-graph when it is not at hand:
+    #: kept by :meth:`lightweight`, and read off the extraction artifact
+    #: by a fully warm run (whose e-graph loads only on access).
     _egraph_shape: Optional[Tuple[int, int]] = field(default=None,
                                                      repr=False)
 
@@ -193,19 +194,23 @@ class BoolEResult:
         """End-to-end runtime in seconds."""
         return self.timings.get("total", 0.0)
 
+    def _shape(self) -> Tuple[int, int]:
+        if self._egraph_shape is not None:
+            return self._egraph_shape
+        if self.construction is None:
+            return (0, 0)
+        egraph = self.construction.egraph
+        return egraph.num_classes, egraph.num_nodes
+
     @property
     def egraph_classes(self) -> int:
         """Number of e-classes after saturation."""
-        if self.construction is None:
-            return self._egraph_shape[0] if self._egraph_shape else 0
-        return self.construction.egraph.num_classes
+        return self._shape()[0]
 
     @property
     def egraph_nodes(self) -> int:
         """Number of e-nodes after saturation."""
-        if self.construction is None:
-            return self._egraph_shape[1] if self._egraph_shape else 0
-        return self.construction.egraph.num_nodes
+        return self._shape()[1]
 
     def lightweight(self) -> "BoolEResult":
         """A copy safe to ship across process boundaries.
@@ -217,9 +222,8 @@ class BoolEResult:
         blocks, the counts and the timings.  ``summary()`` and all shape
         properties keep answering identically.
         """
-        return replace(
-            self, construction=None, extraction=None,
-            _egraph_shape=(self.egraph_classes, self.egraph_nodes))
+        return replace(self, construction=None, extraction=None,
+                       _egraph_shape=self._shape())
 
     def saturation_stats(self) -> Dict[str, object]:
         """E-matching telemetry of this run's saturation phases.
@@ -275,6 +279,11 @@ class BoolEPipeline:
         self._r1 = basic_rules(lightweight=self.options.lightweight_rules)
         self._r2 = identification_rules()
         self._graph = PhaseGraph(boole_phases(self))
+        # Phases 1–4 alone (construct … insert-fa): what loading a fully
+        # warm result's deferred e-graph walks (:meth:`saturated_egraph`).
+        names = self.phases
+        self._saturation = PhaseGraph(
+            self._graph.phases[:names.index("insert-fa") + 1])
         # Options/ruleset fingerprints are per-pipeline constants; computed
         # lazily once so batch sweeps pay only the per-AIG digest per job.
         self._static_fingerprints: Optional[Tuple[str, List[str]]] = None
@@ -305,13 +314,28 @@ class BoolEPipeline:
         return combine_cache_key(fingerprint_aig(aig), options_fp,
                                  ruleset_fps)
 
-    def extraction_key(self, saturated_key: str,
-                       roots: List[int]) -> str:
+    def extraction_key(self, saturated_key: str, roots: List[int], *,
+                       refine_rounds: Optional[int] = None) -> str:
         """Content key of the ``kind="extraction"`` artifact for this
-        pipeline's extractor over ``roots``."""
+        pipeline's extractor over ``roots`` (with ``refine_rounds`` in
+        place of the extractor's own budget when given)."""
+        if refine_rounds is None:
+            refine_rounds = self.extractor.refine_rounds
         return extraction_cache_key(saturated_key, self.extractor.node_cost,
-                                    roots,
-                                    refine_rounds=self.extractor.refine_rounds)
+                                    roots, refine_rounds=refine_rounds)
+
+    def saturated_egraph(self, aig: AIG,
+                         store: Optional[ArtifactStore]) -> EGraph:
+        """``aig``'s saturated e-graph: phases 1–4 walked against
+        ``store``, so the snapshot is restored (one get), or recomputed
+        and stored again when it is gone.  A fully warm run's
+        ``construction.egraph`` calls this on first access."""
+        ctx = PhaseContext(store=store)
+        ctx["aig"] = aig
+        ctx["base_key"] = self.cache_key(aig) if store is not None else None
+        with gc_paused():
+            self._saturation.execute(ctx)
+        return ctx["construction"].egraph
 
     def _phase_limits(self, iterations: int) -> RunnerLimits:
         options = self.options
@@ -382,8 +406,9 @@ class BoolEPipeline:
         interrupted saturation phases resume from their
         ``kind="checkpoint"`` artifact (``result.resumed_phase``); all
         three flags are read off the walk the phase graph took.  A
-        fully warm run costs one snapshot load and skips cost propagation
-        entirely.  Phases run with the cyclic collector paused
+        fully warm run loads only the extraction artifact and skips cost
+        propagation entirely; its ``construction.egraph`` loads the
+        saturated snapshot on first access.  Phases run with the cyclic collector paused
         (:func:`gc_paused`).
         """
         store = _as_store(store) or self.store
@@ -411,6 +436,7 @@ class BoolEPipeline:
             cache_hit=walk.predicts_cache_hit,
             extraction_cache_hit=walk.predicts_extraction_cache_hit,
             resumed_phase=walk.resume_phase,
+            _egraph_shape=ctx.get("egraph_shape"),
         )
 
 

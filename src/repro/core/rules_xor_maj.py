@@ -5,9 +5,12 @@ structural patterns of sum/carry cones from template CSA and Booth
 multipliers and turning each pattern into a rewrite rule.  This module does
 the analogous thing: a set of hand-derived base patterns covering the
 decompositions produced by this repository's generators, optimiser and
-technology mapper, expanded mechanically with input-negation variants (the
-same way the authors' template extraction yields many polarity variants), and
-de-duplicated.
+technology mapper.  The paper's counts include input-polarity variants of
+each pattern; here a polarity variant is kept only when the other R2 rules
+cannot derive it: the ``xor-neg-*`` rules fold negated XOR inputs into the
+output within a few iterations, so the variants are subsumed (each dropped
+rule and its witness depth are listed in ``docs/rulesets.md`` and checked
+by ``tests/test_rules.py``).
 
 The multi-input operators created by these rules (``xor3``, ``maj``) are
 written as ordinary right-hand sides such as ``(xor3 ?a ?b ?c)``; both
@@ -20,7 +23,7 @@ permutation rules; this implements the paper's redundancy-pruning trick
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..egraph import Op, Rewrite
 
@@ -32,22 +35,6 @@ def _sorted_rhs(op: str, negate_output: bool = False) -> str:
     build ``op`` over its children sorted by class id."""
     rhs = f"({op} ?a ?b ?c)"
     return f"(~ {rhs})" if negate_output else rhs
-
-
-def _negation_variants(lhs: str, variables: Sequence[str]) -> Iterable[Tuple[str, int]]:
-    """Yield (lhs, negation_mask) pairs for every input-negation variant.
-
-    Negating variable ``?x`` textually replaces every occurrence of ``?x`` in
-    the pattern with ``(~ ?x)``; the mask records which variables were
-    negated so the rule builder can adjust the right-hand side.
-    """
-    num = len(variables)
-    for mask in range(1 << num):
-        text = lhs
-        for position, name in enumerate(variables):
-            if (mask >> position) & 1:
-                text = text.replace(name, f"(~ {name})")
-        yield text, mask
 
 
 # ----------------------------------------------------------------------
@@ -76,7 +63,6 @@ _XOR_ALGEBRA: List[Tuple[str, str, str]] = [
     ("xor-assoc-lr", "(^ (^ ?a ?b) ?c)", "(^ ?a (^ ?b ?c))"),
     ("xor-assoc-rl", "(^ ?a (^ ?b ?c))", "(^ (^ ?a ?b) ?c)"),
     ("xor-neg-left", "(^ (~ ?a) ?b)", "(~ (^ ?a ?b))"),
-    ("xor-neg-right", "(^ ?a (~ ?b))", "(~ (^ ?a ?b))"),
     ("xor-neg-both", "(^ (~ ?a) (~ ?b))", "(^ ?a ?b)"),
     ("xor-neg-out", "(~ (^ (~ ?a) ?b))", "(^ ?a ?b)"),
     ("xor-false", "(^ ?a 0)", "?a"),
@@ -98,46 +84,21 @@ _XOR3_MINTERM_PATTERNS: List[Tuple[str, str, bool]] = [
 ]
 
 
-def xor_rules(include_variants: bool = True) -> List[Rewrite]:
-    """Build the XOR identification part of R2.
-
-    Args:
-        include_variants: also generate input-negation variants of the base
-            structural patterns (the bulk of the paper's 90 XOR rules).
-    """
+def xor_rules() -> List[Rewrite]:
+    """Build the XOR identification part of R2."""
     rules: List[Rewrite] = []
-    seen: set = set()
-
-    def add_structural(name: str, lhs: str, negated_output: bool) -> None:
-        key = (lhs, negated_output)
-        if key in seen:
-            return
-        seen.add(key)
-        rhs = "(~ (^ ?a ?b))" if negated_output else "(^ ?a ?b)"
-        rules.append(Rewrite.parse(name, lhs, rhs, group="R2-xor"))
-
     for name, lhs, negated in _XOR2_BASE_PATTERNS:
-        add_structural(name, lhs, negated)
-        if not include_variants:
-            continue
-        for variant_lhs, mask in _negation_variants(lhs, ("?a", "?b")):
-            if mask == 0:
-                continue
-            # Negating one input of an XOR complements the output; negating
-            # both leaves it unchanged.
-            parity = bin(mask).count("1") % 2 == 1
-            add_structural(f"{name}-n{mask}", variant_lhs, negated ^ parity)
+        rhs = "(~ (^ ?a ?b))" if negated else "(^ ?a ?b)"
+        rules.append(Rewrite.parse(name, lhs, rhs, group="R2-xor"))
 
     for name, lhs, rhs in _XOR_ALGEBRA:
         rules.append(Rewrite.parse(name, lhs, rhs, group="R2-xor"))
 
-    # XOR3 formation: both associativity groupings collapse into a canonical
-    # (sorted-children) three-input XOR node.
+    # XOR3 formation: a left-leaning XOR chain collapses into a canonical
+    # (sorted-children) three-input XOR node; a right-leaning one reaches it
+    # through ``xor-assoc-rl``.
     rules.append(Rewrite.parse(
         "xor3-intro-left", "(^ (^ ?a ?b) ?c)", _sorted_rhs(Op.XOR3),
-        group="R2-xor"))
-    rules.append(Rewrite.parse(
-        "xor3-intro-right", "(^ ?a (^ ?b ?c))", _sorted_rhs(Op.XOR3),
         group="R2-xor"))
     rules.append(Rewrite.parse(
         "xor3-expand", "(xor3 ?a ?b ?c)", "(^ (^ ?a ?b) ?c)", group="R2-xor"))
@@ -168,6 +129,15 @@ _MAJ_BASE_PATTERNS: List[Tuple[str, str, bool]] = [
     ("min-sop", "(| (| (& (~ ?a) (~ ?b)) (& (~ ?a) (~ ?c))) (& (~ ?b) (~ ?c)))", True),
     ("min-nor", "(~ (| (| (& ?a ?b) (& ?a ?c)) (& ?b ?c)))", True),
     ("min-oai", "(~ (& (| ?a ?b) (| ?c (& ?a ?b))))", True),
+    # The minority forms over negated inputs (AOI/OAI-mapped carries).  The
+    # majority forms' all-negated twins are derived by ``maj-neg-all``;
+    # these three are not, because their double negations need R1.
+    ("min-sop-nall", "(| (| (& (~ (~ ?a)) (~ (~ ?b))) (& (~ (~ ?a)) (~ (~ ?c)))) "
+     "(& (~ (~ ?b)) (~ (~ ?c))))", False),
+    ("min-nor-nall", "(~ (| (| (& (~ ?a) (~ ?b)) (& (~ ?a) (~ ?c))) "
+     "(& (~ ?b) (~ ?c))))", False),
+    ("min-oai-nall", "(~ (& (| (~ ?a) (~ ?b)) (| (~ ?c) (& (~ ?a) (~ ?b)))))",
+     False),
 ]
 
 # Majority algebra on the maj operator itself.
@@ -184,34 +154,12 @@ _MAJ_ALGEBRA_PATTERNS: List[Tuple[str, str, str]] = [
 ]
 
 
-def maj_rules(include_variants: bool = True) -> List[Rewrite]:
+def maj_rules() -> List[Rewrite]:
     """Build the MAJ identification part of R2."""
     rules: List[Rewrite] = []
-    seen: set = set()
-
-    def add_structural(name: str, lhs: str, negated_output: bool) -> None:
-        key = (lhs, negated_output)
-        if key in seen:
-            return
-        seen.add(key)
-        rules.append(Rewrite.parse(name, lhs, _sorted_rhs(Op.MAJ, negated_output),
-                                   group="R2-maj"))
-
     for name, lhs, negated in _MAJ_BASE_PATTERNS:
-        add_structural(name, lhs, negated)
-
-    if include_variants:
-        # Input-negation variants of the carry-chain forms: these are the
-        # shapes AOI/OAI-mapped carries take.  Negating all three inputs of a
-        # majority complements it; other negation masks produce functions
-        # outside the MAJ NPN-exact set and are not valid rewrites, so only
-        # the all-negated variants are generated.
-        for name, lhs, negated in _MAJ_BASE_PATTERNS:
-            variant_lhs = lhs
-            for var in ("?a", "?b", "?c"):
-                variant_lhs = variant_lhs.replace(var, f"(~ {var})")
-            add_structural(f"{name}-nall", variant_lhs, not negated)
-
+        rules.append(Rewrite.parse(name, lhs, _sorted_rhs(Op.MAJ, negated),
+                                   group="R2-maj"))
     for name, lhs, negated in _MAJ_ALGEBRA_SORTED:
         rules.append(Rewrite.parse(name, lhs, _sorted_rhs(Op.MAJ, negated),
                                    group="R2-maj"))
@@ -220,19 +168,18 @@ def maj_rules(include_variants: bool = True) -> List[Rewrite]:
     return rules
 
 
-def identification_rules(include_variants: bool = True) -> List[Rewrite]:
+def identification_rules() -> List[Rewrite]:
     """Return the full R2 ruleset (XOR rules followed by MAJ rules)."""
-    return xor_rules(include_variants) + maj_rules(include_variants)
+    return xor_rules() + maj_rules()
 
 
-def ruleset_summary(lightweight: bool = True,
-                    include_variants: bool = True) -> Dict[str, int]:
+def ruleset_summary(lightweight: bool = True) -> Dict[str, int]:
     """Return the rule counts per group (the reproduction's Table I totals)."""
     from .rules_basic import basic_rules
 
     r1 = basic_rules(lightweight=lightweight)
-    xor = xor_rules(include_variants)
-    maj = maj_rules(include_variants)
+    xor = xor_rules()
+    maj = maj_rules()
     return {
         "R1-basic": len(r1),
         "R2-xor": len(xor),

@@ -52,7 +52,7 @@ a fresh graph, so the snapshot codec never builds an :class:`ENode`.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from operator import countOf, eq, le, lt, ne, sub
 from typing import (
     AbstractSet,
@@ -398,8 +398,9 @@ class DenseEGraph:
             offsets = self._node_off
             children = tuple(
                 self._node_child[offsets[node_id]:offsets[node_id + 1]])
-            node = ENode(self._op_names[self._node_op[node_id]], children,
-                         self._payloads[self._node_payload[node_id]])
+            node = ENode.unchecked(
+                self._op_names[self._node_op[node_id]], children,
+                self._payloads[self._node_payload[node_id]])
             self._node_obj[node_id] = node
         return node
 
@@ -1439,12 +1440,35 @@ class DenseEGraph:
         pairs[1::2] = parent_classes
         graph._op_classes = None
         classes = graph._classes
+        # to_columns lists each class's nodes in ``enode_sort_key`` order,
+        # so a class whose nodes are all canonical (stamped at epoch 0) and
+        # strictly ascending seeds the sorted-node cache with its slice:
+        # ``node_table`` on a fresh snapshot then sorts nothing.
+        # (The keys are ``_node_sort_key``'s, built column-wise.)
+        offsets = graph._node_off
+        keys = list(zip(
+            map(graph._op_rank.__getitem__,
+                map(graph._node_op.__getitem__, class_nodes)),
+            map(graph._node_child.__getitem__, map(
+                slice, map(offsets.__getitem__, class_nodes),
+                map(offsets.__getitem__, map((1).__add__, class_nodes)))),
+            map(graph._payload_rank.__getitem__,
+                map(graph._node_payload.__getitem__, class_nodes))))
+        ascending = bytes(map(lt, keys, islice(keys, 1, None)))
+        canonical = bytes(map(eq, map(stamps.__getitem__, class_nodes),
+                              repeat(graph._epoch)))
+        cache = graph._enode_cache
         for class_id, node_low, node_high, parent_low, parent_high in zip(
                 class_ids, class_node_off, islice(class_node_off, 1, None),
                 class_parent_off, islice(class_parent_off, 1, None)):
+            nodes = class_nodes[node_low:node_high]
             classes[class_id] = _DenseClass(
-                class_id, set(class_nodes[node_low:node_high]),
-                pairs[2 * parent_low:2 * parent_high])
+                class_id, set(nodes), pairs[2 * parent_low:2 * parent_high])
+            if (canonical.count(1, node_low, node_high)
+                    == node_high - node_low
+                    and ascending.count(1, node_low, node_high - 1)
+                    == node_high - node_low - 1):
+                cache[class_id] = nodes
         graph._hashcons = hashcons
         graph._pending = list(pending)
         graph._clean = clean

@@ -67,6 +67,10 @@ def is_leaf_op(op: str) -> bool:
     return op in (Op.VAR, Op.CONST)
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
 @dataclass(frozen=True)
 class ENode:
     """An operator applied to child e-classes.
@@ -88,6 +92,18 @@ class ENode:
             raise ValueError(
                 f"operator {self.op!r} expects {expected} children, "
                 f"got {len(self.children)}")
+
+    @classmethod
+    def unchecked(cls, op: str, children: Tuple[int, ...],
+                  payload: Optional[Hashable]) -> "ENode":
+        """Build a node whose arity the caller has already checked (a
+        decoded node column): the same object, without
+        :meth:`__post_init__`."""
+        node = _new(cls)
+        _set(node, "op", op)
+        _set(node, "children", children)
+        _set(node, "payload", payload)
+        return node
 
     def canonicalize(self, find) -> "ENode":
         """Return a copy whose children are canonical e-class ids."""

@@ -134,7 +134,13 @@ __all__ = [
 #:
 #: v6: the extraction wire form is the e-graph's node columns plus four
 #: parallel entry columns, replacing its private payload table and rows.
-CODEC_VERSION = 6
+#:
+#: v7: the ``kind="extraction"`` artifact is self-contained (it carries the
+#: saturated key, the construction bookkeeping, both runner reports, the
+#: FA pairs, the NPN count and the graph's shape, so serving it needs no
+#: saturated e-graph), and entry FA masks are a CSR column of ``fa_index``
+#: positions instead of JSON big ints.
+CODEC_VERSION = 7
 
 SNAPSHOT_FORMAT = "repro.store/snapshot"
 
@@ -330,10 +336,22 @@ def aig_from_wire(wire: Dict) -> AIG:
 
 
 #: Fields of the extraction wire form: the chosen nodes' columns, the
-#: FA decode table and four parallel entry columns.
+#: FA decode table and the parallel entry columns (``entry_fa_off`` is the
+#: CSR offset column of ``entry_fa_bit``).
 _EXTRACTION_FIELDS = ("ops", "payloads", "node_op", "node_payload",
                       "node_off", "node_child", "fa_index", "entry_class",
-                      "entry_node", "entry_size", "entry_fa_mask")
+                      "entry_node", "entry_size", "entry_fa_off",
+                      "entry_fa_bit")
+
+#: ``bin()`` digits to 0/1 bytes, so :func:`itertools.compress` can pick
+#: the set bit positions at C speed.
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _set_bits(mask: int) -> List[int]:
+    """The positions of ``mask``'s set bits, ascending."""
+    digits = bin(mask)[:1:-1].encode("ascii").translate(_BIT_BYTES)
+    return list(compress(range(len(digits)), digits))
 
 
 def extraction_to_wire(extraction: "BoolEExtraction") -> Dict:
@@ -342,8 +360,9 @@ def extraction_to_wire(extraction: "BoolEExtraction") -> Dict:
     The chosen e-nodes become node columns exactly like an e-graph
     snapshot's (:func:`~repro.egraph.dense.write_node_columns`), in order
     of first use; entry ``i`` is ``entry_class[i]``, ``entry_node[i]``,
-    ``entry_size[i]`` and ``entry_fa_mask[i]`` (a bitmask over
-    ``fa_index``), in ascending class-id order so identical extractions
+    ``entry_size[i]`` and the ``fa_index`` positions
+    ``entry_fa_bit[entry_fa_off[i]:entry_fa_off[i + 1]]`` (ascending) of
+    its FA mask, in ascending class-id order so identical extractions
     produce identical wire bytes.
     """
     entries = sorted(extraction.entries.items())
@@ -352,26 +371,31 @@ def extraction_to_wire(extraction: "BoolEExtraction") -> Dict:
     wire = _serializable(write_node_columns(
         [node.op for node in nodes], [node.payload for node in nodes],
         [node.children for node in nodes]))
+    fa_off = [0]
+    fa_bit: List[int] = []
+    for _, entry in entries:
+        fa_bit += _set_bits(entry.fa_mask)
+        fa_off.append(len(fa_bit))
     wire.update(
         fa_index=list(extraction.fa_index),
         entry_class=[class_id for class_id, _ in entries],
         entry_node=[node_index[entry.node] for _, entry in entries],
         entry_size=[entry.size for _, entry in entries],
-        entry_fa_mask=[entry.fa_mask for _, entry in entries])
+        entry_fa_off=fa_off, entry_fa_bit=fa_bit)
     return wire
 
 
-def extraction_from_wire(wire: Dict, egraph: EGraph) -> "BoolEExtraction":
-    """Decode :func:`extraction_to_wire` output against a live e-graph.
+def extraction_from_wire(wire: Dict) -> "BoolEExtraction":
+    """Decode :func:`extraction_to_wire` output, without any e-graph.
 
-    The class ids in the wire form refer to the deterministic saturated
-    e-graph the extraction was computed on; ``egraph`` must be that graph
-    (typically just deserialized from the sibling ``saturated-pipeline``
-    artifact, or recomputed — determinism makes the ids line up either way).
-    Anything :func:`extraction_to_wire` would not have written for that
-    graph — a wrong type, an index or class out of range, an ``fa_mask``
-    beyond ``fa_index``, a table out of first-use order — raises
-    :class:`SnapshotError`.
+    The class ids refer to the saturated e-graph the extraction was
+    computed on; the result carries no graph (the caller attaches one, or
+    a loader, see :class:`~repro.core.construct.DeferredEGraph`).  The
+    entries are checked against themselves: anything
+    :func:`extraction_to_wire` would not have written — a wrong type, an
+    index out of range, a chosen node's child that has no entry, an FA
+    position beyond ``fa_index`` or out of order, a table out of
+    first-use order — raises :class:`SnapshotError`.
     """
     # Deferred: repro.core imports repro.store at module level; importing it
     # lazily here breaks the cycle (this function only runs long after both
@@ -379,40 +403,53 @@ def extraction_from_wire(wire: Dict, egraph: EGraph) -> "BoolEExtraction":
     from ..core.extraction import BoolEExtraction, CostEntry
 
     _fields(wire, _EXTRACTION_FIELDS, "extraction")
-    classes = set(egraph.class_ids())
     try:
         ops, payloads, node_op, node_payload, node_off, node_child = \
             read_node_columns(wire, None)
     except (TypeError, ValueError) as error:
         raise SnapshotError(
             f"malformed extraction node columns: {error!r}") from error
-    if not classes.issuperset(node_child):
-        raise SnapshotError("node child is not a class")
-    nodes = [ENode(ops[op_id], tuple(node_child[low:high]),
-                   payloads[payload_id])
+    entries = [_ints(wire[name], name)
+               for name in ("entry_class", "entry_node", "entry_size")]
+    if len(set(map(len, entries))) != 1:
+        raise SnapshotError("entry columns differ in length")
+    class_ids, node_indices, sizes = entries
+    _ascending(class_ids, "entry classes")
+    if not set(class_ids).issuperset(node_child):
+        raise SnapshotError("a chosen node's child has no entry")
+    if list(dict.fromkeys(node_indices)) != list(range(len(node_op))):
+        raise SnapshotError("entry nodes are not in first-use order")
+    # ``read_node_columns`` checked every arity.
+    nodes = [ENode.unchecked(ops[op_id], tuple(node_child[low:high]),
+                             payloads[payload_id])
              for op_id, payload_id, low, high in zip(
                  node_op, node_payload, node_off, islice(node_off, 1, None))]
     if len(set(nodes)) != len(nodes):
         raise SnapshotError("duplicate node table entry")
     fa_index = tuple(_ints(wire["fa_index"], "fa_index"))
-    if len(set(fa_index)) != len(fa_index) or not classes.issuperset(
-            fa_index):
+    if len(set(fa_index)) != len(fa_index):
         raise SnapshotError("fa_index must list distinct classes")
-    entries = [_ints(wire[name], name) for name in _EXTRACTION_FIELDS[-4:]]
-    if len(set(map(len, entries))) != 1:
-        raise SnapshotError("entry columns differ in length")
-    class_ids, node_indices, _, fa_masks = entries
-    if not classes.issuperset(class_ids):
-        raise SnapshotError("entry class is not a class")
-    _ascending(class_ids, "entry classes")
-    if list(dict.fromkeys(node_indices)) != list(range(len(nodes))):
-        raise SnapshotError("entry nodes are not in first-use order")
-    if max(fa_masks, default=0).bit_length() > len(fa_index):
-        raise SnapshotError("entry fa_mask exceeds fa_index")
-    return BoolEExtraction(egraph=egraph, fa_index=fa_index, entries={
+    fa_off = _ints(wire["entry_fa_off"], "entry_fa_off")
+    fa_bit = _ints(wire["entry_fa_bit"], "entry_fa_bit")
+    if (len(fa_off) != len(class_ids) + 1 or fa_off[0] != 0
+            or fa_off[-1] != len(fa_bit)
+            or not all(map(operator.le, fa_off, islice(fa_off, 1, None)))):
+        raise SnapshotError("entry_fa_off is not an offset column of "
+                            "entry_fa_bit")
+    if max(fa_bit, default=-1) >= len(fa_index):
+        raise SnapshotError("entry FA position exceeds fa_index")
+    powers = [1 << bit for bit in range(len(fa_index))]
+    fa_masks = []
+    for low, high in zip(fa_off, islice(fa_off, 1, None)):
+        bits = fa_bit[low:high]
+        if not all(map(operator.lt, bits, islice(bits, 1, None))):
+            raise SnapshotError("entry FA positions are not ascending")
+        fa_masks.append(sum(map(powers.__getitem__, bits)))
+    return BoolEExtraction(egraph=None, fa_index=fa_index, entries={
         class_id: CostEntry(fa_mask=fa_mask, size=size,
                             node=nodes[node_index], fa_index=fa_index)
-        for class_id, node_index, size, fa_mask in zip(*entries)})
+        for class_id, node_index, size, fa_mask in zip(
+            class_ids, node_indices, sizes, fa_masks)})
 
 
 # ----------------------------------------------------------------------

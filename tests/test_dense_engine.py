@@ -533,7 +533,7 @@ from repro.store.codec import egraph_to_wire
 
 mode, path, engine = sys.argv[1], sys.argv[2], sys.argv[3]
 aig = post_mapping_flow(csa_multiplier(3).aig)
-rules = basic_rules() + identification_rules(True)
+rules = basic_rules() + identification_rules()
 limits = RunnerLimits(max_iterations=12, match_limit=60, ban_length=1)
 
 def signature(egraph):

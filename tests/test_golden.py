@@ -51,63 +51,65 @@ CASES = {
 #: matching-mode options, then the rule-variant and pruning switches; and
 #: once more when the R2 sorted-children appliers became ``(xor3 ...)`` /
 #: ``(maj ...)`` right-hand sides (the ruleset fingerprint covers them);
-#: and for the codec v5 and v6 bumps (the codec version salts every key).
+#: and for the codec v5, v6 and v7 bumps (the codec version salts every
+#: key).  Every pin but the FA counts and the R1 stats was re-recorded
+#: when R2 dropped its 41 subsumed polarity variants.
 GOLDEN = {
     "booth4": {
         "egraph_sha256":
-            "4cc4bc468ba79567c05dfebdf9d9c5389b39fbcb437c10484ad322ebea33ed38",
+            "960ba54a9605d9cbfbc33d903e6fb104d26558f1cae273ce2d41f4e4194da668",
         "exact_fas": 5,
         "npn_fas": 6,
         "r1_stats_sha256":
             "e643c160d9fc1a759104ef9e68e4da1b70f321b03ffa393f5db72a99d75a1fbe",
         "r2_bans": 0,
         "r2_stats_sha256":
-            "310cf9d9227671a0857924cd3e8350fadf3ed701cb87c9a4c818f4ad3881c705",
-        "r2_unions": 14337,
+            "2f17a36a08ab208c091ad80df642270bfacd0c55180d9023f3128edbd14a560c",
+        "r2_unions": 14189,
         "store_key":
-            "5823b986734002f182c0048ee6f053531a9cb7adb961a50b9c26153a3fdfe4f8",
+            "c9aaaad5e6ffd9213df53b548b4023a545bcb7973e85f2d394eb9db677883f6f",
     },
     "csa4": {
         "egraph_sha256":
-            "ea40133052eb8d8d2f637529bb0c0739161c4482a1b0f5325b26a7e3fc4657b8",
+            "ae107e15e385d962d2e04393e52fd67ac6e05e2b0c0d4155e29219260831bab3",
         "exact_fas": 8,
         "npn_fas": 8,
         "r1_stats_sha256":
             "d1e02e73ab3e25d14585c5ab75894ec01792b8446c3efa84622df9c8dd164193",
         "r2_bans": 0,
         "r2_stats_sha256":
-            "5b1f6574b4a183061ffa39849de9b20a5577810b9e88bebea5f7e672d87fdd6b",
-        "r2_unions": 6289,
+            "373da69affd4b23441c66ba4e913c5750f4fcabf38f3350323656f9796df7592",
+        "r2_unions": 6199,
         "store_key":
-            "7281b1fe61edd6794237142f8d55ba8eb16bb12378cb9159942cefb6c8767a8e",
+            "79d8cdf67d17a779b8729500be98868ade7d4acfb4dab1878ed98b781934dd8a",
     },
     "csa4-banned": {
         "egraph_sha256":
-            "2b8a9125cf702da1b341ad1c3f0b6b45dac05c282ff863c9ba1762e53802f0cf",
+            "63226da6f8702f93e05f30a4f14f1331f70d2fe8ebe004a3402ca1084e82fc6d",
         "exact_fas": 8,
         "npn_fas": 8,
         "r1_stats_sha256":
             "d1e02e73ab3e25d14585c5ab75894ec01792b8446c3efa84622df9c8dd164193",
-        "r2_bans": 11,
+        "r2_bans": 9,
         "r2_stats_sha256":
-            "ce8e00a973878d93ba92dd1d020856ab8675d2a67e59d112ab36070985b8970c",
-        "r2_unions": 988,
+            "99e24ceb10a349ddb762f05feac0c2b9110fe5ae953f78121b3e009114b63037",
+        "r2_unions": 898,
         "store_key":
-            "8c19354d6133af6caf9722925871f43ef3020513e08edd5d7d6f6162ff598a51",
+            "4ba65a1c073bb2d49afa44494f7763f718fb63ea4539a9b9b3b5f11627747d64",
     },
     "csa4-python": {
         "egraph_sha256":
-            "ea40133052eb8d8d2f637529bb0c0739161c4482a1b0f5325b26a7e3fc4657b8",
+            "ae107e15e385d962d2e04393e52fd67ac6e05e2b0c0d4155e29219260831bab3",
         "exact_fas": 8,
         "npn_fas": 8,
         "r1_stats_sha256":
             "d1e02e73ab3e25d14585c5ab75894ec01792b8446c3efa84622df9c8dd164193",
         "r2_bans": 0,
         "r2_stats_sha256":
-            "5b1f6574b4a183061ffa39849de9b20a5577810b9e88bebea5f7e672d87fdd6b",
-        "r2_unions": 6289,
+            "373da69affd4b23441c66ba4e913c5750f4fcabf38f3350323656f9796df7592",
+        "r2_unions": 6199,
         "store_key":
-            "7281b1fe61edd6794237142f8d55ba8eb16bb12378cb9159942cefb6c8767a8e",
+            "79d8cdf67d17a779b8729500be98868ade7d4acfb4dab1878ed98b781934dd8a",
     },
 }
 

@@ -83,7 +83,7 @@ class TestDeltaMatchingEquivalence:
     @settings(max_examples=10, deadline=None)
     def test_delta_equals_full_scan_with_identification_rules(self, aig):
         """The deeper R2 patterns also saturate identically under delta."""
-        rules = basic_rules() + identification_rules(include_variants=False)
+        rules = basic_rules() + identification_rules()
         full_con, _ = _saturate(aig, incremental=False, rules=rules)
         delta_con, _ = _saturate(aig, incremental=True, rules=rules,
                                  debug_check=True)

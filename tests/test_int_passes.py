@@ -7,7 +7,8 @@ decode every node of every class.  On saturated csa4, booth4 and csa8
 netlists, on both engines and at ``refine_rounds`` 0-3, they must give
 the same pair list in the same order, the same NPN count and the same
 ``(fa_mask, size, node)`` for every extraction entry; a hypothesis run
-does the same on random adder netlists.
+does the same on random adder netlists.  Refinement resumed from a stored
+single-pass extraction must match too.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ from repro.core.extraction import BoolEExtractor
 from repro.core.fa_structure import count_npn_fa_pairs, insert_fa_structures
 from repro.core.rules_basic import basic_rules
 from repro.core.rules_xor_maj import identification_rules
-from repro.egraph import DenseEGraph, EGraph, Op, Runner, RunnerLimits
+from repro.egraph import DenseEGraph, EGraph, ENode, Op, Runner, RunnerLimits
 from repro.generators import booth_multiplier, csa_multiplier
 from repro.opt import post_mapping_flow
+from repro.store import extraction_from_wire, extraction_to_wire
 
 #: The operators the pipeline prunes before pairing.
 PRUNED = {Op.XOR3, Op.MAJ, Op.FA, Op.XOR, Op.AND, Op.OR}
@@ -129,3 +131,73 @@ def random_adder_aigs(draw):
 def test_random_adders_match_enode_scans(aig, engine):
     state, roots = _saturate(aig, iterations=4)
     _assert_passes_match(state, roots, ENGINES[engine])
+
+
+@pytest.mark.parametrize("circuit", sorted(CIRCUITS))
+def test_refinement_resumed_from_first_pass_matches(circuit):
+    """``refine_rounds`` 1-3 started from a stored single-pass extraction
+    (through its wire form, as a warm run reads it) give the entries of a
+    full run and of the ``ENode`` scan."""
+    state, roots = _saturated(circuit)
+    graph = DenseEGraph.from_state(state)
+    insert_fa_structures(graph)
+    oracle = DenseEGraph.from_state(graph.export_state())
+    first = extraction_from_wire(extraction_to_wire(
+        BoolEExtractor().extract(graph, roots=roots)))
+    for refine_rounds in (1, 2, 3):
+        extractor = BoolEExtractor(refine_rounds=refine_rounds)
+        resumed = extractor.extract(graph, roots=roots, start=first)
+        full = extractor.extract(graph, roots=roots)
+        reference = scan_extract(oracle, roots, refine_rounds=refine_rounds)
+        assert resumed.fa_index == full.fa_index == reference.fa_index
+        assert _entries(resumed) == _entries(full) == _entries(reference)
+
+
+def test_refinement_ignores_a_first_pass_that_does_not_fit():
+    """A start whose ``fa_index`` or chosen nodes are not this graph's is
+    ignored: the extractor runs its own first pass."""
+    state, roots = _saturated("csa4")
+    graph = DenseEGraph.from_state(state)
+    insert_fa_structures(graph)
+    first = BoolEExtractor().extract(graph, roots=roots)
+    expected = _entries(BoolEExtractor(refine_rounds=2).extract(
+        graph, roots=roots))
+    shifted = extraction_from_wire(extraction_to_wire(first))
+    shifted.fa_index = shifted.fa_index[1:] + shifted.fa_index[:1]
+    foreign = extraction_from_wire(extraction_to_wire(first))
+    class_id, entry = max(foreign.entries.items(),
+                          key=lambda item: len(item[1].node.children))
+    # A node over its own class only: not a node of this graph.
+    entry.node = ENode.unchecked(entry.node.op,
+                                 (class_id,) * len(entry.node.children),
+                                 entry.node.payload)
+    for start in (shifted, foreign):
+        resumed = BoolEExtractor(refine_rounds=2).extract(
+            graph, roots=roots, start=start)
+        assert _entries(resumed) == expected
+
+
+@pytest.mark.parametrize("circuit", sorted(CIRCUITS))
+def test_decoded_node_table_needs_no_sort(circuit):
+    """A snapshot decode seeds each class's sorted node list from the
+    columns, and the seeded table equals the one sorted anew; a
+    class whose column slice is out of order is left to the sort."""
+    state, _ = _saturated(circuit)
+    graph = DenseEGraph.from_state(state)
+    insert_fa_structures(graph)
+    columns = graph.to_columns()
+    decoded = DenseEGraph.from_columns(columns)
+    assert len(decoded._enode_cache) == decoded.num_classes
+    seeded = decoded.node_table()
+    decoded._enode_cache.clear()
+    assert decoded.node_table() == seeded
+
+    offsets = columns["class_node_off"]
+    index = next(index for index in range(len(offsets) - 1)
+                 if offsets[index + 1] - offsets[index] >= 2)
+    low = offsets[index]
+    nodes = columns["class_nodes"]
+    nodes[low], nodes[low + 1] = nodes[low + 1], nodes[low]
+    shuffled = DenseEGraph.from_columns(columns)
+    assert len(shuffled._enode_cache) == shuffled.num_classes - 1
+    assert shuffled.node_table() == seeded

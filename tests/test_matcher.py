@@ -74,7 +74,7 @@ def test_shared_prefix_runs_once():
     """Two programs with a common first step expand it once per root."""
     (left, right) = _groups([rule for rule in RULESETS["R2"]
                              if rule.name in ("xor-neg-left",
-                                              "xor-neg-right")])["^"]
+                                              "xor-neg-both")])["^"]
     assert left[0][0] == right[0][0]
     source = matcher_source((left, right))
     assert source.count(f"expand(s0, {left[0][0][2]}, 2)") == 1

@@ -64,7 +64,7 @@ _CASES = [(seed, inputs, gates)
 def test_delta_equals_full_scan_large(seed, num_inputs, num_gates):
     """Delta + debug cross-check vs. full scans on larger random AIGs."""
     aig = _random_aig(seed, num_inputs, num_gates)
-    rules = basic_rules() + identification_rules(include_variants=True)
+    rules = basic_rules() + identification_rules()
     limits = RunnerLimits(max_iterations=10, max_nodes=150_000,
                           match_limit=None)
 

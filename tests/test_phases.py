@@ -235,6 +235,8 @@ class TestPipelinePhases:
         payload = store.get(key)
         payload["r1_report"] = {"bogus": True}   # malformed tail
         store.put(key, payload, kind="saturated-pipeline")
+        # A fully warm run never reads the snapshot: make the run need it.
+        store.delete(pipeline.plan(aig).extraction_key)
 
         healed = pipeline.run(aig)
         assert not healed.cache_hit

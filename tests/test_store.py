@@ -136,7 +136,7 @@ class TestEGraphRoundTrip:
         e-graph."""
         original = _saturated_egraph()
         restored = egraph_from_wire(egraph_to_wire(original))
-        rules = identification_rules(include_variants=True)
+        rules = identification_rules()
         Runner(RunnerLimits(max_iterations=4)).run(original, rules)
         Runner(RunnerLimits(max_iterations=4)).run(restored, rules)
         assert _wire_bytes(restored) == _wire_bytes(original)
@@ -432,8 +432,10 @@ class TestCorruptSnapshots:
         intact = path.read_bytes()
         egraph_wire = store.get(key)["egraph"]
 
-        # A run degrades the unreadable artifact to a miss and recomputes.
+        # A run degrades the unreadable artifact to a miss and recomputes
+        # (a fully warm run never reads it: make the run need it).
         path.write_bytes(intact[:len(intact) // 2])
+        store.delete(pipeline.plan(aig).extraction_key)
         healed = pipeline.run(aig)
         assert not healed.cache_hit
         assert healed.fa_blocks == cold.fa_blocks
@@ -592,7 +594,7 @@ def _checkpoint_payload_text() -> str:
                              "runner": checkpoint_to_wire(checkpoint)})
 
     Runner(RunnerLimits(max_iterations=12, match_limit=60, ban_length=1)).run(
-        egraph, basic_rules() + identification_rules(True),
+        egraph, basic_rules() + identification_rules(),
         checkpoint_every=1, on_checkpoint=on_checkpoint)
     assert captured, "no checkpoint carried scheduler state"
     return json.dumps(captured[0], sort_keys=True)
@@ -650,10 +652,8 @@ class TestWireDecodeFuzz:
         # Flat columns only: the node and entry rows are gone since v6.
         assert all(type(column) is list and list not in map(type, column)
                    for column in extraction.values())
-        egraph = egraph_from_wire(
-            json.loads(_saturated_payload_text())["egraph"])
         assert extraction_to_wire(
-            extraction_from_wire(extraction, egraph)) == extraction
+            extraction_from_wire(extraction)) == extraction
         saturated = json.loads(_saturated_payload_text())
         for name in ("r1_report", "r2_report"):
             assert report_to_wire(report_from_wire(saturated[name])) \
@@ -667,13 +667,9 @@ class TestWireDecodeFuzz:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_extraction_decoder(self, data):
-        egraph = egraph_from_wire(
-            json.loads(_saturated_payload_text())["egraph"])
         wire = json.loads(_extraction_payload_text())["extraction"]
         _mutate_wire(wire, data)
-        _decodes_identically(
-            lambda wire: extraction_from_wire(wire, egraph),
-            extraction_to_wire, wire)
+        _decodes_identically(extraction_from_wire, extraction_to_wire, wire)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -706,9 +702,31 @@ def _swap_first_two(column):
     column[0], column[1] = column[1], column[0]
 
 
-def _non_class_child(wire, egraph):
-    classes = set(egraph.class_ids())
-    wire["node_child"][0] = min(set(range(max(classes))) - classes)
+def _non_class_child(wire, _):
+    """A chosen node's child that has no entry (so is not a class the
+    extraction reached)."""
+    classes = set(wire["entry_class"])
+    wire["node_child"][0] = min(set(range(max(classes) + 2)) - classes)
+
+
+def _fa_positions_entry(wire):
+    """Index of the first entry with at least two FA positions."""
+    offsets = wire["entry_fa_off"]
+    return next(index for index in range(len(offsets) - 1)
+                if offsets[index + 1] - offsets[index] >= 2)
+
+
+def _fa_positions_swapped(wire, _):
+    low = wire["entry_fa_off"][_fa_positions_entry(wire)]
+    bits = wire["entry_fa_bit"]
+    bits[low], bits[low + 1] = bits[low + 1], bits[low]
+
+
+def _fa_offsets_not_monotone(wire, _):
+    """One offset raised above its successor; both ends kept."""
+    index = _fa_positions_entry(wire)
+    offsets = wire["entry_fa_off"]
+    offsets[index] = offsets[index + 1] + 1
 
 
 def _ops_reversed(wire, _):
@@ -739,8 +757,13 @@ _MALFORMED_EXTRACTIONS = {
     "entry-class-unsorted": lambda wire, _: _swap_first_two(
         wire["entry_class"]),
     "child-not-a-class": _non_class_child,
-    "mask-beyond-fa-index": lambda wire, _: wire["entry_fa_mask"].__setitem__(
-        0, 1 << len(wire["fa_index"])),
+    "mask-beyond-fa-index": lambda wire, _: wire["entry_fa_bit"].__setitem__(
+        0, len(wire["fa_index"])),
+    "fa-positions-not-ascending": _fa_positions_swapped,
+    "fa-offsets-not-monotone": _fa_offsets_not_monotone,
+    "fa-offsets-short": lambda wire, _: wire["entry_fa_off"].pop(0),
+    "fa-offsets-past-positions": lambda wire, _: wire[
+        "entry_fa_bit"].pop(),
     "bool-in-node-column": lambda wire, _: wire["node_op"].__setitem__(
         0, True),
     "duplicate-op": lambda wire, _: wire["ops"].append(wire["ops"][0]),
@@ -754,7 +777,7 @@ _MALFORMED_EXTRACTIONS = {
 class TestMalformedExtractionArtifact:
     #: Entry field -> the column that holds it.
     COLUMNS = {"node_index": "entry_node", "size": "entry_size",
-               "fa_mask": "entry_fa_mask"}
+               "fa_mask": "entry_fa_bit"}
 
     def _assert_recomputed(self, tmp_path, tamper):
         """Store a cold run's extraction artifact after ``tamper(wire,
@@ -771,8 +794,7 @@ class TestMalformedExtractionArtifact:
         tamper(payload["extraction"], cold.construction.egraph)
         store.put(entry.key, payload, kind=KIND_EXTRACTION, meta=entry.meta)
         with pytest.raises(SnapshotError):
-            extraction_from_wire(
-                store.get(entry.key)["extraction"], cold.construction.egraph)
+            extraction_from_wire(store.get(entry.key)["extraction"])
         rerun = pipeline.run(aig)
         assert rerun.cache_hit and not rerun.extraction_cache_hit
         assert rerun.fa_blocks == cold.fa_blocks
@@ -802,6 +824,142 @@ class TestMalformedExtractionArtifact:
         assert _extraction_blob_paths(store, entry.key) >= {
             "entry_class", "entry_node", "entry_size", "node_op",
             "node_payload", "node_off", "node_child"}
+
+
+class _CountingStore(ArtifactStore):
+    """An artifact store that records the kind of every ``get``."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.gets = []
+
+    def get(self, key, *, expected_kind=None):
+        self.gets.append(expected_kind)
+        return super().get(key, expected_kind=expected_kind)
+
+    def count(self, kind):
+        return self.gets.count(kind)
+
+
+def _entries(extraction):
+    return {class_id: (entry.node, entry.size, entry.fa_mask)
+            for class_id, entry in extraction.entries.items()}
+
+
+def _record_starts(monkeypatch):
+    """Record, per ``BoolEExtractor.extract`` call, whether it was given
+    a first pass to resume from."""
+    starts = []
+    extract = BoolEExtractor.extract
+
+    def spy(self, egraph, roots=None, *, start=None):
+        starts.append(start is not None)
+        return extract(self, egraph, roots, start=start)
+
+    monkeypatch.setattr(BoolEExtractor, "extract", spy)
+    return starts
+
+
+class TestWarmLoadsOnlyWhatItUses:
+    """A fully warm job is served from the extraction artifact alone, and
+    a refining job resumes from the stored single-pass extraction."""
+
+    OPTIONS = {"r1_iterations": 2, "r2_iterations": 2}
+
+    @pytest.fixture(scope="class")
+    def csa8(self):
+        return post_mapping_flow(csa_multiplier(8).aig)
+
+    def test_fully_warm_job_defers_the_saturated_graph(self, tmp_path, csa8):
+        store = _CountingStore(tmp_path)
+        options = BoolEOptions(**self.OPTIONS)
+        cold = BoolEPipeline(options, store=store).run(csa8)
+        cold_wire = egraph_to_wire(cold.construction.egraph)
+        store.gets.clear()
+
+        warm = BoolEPipeline(options, store=store).run(csa8)
+        assert warm.cache_hit and warm.extraction_cache_hit
+        assert store.count(KIND_SATURATED) == 0
+        assert store.count(KIND_EXTRACTION) == 1
+        assert not warm.construction.egraph_loaded
+        # Everything report-shaped answers without the graph.
+        assert warm.summary() == {**cold.summary(),
+                                  "runtime": warm.summary()["runtime"]}
+        light = warm.lightweight()
+        assert light.egraph_nodes == cold.egraph_nodes
+        assert warm.fa_report.pairs == cold.fa_report.pairs
+        assert warm.r2_report.total_unions() == cold.r2_report.total_unions()
+        assert store.count(KIND_SATURATED) == 0
+
+        graph = warm.construction.egraph
+        assert store.count(KIND_SATURATED) == 1
+        assert warm.extraction.egraph is graph
+        assert egraph_to_wire(graph) == cold_wire
+        assert (warm.extraction.num_exact_fas(warm.construction.output_classes)
+                == cold.num_exact_fas)
+        assert store.count(KIND_SATURATED) == 1
+
+    def test_deferred_graph_heals_a_corrupt_snapshot(self, tmp_path):
+        aig = _mapped_csa3()
+        store = ArtifactStore(tmp_path)
+        pipeline = BoolEPipeline(BoolEOptions(**self.OPTIONS), store=store)
+        cold = pipeline.run(aig)
+        cold_wire = egraph_to_wire(cold.construction.egraph)
+        path = store.path_for(pipeline.cache_key(aig))
+        path.write_bytes(b"corrupted mid-copy")
+
+        warm = pipeline.run(aig)
+        assert warm.cache_hit and warm.extraction_cache_hit
+        assert egraph_to_wire(warm.construction.egraph) == cold_wire
+        assert store.verify()["unreadable"] == []    # recomputed, rewritten
+
+    def test_extraction_artifact_of_another_snapshot_is_not_served(
+            self, tmp_path):
+        aig = _mapped_csa3()
+        store = ArtifactStore(tmp_path)
+        pipeline = BoolEPipeline(BoolEOptions(**self.OPTIONS), store=store)
+        cold = pipeline.run(aig)
+        key = pipeline.plan(aig).extraction_key
+        entry = store.describe(key)
+        for tamper in (lambda payload: payload.update(saturated_key="0" * 64),
+                       lambda payload: payload.update(egraph_shape=[1.5, 2])):
+            payload = store.get(key, expected_kind=KIND_EXTRACTION)
+            tamper(payload)
+            store.put(key, payload, kind=KIND_EXTRACTION, meta=entry["meta"])
+            rerun = pipeline.run(aig)
+            assert rerun.cache_hit and not rerun.extraction_cache_hit
+            assert rerun.fa_blocks == cold.fa_blocks
+
+    @pytest.mark.parametrize("refine_rounds", [1, 2, 3])
+    def test_refinement_resumes_from_stored_first_pass(
+            self, tmp_path, csa8, refine_rounds, monkeypatch):
+        options = BoolEOptions(**self.OPTIONS, refine_rounds=refine_rounds)
+        reference = BoolEPipeline(options, store=tmp_path / "cold").run(csa8)
+
+        starts = _record_starts(monkeypatch)
+        store = ArtifactStore(tmp_path / "warm")
+        BoolEPipeline(BoolEOptions(**self.OPTIONS), store=store).run(csa8)
+        assert starts == [False]
+        resumed = BoolEPipeline(options, store=store).run(csa8)
+        assert resumed.cache_hit and not resumed.extraction_cache_hit
+        assert starts == [False, True]
+        assert resumed.extraction.fa_index == reference.extraction.fa_index
+        assert _entries(resumed.extraction) == _entries(reference.extraction)
+        assert resumed.fa_blocks == reference.fa_blocks
+
+    def test_corrupt_first_pass_falls_back(self, tmp_path, monkeypatch):
+        aig = _mapped_csa3()
+        options = BoolEOptions(**self.OPTIONS, refine_rounds=2)
+        reference = BoolEPipeline(options, store=tmp_path / "cold").run(aig)
+        store = ArtifactStore(tmp_path / "warm")
+        single = BoolEPipeline(BoolEOptions(**self.OPTIONS), store=store)
+        single.run(aig)
+        store.path_for(single.plan(aig).extraction_key).write_bytes(b"junk")
+
+        starts = _record_starts(monkeypatch)
+        refined = BoolEPipeline(options, store=store).run(aig)
+        assert starts == [False]
+        assert _entries(refined.extraction) == _entries(reference.extraction)
 
 
 class TestSchedulerRoundTrip:
@@ -836,7 +994,7 @@ class TestCheckpointResume:
         uninterrupted run, down to the serialized e-graph bytes and the
         extraction choices."""
         aig = _mapped_csa3()
-        rules = basic_rules() + identification_rules(True)
+        rules = basic_rules() + identification_rules()
 
         reference = aig_to_egraph(aig)
         ref_report = Runner(_run_limits()).run(reference.egraph, rules)
@@ -908,7 +1066,7 @@ from repro.store import save_checkpoint, load_checkpoint
 
 mode, path = sys.argv[1], sys.argv[2]
 aig = post_mapping_flow(csa_multiplier(3).aig)
-rules = basic_rules() + identification_rules(True)
+rules = basic_rules() + identification_rules()
 limits = RunnerLimits(max_iterations=12, match_limit=60, ban_length=1)
 
 def signature(egraph):
@@ -1074,7 +1232,9 @@ class TestPipelineStoreCache:
         warm = pipeline.run(aig)
         assert not cold.cache_hit and warm.cache_hit
         assert "cache_store" in cold.timings
-        assert "cache_load" in warm.timings and "r1" not in warm.timings
+        # Fully warm: only the extraction artifact is loaded.
+        assert "extraction_cache_load" in warm.timings
+        assert "cache_load" not in warm.timings and "r1" not in warm.timings
         assert warm.summary() == {**cold.summary(),
                                   "runtime": warm.summary()["runtime"]}
         assert warm.extracted_aig.gates == cold.extracted_aig.gates
@@ -1118,6 +1278,8 @@ class TestPipelineStoreCache:
         cold = pipeline.run(aig)
         path = store.path_for(pipeline.cache_key(aig))
         path.write_bytes(b"corrupted mid-copy")
+        # A fully warm run never reads the snapshot: make the run need it.
+        store.delete(pipeline.plan(aig).extraction_key)
         healed = pipeline.run(aig)
         assert not healed.cache_hit
         assert healed.fa_blocks == cold.fa_blocks
