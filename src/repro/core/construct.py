@@ -14,6 +14,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from ..aig import AIG, lit_is_compl, lit_not, lit_var
 from ..egraph import EGraph, ENode, Op
+from ..egraph.dense import NodeTable
 
 __all__ = ["ConstructionResult", "DeferredEGraph", "PlannedConstruction",
            "aig_to_egraph", "planned_construction"]
@@ -23,13 +24,17 @@ class DeferredEGraph:
     """An ``egraph`` attribute that may be loaded on first access.
 
     A fully warm pipeline run serves its answer from the extraction
-    artifact alone; the saturated e-graph that answer refers to stays in
-    the store until a caller reads ``egraph``, which then calls the loader
-    once (see :meth:`defer_egraph`).
+    artifact alone, and a snapshot-warm one extracts on the snapshot's
+    :class:`~repro.egraph.dense.NodeTable`; the saturated e-graph that
+    answer refers to stays in the store until a caller reads ``egraph``,
+    which then calls the loader once (see :meth:`defer_egraph`).
     """
 
     _egraph: Optional[EGraph] = None
     _load_egraph: Optional[Callable[[], EGraph]] = None
+    #: The graph's read-only node table, when one is at hand: derived
+    #: state, never serialized.
+    node_table: Optional[NodeTable] = None
 
     @property
     def egraph(self) -> EGraph:

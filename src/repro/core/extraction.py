@@ -38,10 +38,13 @@ Performance and semantics (ISSUE 4 rewrite — the warm-store hot path):
   rule kept the optimistic key forever — on the 16-bit CSA it claimed
   267 root FAs over a netlist that contains 161.
 * **Int tables.**  Operators, children, costs and tie-break keys come
-  from the dense engine's node columns
-  (:meth:`~repro.egraph.DenseEGraph.node_table`); an :class:`ENode` is
-  decoded only for each class's chosen node.  The same fixpoint over
-  decoded ``ENode`` tables is the oracle in ``tests/enode_scans.py``.
+  from a :class:`~repro.egraph.dense.NodeTable`: a live graph's
+  (:meth:`~repro.egraph.DenseEGraph.node_table`) on a cold run, or one
+  read straight off the saturated snapshot's columns
+  (:func:`~repro.egraph.dense.read_node_table`) on a warm one, so a warm
+  job never builds the mutable graph.  An :class:`ENode` is decoded only
+  for each class's chosen node.  The same fixpoint over decoded
+  ``ENode`` tables is the oracle in ``tests/enode_scans.py``.
 
 Results are deterministic across ``PYTHONHASHSEED`` values and agree with
 the reference entry-for-entry wherever the reference is self-consistent;
@@ -56,10 +59,12 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice, repeat
 from operator import sub
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Set, Tuple, Union)
 
 from ..aig import AIG
 from ..egraph import EGraph, ENode, Op, as_engine
+from ..egraph.dense import NodeTable
 from .construct import ConstructionResult, DeferredEGraph
 
 __all__ = ["CostEntry", "BoolEExtraction", "BoolEExtractor", "FABlockRecord",
@@ -105,17 +110,27 @@ class BoolEExtraction(DeferredEGraph):
 
     ``fa_index`` maps bitmask positions back to FA e-class ids (shared by
     every entry's :attr:`CostEntry.fa_mask`).  ``egraph`` is the graph the
-    entries' class ids refer to; an extraction restored from the store
-    loads it on first access (:class:`~repro.core.construct.DeferredEGraph`).
+    entries' class ids refer to; an extraction restored from the store, or
+    computed on a snapshot's node table, loads it on first access
+    (:class:`~repro.core.construct.DeferredEGraph`).  ``node_table`` is
+    the table the extraction was computed on, so :attr:`find` answers
+    without the graph.
     """
 
     egraph: EGraph = field(repr=False, compare=False)
     entries: Dict[int, CostEntry] = field(default_factory=dict)
     fa_index: Tuple[int, ...] = ()
 
+    @property
+    def find(self) -> Callable[[int], int]:
+        """The union-find of the graph the entries refer to: the node
+        table's when there is one, else the (loaded) graph's."""
+        table = self.node_table
+        return table.find if table is not None else self.egraph.find
+
     def entry(self, class_id: int) -> CostEntry:
         """Return the entry for (the canonical class of) ``class_id``."""
-        return self.entries[self.egraph.find(class_id)]
+        return self.entries[self.find(class_id)]
 
     def raw_entry(self, class_id: int) -> CostEntry:
         """Return the entry of an already-canonical class id.
@@ -129,7 +144,7 @@ class BoolEExtraction(DeferredEGraph):
     def num_exact_fas(self, roots: Sequence[int]) -> int:
         """Number of distinct FAs used by the extraction of ``roots``."""
         mask = 0
-        find = self.egraph.find
+        find = self.find
         entries = self.entries
         for root in roots:
             entry = entries.get(find(root))
@@ -166,7 +181,7 @@ class BoolEExtractor:
             raise ValueError("refine_rounds must be >= 0")
         self.refine_rounds = refine_rounds
 
-    def extract(self, egraph: EGraph,
+    def extract(self, source: Union[NodeTable, EGraph],
                 roots: Optional[Sequence[int]] = None, *,
                 start: Optional[BoolEExtraction] = None) -> BoolEExtraction:
         """Run the bottom-up cost propagation (Algorithm 2).
@@ -174,13 +189,17 @@ class BoolEExtractor:
         A topological (Kahn) first pass evaluates each e-node as soon as all
         of its child classes have entries; later improvements re-enter the
         same queue but touch only the nodes that reference the improved
-        class.  Every table is built from the dense engine's int node
-        columns (:meth:`~repro.egraph.DenseEGraph.node_table`: classes in
+        class.  Every table is built from a
+        :class:`~repro.egraph.dense.NodeTable`'s int columns (classes in
         seq order, nodes in ``enode_sort_key`` order), so the pass is
         independent of ``PYTHONHASHSEED`` and decodes an :class:`ENode`
-        only for each class's chosen node.  An object-engine graph is
-        converted with :func:`~repro.egraph.as_engine` first; the result
-        keeps the graph it was given.
+        only for each class's chosen node.  ``source`` is that table, or a
+        graph: it is rebuilt and its
+        :meth:`~repro.egraph.DenseEGraph.node_table` taken (an
+        object-engine graph is converted with
+        :func:`~repro.egraph.as_engine` first), and the result keeps the
+        graph it was given.  A result computed on a table carries no graph
+        (the caller attaches one, or a loader).
 
         ``start`` is a single-pass (``refine_rounds=0``) extraction of the
         same graph under the same cost table, such as the stored one a
@@ -191,9 +210,13 @@ class BoolEExtractor:
         different ``fa_index``, a class or chosen node the graph lacks) is
         ignored.
         """
-        egraph.rebuild()
-        graph = as_engine(egraph, "dense")
-        table = graph.node_table()
+        egraph: Optional[EGraph] = None
+        if isinstance(source, NodeTable):
+            table = source
+        else:
+            egraph = source
+            egraph.rebuild()
+            table = as_engine(egraph, "dense").node_table()
 
         # ---- one deterministic setup pass over the int columns ----------
         # Extractor node ``i`` is graph node ``graph_nodes[i]``; classes
@@ -445,7 +468,7 @@ class BoolEExtractor:
                 root_positions = []
                 seen_roots = set()
                 for root in roots:
-                    position = class_index.get(egraph.find(root))
+                    position = class_index.get(table.find(root))
                     if position is not None and position not in seen_roots:
                         seen_roots.add(position)
                         root_positions.append(position)
@@ -494,8 +517,9 @@ class BoolEExtractor:
         # ---- assemble the result ----------------------------------------
         fa_index_tuple = tuple(fa_index)
         extraction = BoolEExtraction(egraph=egraph, fa_index=fa_index_tuple)
+        extraction.node_table = table
         entries = extraction.entries
-        decode = graph.decode
+        decode = table.decode
         for class_position, class_id in enumerate(class_list):
             node_id = choice[class_position]
             if node_id >= 0:
@@ -538,7 +562,7 @@ class _Materializer:
     def __init__(self, extraction: BoolEExtraction, aig: AIG,
                  input_literal: Dict[str, int]) -> None:
         self.extraction = extraction
-        self.find = extraction.egraph.find
+        self.find = extraction.find
         self.aig = aig
         self.input_literal = input_literal
         self.literal_memo: Dict[int, int] = {}

@@ -38,6 +38,8 @@ import time
 import weakref
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from itertools import chain, islice
+from operator import countOf, lt
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List,
                     Optional, Tuple, Union)
 
@@ -56,6 +58,7 @@ from ..store import (
     egraph_to_wire,
     extraction_from_wire,
     extraction_to_wire,
+    node_table_from_wire,
     phase_checkpoint_key,
     report_from_wire,
     report_to_wire,
@@ -576,12 +579,39 @@ class PhaseGraph:
 # Shared wire helpers (construction bookkeeping travels with several
 # artifact kinds; the e-graph itself is serialized separately).
 # ----------------------------------------------------------------------
+#: Fields of the construction wire form: each map is two parallel int
+#: columns, keys ascending.
+_CONSTRUCTION_FIELDS = {"vars", "var_classes", "output_classes",
+                        "literals", "literal_classes"}
+
+
 def _construction_to_wire(construction: ConstructionResult) -> Dict:
+    variables = sorted(construction.class_of_var.items())
+    literals = sorted(construction.literal_classes.items())
     return {
-        "class_of_var": sorted(construction.class_of_var.items()),
+        "vars": [var for var, _ in variables],
+        "var_classes": [class_id for _, class_id in variables],
         "output_classes": list(construction.output_classes),
-        "literal_classes": sorted(construction.literal_classes.items()),
+        "literals": [lit for lit, _ in literals],
+        "literal_classes": [class_id for _, class_id in literals],
     }
+
+
+def _int_columns(*columns: Any) -> bool:
+    """True when every column is a list of non-negative ints."""
+    return (all(type(column) is list for column in columns)
+            and countOf(map(type, chain(*columns)), int)
+            == sum(map(len, columns))
+            and min(chain(*columns), default=0) >= 0)
+
+
+def _int_map(keys: Any, values: Any, what: str) -> Dict[int, int]:
+    """The map of two parallel int columns, keys strictly ascending."""
+    if not _int_columns(keys, values) or len(keys) != len(values):
+        raise SnapshotError(f"{what} must be two int columns of one length")
+    if not all(map(lt, keys, islice(keys, 1, None))):
+        raise SnapshotError(f"{what} keys must be strictly ascending")
+    return dict(zip(keys, values))
 
 
 def _construction_from_wire(wire: Dict, egraph: Any,
@@ -589,14 +619,19 @@ def _construction_from_wire(wire: Dict, egraph: Any,
     # ``egraph`` is a restored DenseEGraph (or ``None`` for one loaded
     # later); ConstructionResult is typed by the EGraph API, which both
     # engines implement.
+    if type(wire) is not dict or wire.keys() != _CONSTRUCTION_FIELDS:
+        raise SnapshotError("construction must be an object with fields "
+                            f"{sorted(_CONSTRUCTION_FIELDS)}")
+    if not _int_columns(wire["output_classes"]):
+        raise SnapshotError("output_classes must be an int column")
     return ConstructionResult(
         egraph=egraph,
         aig=aig,
-        class_of_var={var: class_id
-                      for var, class_id in wire["class_of_var"]},
+        class_of_var=_int_map(wire["vars"], wire["var_classes"],
+                              "class_of_var"),
         output_classes=list(wire["output_classes"]),
-        literal_classes={lit: class_id
-                         for lit, class_id in wire["literal_classes"]},
+        literal_classes=_int_map(wire["literals"], wire["literal_classes"],
+                                 "literal_classes"),
     )
 
 
@@ -793,7 +828,13 @@ class InsertFAPhase(_BoolEPhase):
 
     Its boundary artifact is the ``kind="saturated-pipeline"`` snapshot —
     everything the pipeline produces before extraction — so restoring it
-    replaces phases 1–4 wholesale.
+    replaces phases 1–4 wholesale.  Extraction reads only the snapshot's
+    node table, so a restore publishes that (``construction.node_table``,
+    read straight off the columns) and defers ``construction.egraph``: the
+    graph is decoded once, on first access, by a walk of phases 1–4 whose
+    insert-fa phase is built with ``restore_graph=True``
+    (:meth:`~repro.core.pipeline.BoolEPipeline.saturated_egraph`), which
+    restores the full graph instead.
     """
 
     name = "insert-fa"
@@ -801,6 +842,11 @@ class InsertFAPhase(_BoolEPhase):
     load_timing = "cache_load"
     store_timing = "cache_store"
     provides = ("fa_report", "num_npn")
+
+    def __init__(self, pipeline: "BoolEPipeline", *,
+                 restore_graph: bool = False) -> None:
+        super().__init__(pipeline)
+        self.restore_graph = restore_graph
 
     def cache_key(self, ctx: PhaseContext) -> Optional[str]:
         return ctx.get("base_key")
@@ -827,8 +873,21 @@ class InsertFAPhase(_BoolEPhase):
         # Fully decode before publishing anything into the context: a
         # payload whose tail is malformed must not leave a half-restored
         # (already saturated!) e-graph for the fresh phases to mangle.
-        egraph = egraph_from_wire(payload["egraph"])
-        ctx.state.update(_saturation_from_wire(payload, egraph, ctx["aig"]))
+        if self.restore_graph:
+            egraph = egraph_from_wire(payload["egraph"])
+            ctx.state.update(_saturation_from_wire(payload, egraph,
+                                                   ctx["aig"]))
+            return
+        # Every column is checked; only the node table is kept (the
+        # parent, hashcons and dirty columns go with the payload).
+        table = node_table_from_wire(payload["egraph"])
+        products = _saturation_from_wire(payload, None, ctx["aig"])
+        construction = products["construction"]
+        construction.defer_egraph(partial(
+            self.pipeline.saturated_egraph, ctx["aig"], ctx.store))
+        construction.node_table = table
+        ctx.state.update(products,
+                         egraph_shape=(table.num_classes, table.num_nodes))
 
     def artifact_meta(self, ctx: PhaseContext) -> Dict:
         aig = ctx["aig"]
@@ -881,9 +940,15 @@ class ExtractPhase(_BoolEPhase):
     def run(self, ctx: PhaseContext, resume: Any = None) -> None:
         construction: ConstructionResult = ctx["construction"]
         started = time.perf_counter()
-        ctx["extraction"] = self.pipeline.extractor.extract(
-            construction.egraph, roots=construction.output_classes,
-            start=self._first_pass(ctx))
+        # A restored snapshot's node table, or the live graph (whose own
+        # node table the extractor takes).
+        table = construction.node_table
+        extraction = self.pipeline.extractor.extract(
+            construction.egraph if table is None else table,
+            roots=construction.output_classes, start=self._first_pass(ctx))
+        if table is not None:
+            extraction.defer_egraph(partial(getattr, construction, "egraph"))
+        ctx["extraction"] = extraction
         ctx.timings["extract"] = time.perf_counter() - started
 
     def _first_pass(self, ctx: PhaseContext) -> Optional[BoolEExtraction]:
@@ -950,14 +1015,14 @@ class ReconstructPhase(_BoolEPhase):
 
     def to_wire(self, ctx: PhaseContext) -> Dict:
         blocks: List[FABlockRecord] = ctx["fa_blocks"]
-        egraph = ctx["construction"].egraph
+        table = ctx["extraction"].node_table
         return {
             "extraction": extraction_to_wire(ctx["extraction"]),
             "extracted_aig": aig_to_wire(ctx["extracted_aig"]),
             "fa_blocks": [[list(block.inputs), block.sum_lit,
                            block.carry_lit] for block in blocks],
             "saturated_key": ctx["base_key"],
-            "egraph_shape": [egraph.num_classes, egraph.num_nodes],
+            "egraph_shape": [table.num_classes, table.num_nodes],
             **_saturation_to_wire(ctx, timed=False),
         }
 
@@ -987,6 +1052,7 @@ class ReconstructPhase(_BoolEPhase):
             ctx.state.update(products)
         construction = ctx["construction"]
         extraction.defer_egraph(partial(getattr, construction, "egraph"))
+        extraction.node_table = construction.node_table
         ctx["extraction"] = extraction
         ctx["extracted_aig"] = extracted_aig
         ctx["fa_blocks"] = fa_blocks

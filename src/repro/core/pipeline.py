@@ -22,7 +22,9 @@ boundary artifacts on the way (see ``docs/serialization.md``).  Phases
 (saturated-graph key, extractor cost table, reconstruction roots,
 refinement budget).  It is self-contained: a fully warm run loads only
 that artifact, skips cost propagation entirely, and loads the saturated
-snapshot only if a caller reads ``result.construction.egraph``.
+snapshot only if a caller reads ``result.construction.egraph``.  A run
+that restores the saturated snapshot and extracts reads only its node
+table, and builds the mutable e-graph only on that same first access.
 
 With ``checkpoint_every`` set, the two saturation phases additionally
 write mid-phase ``kind="checkpoint"`` artifacts every N iterations: a
@@ -55,7 +57,8 @@ from ..store import (
 from .construct import ConstructionResult
 from .extraction import BoolEExtraction, BoolEExtractor, FABlockRecord
 from .fa_structure import FAInsertionReport
-from .phases import PhaseContext, PhaseGraph, PipelinePlan, boole_phases
+from .phases import (InsertFAPhase, PhaseContext, PhaseGraph, PipelinePlan,
+                     boole_phases)
 from .rules_basic import basic_rules
 from .rules_xor_maj import identification_rules
 
@@ -279,11 +282,13 @@ class BoolEPipeline:
         self._r1 = basic_rules(lightweight=self.options.lightweight_rules)
         self._r2 = identification_rules()
         self._graph = PhaseGraph(boole_phases(self))
-        # Phases 1–4 alone (construct … insert-fa): what loading a fully
-        # warm result's deferred e-graph walks (:meth:`saturated_egraph`).
-        names = self.phases
+        # Phases 1–4 alone (construct … insert-fa), restoring the full
+        # graph rather than the node table: what loading a warm result's
+        # deferred e-graph walks (:meth:`saturated_egraph`).
+        insert_fa = self.phases.index("insert-fa")
         self._saturation = PhaseGraph(
-            self._graph.phases[:names.index("insert-fa") + 1])
+            self._graph.phases[:insert_fa]
+            + [InsertFAPhase(self, restore_graph=True)])
         # Options/ruleset fingerprints are per-pipeline constants; computed
         # lazily once so batch sweeps pay only the per-AIG digest per job.
         self._static_fingerprints: Optional[Tuple[str, List[str]]] = None
@@ -327,9 +332,10 @@ class BoolEPipeline:
     def saturated_egraph(self, aig: AIG,
                          store: Optional[ArtifactStore]) -> EGraph:
         """``aig``'s saturated e-graph: phases 1–4 walked against
-        ``store``, so the snapshot is restored (one get), or recomputed
-        and stored again when it is gone.  A fully warm run's
-        ``construction.egraph`` calls this on first access."""
+        ``store``, so the snapshot is restored as a full graph (one get),
+        or recomputed and stored again when it is gone or corrupt.  A warm
+        run's deferred ``construction.egraph`` calls this on first
+        access."""
         ctx = PhaseContext(store=store)
         ctx["aig"] = aig
         ctx["base_key"] = self.cache_key(aig) if store is not None else None
@@ -407,9 +413,10 @@ class BoolEPipeline:
         ``kind="checkpoint"`` artifact (``result.resumed_phase``); all
         three flags are read off the walk the phase graph took.  A
         fully warm run loads only the extraction artifact and skips cost
-        propagation entirely; its ``construction.egraph`` loads the
-        saturated snapshot on first access.  Phases run with the cyclic collector paused
-        (:func:`gc_paused`).
+        propagation entirely, and a snapshot-warm run extracts on the
+        snapshot's node table; either run's ``construction.egraph`` loads
+        the saturated graph on first access.  Phases run with the cyclic
+        collector paused (:func:`gc_paused`).
         """
         store = _as_store(store) or self.store
         start = time.perf_counter()

@@ -52,8 +52,8 @@ a fresh graph, so the snapshot codec never builds an :class:`ENode`.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import compress, islice, repeat
-from operator import countOf, eq, le, lt, ne, sub
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import countOf, eq, ge, le, lt, ne, sub
 from typing import (
     AbstractSet,
     Dict,
@@ -81,7 +81,7 @@ from .pattern import (
 )
 
 __all__ = ["DenseEGraph", "NodeTable", "as_engine", "PAYLOAD_TYPES",
-           "read_node_columns", "write_node_columns"]
+           "read_node_columns", "read_node_table", "write_node_columns"]
 
 #: Candidate roots are fed through a group's matcher in chunks of this
 #: many classes; a rule whose budget is exceeded at a chunk end leaves the
@@ -96,6 +96,13 @@ def _ranks(keys: List) -> List[int]:
     for position, index in enumerate(order):
         rank[index] = position
     return rank
+
+
+def _payload_ranks(payloads: Sequence[Hashable]) -> List[int]:
+    """Rank by str(payload) — the component ``enode_sort_key`` compares —
+    with the table index as a deterministic tie-break."""
+    return _ranks([(str(payload), index)
+                   for index, payload in enumerate(payloads)])
 
 
 def _tabled(values: Sequence[Hashable]) -> Tuple[List, List[int]]:
@@ -207,13 +214,15 @@ def read_node_columns(columns: Dict, child_high: Optional[int],
 
 
 class NodeTable(NamedTuple):
-    """Read-only int view of a clean graph's canonical e-nodes, for the
-    whole-graph passes after saturation (:meth:`DenseEGraph.node_table`).
+    """Read-only int view of a clean graph's canonical e-nodes: everything
+    extraction reads.  Built from a live graph
+    (:meth:`DenseEGraph.node_table`) or straight from snapshot columns
+    (:func:`read_node_table`), which give equal tables for equal graphs.
 
     Class ``class_ids[i]`` owns ``nodes[class_off[i]:class_off[i + 1]]``;
     the node columns are indexed by node id, and node ``n``'s children are
-    ``node_child[node_off[n]:node_off[n + 1]]``.  The columns are the
-    graph's own lists: valid until the graph next changes.
+    ``node_child[node_off[n]:node_off[n + 1]]``.  The node columns may be
+    a live graph's own lists, which only ever grow.
     """
 
     #: Canonical class ids in seq order, and their seqs.
@@ -229,6 +238,157 @@ class NodeTable(NamedTuple):
     #: Operator name by op id, payload by payload id.
     op_names: List[str]
     payloads: List[Hashable]
+    #: Path-compressed union-find: ``uf[i]`` is the class of id ``i``.
+    uf: List[int]
+    #: E-nodes the graph stores (:attr:`DenseEGraph.num_nodes`).
+    num_nodes: int
+
+    @property
+    def num_classes(self) -> int:
+        return len(self.class_ids)
+
+    def find(self, class_id: int) -> int:
+        return self.uf[class_id]
+
+    def decode(self, node_id: int) -> ENode:
+        """The :class:`ENode` of node ``node_id``."""
+        offsets = self.node_off
+        return ENode.unchecked(
+            self.op_names[self.node_op[node_id]],
+            tuple(self.node_child[offsets[node_id]:offsets[node_id + 1]]),
+            self.payloads[self.node_payload[node_id]])
+
+
+class _SnapshotColumns(NamedTuple):
+    """Every column of a :meth:`DenseEGraph.to_columns` snapshot, checked
+    (:func:`_read_snapshot_columns`)."""
+
+    uf: List[int]
+    ops: List[str]
+    payloads: List[Hashable]
+    node_op: List[int]
+    node_payload: List[int]
+    node_off: List[int]
+    node_child: List[int]
+    #: Union-find roots ascending; class ``class_ids[i]`` owns
+    #: ``class_nodes[class_node_off[i]:class_node_off[i + 1]]`` (in
+    #: ``enode_sort_key`` order) and has seq ``seq[i]``.
+    class_ids: List[int]
+    class_node_off: List[int]
+    class_nodes: List[int]
+    seq: List[int]
+    #: True when every class node's children are roots.
+    canonical: bool
+    class_parent_off: List[int]
+    parent_nodes: List[int]
+    parent_classes: List[int]
+    hashcons: Dict[int, int]
+    dirty: List[int]
+    pending: List[int]
+    clean: bool
+
+
+def _read_snapshot_columns(columns: Dict) -> _SnapshotColumns:
+    """The one reader of snapshot columns.
+
+    Checks lengths, monotone offsets, index ranges, operator arities and
+    tables (:func:`read_node_columns`), that the union-find array is
+    path-compressed (so it is its own ``find``), and that each class's
+    node slice is strictly ascending under ``enode_sort_key`` (as
+    :meth:`DenseEGraph.to_columns` writes it); raises ``KeyError``,
+    ``TypeError`` or ``ValueError`` on the first violation.
+    """
+    sizes = columns["sizes"]
+    if type(sizes) is not dict:
+        raise TypeError("'sizes' must be an object")
+    uf = _int_column(columns, "uf", length=sizes["uf"], high=sizes["uf"])
+    size = len(uf)
+    if list(map(uf.__getitem__, uf)) != uf:
+        raise ValueError("union-find array is not path-compressed")
+    ops, payloads, node_op, node_payload, node_off, node_child = \
+        read_node_columns(columns, size, sizes["node_op"])
+    count = len(node_op)
+    class_ids = _roots(uf)
+    class_node_off = _offset_column(columns, "class_node_off",
+                                    len(class_ids))
+    class_nodes = _int_column(columns, "class_nodes",
+                              length=class_node_off[-1], high=count)
+    seq = _int_column(columns, "seq", length=len(class_ids))
+    if seq and min(seq) < 0:
+        raise ValueError("column 'seq' has a negative entry")
+    # Each slice strictly ascends under DenseEGraph._node_sort_key, built
+    # column-wise: a descent may only fall on a class boundary.
+    kids = list(map(node_child.__getitem__, map(
+        slice, map(node_off.__getitem__, class_nodes),
+        map(node_off.__getitem__, map((1).__add__, class_nodes)))))
+    keys = list(zip(
+        map(_ranks(ops).__getitem__, map(node_op.__getitem__, class_nodes)),
+        kids,
+        map(_payload_ranks(payloads).__getitem__,
+            map(node_payload.__getitem__, class_nodes))))
+    if not set(compress(range(1, len(keys)), map(
+            ge, keys, islice(keys, 1, None)))) <= set(class_node_off):
+        raise ValueError("a class's nodes are not in enode_sort_key order")
+    flat = list(chain.from_iterable(kids))
+    canonical = list(map(uf.__getitem__, flat)) == flat
+
+    class_parent_off = _offset_column(columns, "class_parent_off",
+                                      len(class_ids))
+    parent_nodes = _int_column(columns, "class_parent_nodes",
+                               length=class_parent_off[-1], high=count)
+    parent_classes = _int_column(columns, "class_parent_classes",
+                                 length=class_parent_off[-1], high=size)
+    hashcons_nodes = _int_column(columns, "hashcons_nodes",
+                                 length=sizes["hashcons_nodes"], high=count)
+    hashcons_classes = _int_column(columns, "hashcons_classes",
+                                   length=len(hashcons_nodes), high=size)
+    hashcons = dict(zip(hashcons_nodes, hashcons_classes))
+    if len(hashcons) != len(hashcons_nodes):
+        raise ValueError("duplicate hashcons entry")
+    dirty = _int_column(columns, "dirty", length=sizes["dirty"], high=size)
+    if not all(map(lt, dirty, islice(dirty, 1, None))):
+        raise ValueError("column 'dirty' is not sorted")
+    pending = _int_column(columns, "pending", length=sizes["pending"],
+                          high=size)
+    clean = columns["clean"]
+    if type(clean) is not bool:
+        raise TypeError("'clean' must be a bool")
+    return _SnapshotColumns(
+        uf, ops, payloads, node_op, node_payload, node_off, node_child,
+        class_ids, class_node_off, class_nodes, seq, canonical,
+        class_parent_off, parent_nodes, parent_classes, hashcons, dirty,
+        pending, clean)
+
+
+def read_node_table(columns: Dict) -> NodeTable:
+    """The :class:`NodeTable` of a snapshot, without building its graph.
+
+    Every column is checked as :meth:`DenseEGraph.from_columns` checks
+    it; the table further needs every class node to be canonical (all
+    children are roots).  The pipeline's saturated snapshot is: pruning
+    canonicalises every class, and FA insertion then merges away only
+    classes no node references.  The parent, hashcons and dirty columns
+    are checked and dropped.  Equal to
+    ``DenseEGraph.from_columns(columns).node_table()``.
+    """
+    read = _read_snapshot_columns(columns)
+    if not read.canonical:
+        raise ValueError("a class node has a child that is not a root")
+    class_node_off = read.class_node_off
+    class_nodes = read.class_nodes
+    order = sorted(range(len(read.class_ids)), key=read.seq.__getitem__)
+    lows = list(map(class_node_off.__getitem__, order))
+    highs = list(map(class_node_off.__getitem__, map((1).__add__, order)))
+    return NodeTable(
+        class_ids=list(map(read.class_ids.__getitem__, order)),
+        class_seqs=list(map(read.seq.__getitem__, order)),
+        class_off=[0, *accumulate(map(sub, highs, lows))],
+        nodes=list(chain.from_iterable(map(
+            class_nodes.__getitem__, map(slice, lows, highs)))),
+        node_op=read.node_op, node_payload=read.node_payload,
+        node_off=read.node_off, node_child=read.node_child,
+        op_names=read.ops,
+        payloads=read.payloads, uf=read.uf, num_nodes=len(class_nodes))
 
 
 class _DenseClass:
@@ -344,10 +504,7 @@ class DenseEGraph:
         self._op_rank = _ranks(self._op_names)
 
     def _rank_payloads(self) -> None:
-        """Rank by str(payload) — the component enode_sort_key compares —
-        with the insertion index as a deterministic tie-break."""
-        self._payload_rank = _ranks([(str(payload), index) for index, payload
-                                     in enumerate(self._payloads)])
+        self._payload_rank = _payload_ranks(self._payloads)
 
     def _intern_node(self, op_id: int, payload_id: int,
                      children: Tuple[int, ...]) -> int:
@@ -586,13 +743,21 @@ class DenseEGraph:
         for class_id in class_ids:
             nodes += canonical_ids(class_id)
             class_off.append(len(nodes))
+        # Pointer jumping to a fully path-compressed copy of the
+        # union-find, a few C-speed passes instead of a find per id.
+        uf = self._uf
+        while True:
+            jumped = list(map(uf.__getitem__, uf))
+            if jumped == uf:
+                break
+            uf = jumped
         return NodeTable(
             class_ids=list(class_ids),
             class_seqs=list(map(self._seq.__getitem__, class_ids)),
             class_off=class_off, nodes=nodes, node_op=self._node_op,
             node_payload=self._node_payload, node_off=self._node_off,
             node_child=self._node_child, op_names=self._op_names,
-            payloads=self._payloads)
+            payloads=self._payloads, uf=jumped, num_nodes=self.num_nodes)
 
     def _invalidate_caches(self) -> None:
         if self._enode_cache:
@@ -1363,67 +1528,31 @@ class DenseEGraph:
 
         The columns become the node table as they are (wire node index ==
         node id), so no :class:`ENode` is built.  Every column is checked
-        first — lengths, monotone offsets, index ranges, operator arities,
-        tables (:func:`read_node_columns`), and that the union-find array is
-        path-compressed (so ``find`` cannot loop) — and a malformed input
-        raises ``KeyError``, ``TypeError`` or ``ValueError`` before any
-        graph exists.  The node interning table and the operator index are
-        built on first use: a warm restore that only extracts needs
-        neither.
+        first by the reader :func:`read_node_table` shares
+        (:func:`_read_snapshot_columns`), and a malformed input raises
+        ``KeyError``, ``TypeError`` or ``ValueError`` before any graph
+        exists.  A class whose nodes are all canonical seeds the
+        sorted-node cache with its (checked) slice, so ``node_table`` on a
+        fresh snapshot sorts nothing.  The node interning table and the
+        operator index are built on first use.
         """
-        sizes = columns["sizes"]
-        if type(sizes) is not dict:
-            raise TypeError("'sizes' must be an object")
-        uf = _int_column(columns, "uf", length=sizes["uf"],
-                         high=sizes["uf"])
-        size = len(uf)
-        if list(map(uf.__getitem__, uf)) != uf:
-            raise ValueError("union-find array is not path-compressed")
-        ops, payloads, node_op, node_payload, node_off, node_child = \
-            read_node_columns(columns, size, sizes["node_op"])
-        count = len(node_op)
-        class_ids = _roots(uf)
-        class_node_off = _offset_column(columns, "class_node_off",
-                                        len(class_ids))
-        class_nodes = _int_column(columns, "class_nodes",
-                                  length=class_node_off[-1], high=count)
-        class_parent_off = _offset_column(columns, "class_parent_off",
-                                          len(class_ids))
-        parent_nodes = _int_column(columns, "class_parent_nodes",
-                                   length=class_parent_off[-1], high=count)
-        parent_classes = _int_column(columns, "class_parent_classes",
-                                     length=class_parent_off[-1], high=size)
-        hashcons_nodes = _int_column(columns, "hashcons_nodes",
-                                     length=sizes["hashcons_nodes"],
-                                     high=count)
-        hashcons_classes = _int_column(columns, "hashcons_classes",
-                                       length=len(hashcons_nodes), high=size)
-        seq = _int_column(columns, "seq", length=len(class_ids))
-        if seq and min(seq) < 0:
-            raise ValueError("column 'seq' has a negative entry")
-        dirty = _int_column(columns, "dirty", length=sizes["dirty"],
-                            high=size)
-        if not all(map(lt, dirty, islice(dirty, 1, None))):
-            raise ValueError("column 'dirty' is not sorted")
-        pending = _int_column(columns, "pending", length=sizes["pending"],
-                              high=size)
-        clean = columns["clean"]
-        if type(clean) is not bool:
-            raise TypeError("'clean' must be a bool")
-        hashcons = dict(zip(hashcons_nodes, hashcons_classes))
-        if len(hashcons) != len(hashcons_nodes):
-            raise ValueError("duplicate hashcons entry")
+        read = _read_snapshot_columns(columns)
+        uf = read.uf
+        node_off = read.node_off
+        node_child = read.node_child
+        count = len(read.node_op)
 
         graph = cls()
         graph._uf = list(uf)
-        graph._op_names = list(ops)
-        graph._op_ids = dict(zip(ops, range(len(ops))))
+        graph._op_names = list(read.ops)
+        graph._op_ids = dict(zip(read.ops, range(len(read.ops))))
         graph._rank_ops()
-        graph._payloads = list(payloads)
-        graph._payload_ids = dict(zip(payloads, range(len(payloads))))
+        graph._payloads = list(read.payloads)
+        graph._payload_ids = dict(zip(read.payloads,
+                                      range(len(read.payloads))))
         graph._rank_payloads()
-        graph._node_op = list(node_op)
-        graph._node_payload = list(node_payload)
+        graph._node_op = list(read.node_op)
+        graph._node_payload = list(read.node_payload)
         graph._node_off = list(node_off)
         graph._node_child = list(node_child)
         graph._node_ids = None
@@ -1435,45 +1564,33 @@ class DenseEGraph:
         for slot in compress(range(len(node_child)), map(
                 ne, map(uf.__getitem__, node_child), node_child)):
             stamps[bisect_right(node_off, slot) - 1] = -1
+        parent_nodes = read.parent_nodes
         pairs = [0] * (2 * len(parent_nodes))
         pairs[0::2] = parent_nodes
-        pairs[1::2] = parent_classes
+        pairs[1::2] = read.parent_classes
         graph._op_classes = None
         classes = graph._classes
-        # to_columns lists each class's nodes in ``enode_sort_key`` order,
-        # so a class whose nodes are all canonical (stamped at epoch 0) and
-        # strictly ascending seeds the sorted-node cache with its slice:
-        # ``node_table`` on a fresh snapshot then sorts nothing.
-        # (The keys are ``_node_sort_key``'s, built column-wise.)
-        offsets = graph._node_off
-        keys = list(zip(
-            map(graph._op_rank.__getitem__,
-                map(graph._node_op.__getitem__, class_nodes)),
-            map(graph._node_child.__getitem__, map(
-                slice, map(offsets.__getitem__, class_nodes),
-                map(offsets.__getitem__, map((1).__add__, class_nodes)))),
-            map(graph._payload_rank.__getitem__,
-                map(graph._node_payload.__getitem__, class_nodes))))
-        ascending = bytes(map(lt, keys, islice(keys, 1, None)))
+        class_nodes = read.class_nodes
         canonical = bytes(map(eq, map(stamps.__getitem__, class_nodes),
                               repeat(graph._epoch)))
         cache = graph._enode_cache
+        class_node_off = read.class_node_off
+        class_parent_off = read.class_parent_off
         for class_id, node_low, node_high, parent_low, parent_high in zip(
-                class_ids, class_node_off, islice(class_node_off, 1, None),
-                class_parent_off, islice(class_parent_off, 1, None)):
+                read.class_ids, class_node_off,
+                islice(class_node_off, 1, None), class_parent_off,
+                islice(class_parent_off, 1, None)):
             nodes = class_nodes[node_low:node_high]
             classes[class_id] = _DenseClass(
                 class_id, set(nodes), pairs[2 * parent_low:2 * parent_high])
-            if (canonical.count(1, node_low, node_high)
-                    == node_high - node_low
-                    and ascending.count(1, node_low, node_high - 1)
-                    == node_high - node_low - 1):
+            if canonical.count(1, node_low, node_high) \
+                    == node_high - node_low:
                 cache[class_id] = nodes
-        graph._hashcons = hashcons
-        graph._pending = list(pending)
-        graph._clean = clean
-        graph._dirty = set(dirty)
-        graph._seq = dict(zip(class_ids, seq))
+        graph._hashcons = read.hashcons
+        graph._pending = list(read.pending)
+        graph._clean = read.clean
+        graph._dirty = set(read.dirty)
+        graph._seq = dict(zip(read.class_ids, read.seq))
         return graph
 
     def dump(self, limit: int = 50) -> str:  # pragma: no cover - debugging aid

@@ -34,6 +34,7 @@ from .codec import (
     extraction_to_wire,
     load_checkpoint,
     load_egraph,
+    node_table_from_wire,
     read_snapshot,
     report_from_wire,
     report_to_wire,
@@ -75,6 +76,7 @@ __all__ = [
     "extraction_to_wire",
     "load_checkpoint",
     "load_egraph",
+    "node_table_from_wire",
     "read_snapshot",
     "report_from_wire",
     "report_to_wire",

@@ -13,8 +13,10 @@ Design points:
   node op/payload/CSR-children columns, per-class node and parent
   offsets, hashcons, seqs) and decoded straight back into a
   :class:`~repro.egraph.DenseEGraph` — no :class:`~repro.egraph.ENode` is
-  built on either side.  Object-engine graphs reach the codec through
-  :func:`~repro.egraph.as_engine`.  The ``kind="extraction"`` wire form
+  built on either side — or, for a reader that only extracts, into the
+  read-only :class:`~repro.egraph.dense.NodeTable`
+  (:func:`node_table_from_wire`).  Object-engine graphs reach the codec
+  through :func:`~repro.egraph.as_engine`.  The ``kind="extraction"`` wire form
   keeps its chosen nodes in the same node columns
   (:func:`~repro.egraph.dense.write_node_columns`).
 * **Blobs.**  Every list of plain ints in a payload (the columns above,
@@ -75,8 +77,8 @@ from ..egraph import (
     StopReason,
     as_engine,
 )
-from ..egraph.dense import (PAYLOAD_TYPES, read_node_columns,
-                            write_node_columns)
+from ..egraph.dense import (PAYLOAD_TYPES, NodeTable, read_node_columns,
+                            read_node_table, write_node_columns)
 
 __all__ = [
     "CODEC_VERSION",
@@ -91,6 +93,7 @@ __all__ = [
     "SnapshotVersionError",
     "egraph_to_wire",
     "egraph_from_wire",
+    "node_table_from_wire",
     "aig_to_wire",
     "aig_from_wire",
     "extraction_to_wire",
@@ -140,7 +143,11 @@ __all__ = [
 #: FA pairs, the NPN count and the graph's shape, so serving it needs no
 #: saturated e-graph), and entry FA masks are a CSR column of ``fa_index``
 #: positions instead of JSON big ints.
-CODEC_VERSION = 7
+#:
+#: v8: the construction bookkeeping's ``class_of_var`` and
+#: ``literal_classes`` maps are each two parallel int columns, keys
+#: ascending, instead of ``[key, class]`` rows that never packed.
+CODEC_VERSION = 8
 
 SNAPSHOT_FORMAT = "repro.store/snapshot"
 
@@ -302,6 +309,22 @@ def egraph_from_wire(wire: Dict) -> DenseEGraph:
     """
     try:
         return DenseEGraph.from_columns(wire)
+    except (KeyError, IndexError, TypeError, ValueError) as error:
+        raise SnapshotError(
+            f"malformed e-graph columns: {error!r}") from error
+
+
+def node_table_from_wire(wire: Dict) -> NodeTable:
+    """Decode :func:`egraph_to_wire` output into the read-only node table
+    extraction reads, without building the e-graph.
+
+    The columns are checked as :func:`egraph_from_wire` checks them, and
+    every class node must be canonical, as a clean graph's are (see
+    :func:`~repro.egraph.dense.read_node_table`); anything else raises
+    :class:`SnapshotError`.
+    """
+    try:
+        return read_node_table(wire)
     except (KeyError, IndexError, TypeError, ValueError) as error:
         raise SnapshotError(
             f"malformed e-graph columns: {error!r}") from error

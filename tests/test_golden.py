@@ -51,8 +51,8 @@ CASES = {
 #: matching-mode options, then the rule-variant and pruning switches; and
 #: once more when the R2 sorted-children appliers became ``(xor3 ...)`` /
 #: ``(maj ...)`` right-hand sides (the ruleset fingerprint covers them);
-#: and for the codec v5, v6 and v7 bumps (the codec version salts every
-#: key).  Every pin but the FA counts and the R1 stats was re-recorded
+#: and for the codec v5, v6, v7 and v8 bumps (the codec version salts
+#: every key).  Every pin but the FA counts and the R1 stats was re-recorded
 #: when R2 dropped its 41 subsumed polarity variants.
 GOLDEN = {
     "booth4": {
@@ -67,7 +67,7 @@ GOLDEN = {
             "2f17a36a08ab208c091ad80df642270bfacd0c55180d9023f3128edbd14a560c",
         "r2_unions": 14189,
         "store_key":
-            "c9aaaad5e6ffd9213df53b548b4023a545bcb7973e85f2d394eb9db677883f6f",
+            "d616236674c7436d06f188add742d99c833eeb584c23a30105b285ec3d03f47e",
     },
     "csa4": {
         "egraph_sha256":
@@ -81,7 +81,7 @@ GOLDEN = {
             "373da69affd4b23441c66ba4e913c5750f4fcabf38f3350323656f9796df7592",
         "r2_unions": 6199,
         "store_key":
-            "79d8cdf67d17a779b8729500be98868ade7d4acfb4dab1878ed98b781934dd8a",
+            "e8ab71a8ca589fd39bb06c04ed51bef6c12c0200b658a7b51181bb68bad40a66",
     },
     "csa4-banned": {
         "egraph_sha256":
@@ -95,7 +95,7 @@ GOLDEN = {
             "99e24ceb10a349ddb762f05feac0c2b9110fe5ae953f78121b3e009114b63037",
         "r2_unions": 898,
         "store_key":
-            "4ba65a1c073bb2d49afa44494f7763f718fb63ea4539a9b9b3b5f11627747d64",
+            "7f5911fe25df261d9ebf59a2b7728132242781fcd1b9314ca21507c5b657b165",
     },
     "csa4-python": {
         "egraph_sha256":
@@ -109,7 +109,7 @@ GOLDEN = {
             "373da69affd4b23441c66ba4e913c5750f4fcabf38f3350323656f9796df7592",
         "r2_unions": 6199,
         "store_key":
-            "79d8cdf67d17a779b8729500be98868ade7d4acfb4dab1878ed98b781934dd8a",
+            "e8ab71a8ca589fd39bb06c04ed51bef6c12c0200b658a7b51181bb68bad40a66",
     },
 }
 

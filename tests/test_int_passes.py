@@ -31,6 +31,7 @@ from repro.core.fa_structure import count_npn_fa_pairs, insert_fa_structures
 from repro.core.rules_basic import basic_rules
 from repro.core.rules_xor_maj import identification_rules
 from repro.egraph import DenseEGraph, EGraph, ENode, Op, Runner, RunnerLimits
+from repro.egraph.dense import read_node_table
 from repro.generators import booth_multiplier, csa_multiplier
 from repro.opt import post_mapping_flow
 from repro.store import extraction_from_wire, extraction_to_wire
@@ -179,18 +180,25 @@ def test_refinement_ignores_a_first_pass_that_does_not_fit():
 
 @pytest.mark.parametrize("circuit", sorted(CIRCUITS))
 def test_decoded_node_table_needs_no_sort(circuit):
-    """A snapshot decode seeds each class's sorted node list from the
-    columns, and the seeded table equals the one sorted anew; a
-    class whose column slice is out of order is left to the sort."""
-    state, _ = _saturated(circuit)
+    """One column reader: the node table read straight off a snapshot's
+    columns equals the graph's, whose sorted node lists that reader's
+    checked slices seed, and extraction on it gives the graph's entries;
+    a class slice out of order is rejected by both decoders."""
+    state, roots = _saturated(circuit)
     graph = DenseEGraph.from_state(state)
     insert_fa_structures(graph)
     columns = graph.to_columns()
     decoded = DenseEGraph.from_columns(columns)
     assert len(decoded._enode_cache) == decoded.num_classes
-    seeded = decoded.node_table()
+    table = read_node_table(columns)
+    assert decoded.node_table() == table
     decoded._enode_cache.clear()
-    assert decoded.node_table() == seeded
+    assert decoded.node_table() == table
+    extractor = BoolEExtractor(refine_rounds=2)
+    on_table = extractor.extract(table, roots=roots)
+    assert on_table.node_table is table and not on_table.egraph_loaded
+    assert _entries(on_table) == _entries(extractor.extract(graph,
+                                                            roots=roots))
 
     offsets = columns["class_node_off"]
     index = next(index for index in range(len(offsets) - 1)
@@ -198,6 +206,6 @@ def test_decoded_node_table_needs_no_sort(circuit):
     low = offsets[index]
     nodes = columns["class_nodes"]
     nodes[low], nodes[low + 1] = nodes[low + 1], nodes[low]
-    shuffled = DenseEGraph.from_columns(columns)
-    assert len(shuffled._enode_cache) == shuffled.num_classes - 1
-    assert shuffled.node_table() == seeded
+    for read in (DenseEGraph.from_columns, read_node_table):
+        with pytest.raises(ValueError, match="enode_sort_key"):
+            read(columns)

@@ -448,6 +448,121 @@ class TestCorruptSnapshots:
         assert not store.contains(key)
 
 
+def _uf_not_compressed(payload):
+    """One non-root id pointed at another non-root id: a chain."""
+    uf = payload["egraph"]["uf"]
+    first, second = [index for index, root in enumerate(uf)
+                     if root != index][:2]
+    uf[first] = second
+
+
+def _child_not_a_root(payload):
+    """The only node of a class reads a non-root alias of its child (one
+    node per slice, so the slice stays in order)."""
+    wire = payload["egraph"]
+    uf, offsets, children = wire["uf"], wire["node_off"], wire["node_child"]
+    aliases = {root: index for index, root in enumerate(uf) if root != index}
+    class_off = wire["class_node_off"]
+    for low, high in zip(class_off, class_off[1:]):
+        node = wire["class_nodes"][low]
+        slot = offsets[node]
+        if high - low == 1 and slot < offsets[node + 1] \
+                and children[slot] in aliases:
+            children[slot] = aliases[children[slot]]
+            return
+    raise AssertionError("no single-node class over an aliased child")
+
+
+def _slice_out_of_order(payload):
+    wire = payload["egraph"]
+    offsets = wire["class_node_off"]
+    low = next(offsets[index] for index in range(len(offsets) - 1)
+               if offsets[index + 1] - offsets[index] >= 2)
+    nodes = wire["class_nodes"]
+    nodes[low], nodes[low + 1] = nodes[low + 1], nodes[low]
+
+
+def _class_offsets_not_monotone(payload):
+    offsets = payload["egraph"]["class_node_off"]
+    offsets[1] = offsets[2] + 1
+
+
+def _swap_map_keys(payload, keys):
+    column = payload["construction"][keys]
+    column[0], column[1] = column[1], column[0]
+
+
+#: One malformed saturated snapshot per check of the column reader and of
+#: the construction columns: (tamper, the SnapshotError it must raise).
+_MALFORMED_SNAPSHOTS = {
+    "uf-not-path-compressed": (_uf_not_compressed, "path-compressed"),
+    "class-node-child-not-a-root": (_child_not_a_root, "not a root"),
+    "class-slice-out-of-order": (_slice_out_of_order, "enode_sort_key"),
+    "class-node-offsets-not-monotone": (_class_offsets_not_monotone,
+                                        "monotone offset"),
+    "class-node-out-of-range": (
+        lambda payload: payload["egraph"]["class_nodes"].__setitem__(
+            0, len(payload["egraph"]["node_op"])), "out of range"),
+    "seq-wrong-length": (lambda payload: payload["egraph"]["seq"].pop(),
+                         "'seq' has"),
+    "var-columns-unequal": (
+        lambda payload: payload["construction"]["var_classes"].pop(),
+        "class_of_var must be"),
+    "var-class-negative": (
+        lambda payload: payload["construction"]["var_classes"].__setitem__(
+            0, -1), "class_of_var must be"),
+    "var-class-bool": (
+        lambda payload: payload["construction"]["var_classes"].__setitem__(
+            0, True), "class_of_var must be"),
+    "vars-not-ascending": (lambda payload: _swap_map_keys(payload, "vars"),
+                           "class_of_var keys"),
+    "literal-columns-unequal": (
+        lambda payload: payload["construction"]["literals"].pop(),
+        "literal_classes must be"),
+    "literal-negative": (
+        lambda payload: payload["construction"]["literals"].__setitem__(
+            0, -1), "literal_classes must be"),
+    "literals-not-ascending": (
+        lambda payload: _swap_map_keys(payload, "literals"),
+        "literal_classes keys"),
+    "construction-field-missing": (
+        lambda payload: payload["construction"].pop("literals"),
+        "construction must be"),
+}
+
+
+class TestMalformedSnapshot:
+    @pytest.mark.parametrize("case", sorted(_MALFORMED_SNAPSHOTS))
+    def test_each_reader_check_raises_and_recomputes(self, tmp_path, case):
+        """A saturated snapshot that fails one check is never restored:
+        the restore raises, and a run that needs it recomputes and
+        overwrites it."""
+        tamper, message = _MALFORMED_SNAPSHOTS[case]
+        store = ArtifactStore(tmp_path)
+        pipeline = BoolEPipeline(BoolEOptions(r1_iterations=2,
+                                              r2_iterations=2), store=store)
+        aig = _mapped_csa3()
+        cold = pipeline.run(aig)
+        key = pipeline.cache_key(aig)
+        intact = store.get(key, expected_kind=KIND_SATURATED)
+        payload = json.loads(json.dumps(intact))
+        tamper(payload)
+        store.put(key, payload, kind=KIND_SATURATED,
+                  meta=store.describe(key)["meta"])
+        ctx = PhaseContext()
+        ctx["aig"] = aig
+        with pytest.raises(SnapshotError, match=message):
+            InsertFAPhase(pipeline).from_wire(ctx, store.get(key))
+        assert list(ctx.state) == ["aig"]
+
+        store.delete(pipeline.plan(aig).extraction_key)
+        rerun = pipeline.run(aig)
+        assert not rerun.cache_hit
+        assert rerun.fa_blocks == cold.fa_blocks
+        assert rerun.extracted_aig.gates == cold.extracted_aig.gates
+        assert store.get(key)["egraph"] == intact["egraph"]
+
+
 @functools.lru_cache(maxsize=None)
 def _saturated_payload_text() -> str:
     """Canonical JSON of a small ``saturated-pipeline`` payload."""
@@ -846,6 +961,19 @@ def _entries(extraction):
             for class_id, entry in extraction.entries.items()}
 
 
+def _record_graph_decodes(monkeypatch):
+    """Record every ``DenseEGraph.from_columns`` call."""
+    decodes = []
+    from_columns = DenseEGraph.from_columns
+
+    def spy(cls, columns):
+        decodes.append(cls)
+        return from_columns(columns)
+
+    monkeypatch.setattr(DenseEGraph, "from_columns", classmethod(spy))
+    return decodes
+
+
 def _record_starts(monkeypatch):
     """Record, per ``BoolEExtractor.extract`` call, whether it was given
     a first pass to resume from."""
@@ -898,6 +1026,61 @@ class TestWarmLoadsOnlyWhatItUses:
         assert (warm.extraction.num_exact_fas(warm.construction.output_classes)
                 == cold.num_exact_fas)
         assert store.count(KIND_SATURATED) == 1
+
+    def test_snapshot_warm_job_builds_no_graph(self, tmp_path, csa8,
+                                               monkeypatch):
+        """A refining job on a warm snapshot extracts on the snapshot's
+        node table: no e-graph is decoded until a caller reads it."""
+        options = BoolEOptions(**self.OPTIONS, refine_rounds=2)
+        reference = BoolEPipeline(options, store=tmp_path / "cold").run(csa8)
+        cold_wire = egraph_to_wire(reference.construction.egraph)
+        store = _CountingStore(tmp_path / "warm")
+        BoolEPipeline(BoolEOptions(**self.OPTIONS), store=store).run(csa8)
+        store.gets.clear()
+
+        decodes = _record_graph_decodes(monkeypatch)
+        warm = BoolEPipeline(options, store=store).run(csa8)
+        assert warm.cache_hit and not warm.extraction_cache_hit
+        assert decodes == []
+        assert store.count(KIND_SATURATED) == 1
+        assert not warm.construction.egraph_loaded
+        assert _entries(warm.extraction) == _entries(reference.extraction)
+        assert warm.fa_blocks == reference.fa_blocks
+        assert warm.extracted_aig.gates == reference.extracted_aig.gates
+        assert warm.extracted_aig.outputs == reference.extracted_aig.outputs
+        assert warm.summary() == {**reference.summary(),
+                                  "runtime": warm.summary()["runtime"]}
+        assert decodes == [] and store.count(KIND_SATURATED) == 1
+
+        graph = warm.construction.egraph
+        assert len(decodes) == 1 and store.count(KIND_SATURATED) == 2
+        assert warm.extraction.egraph is graph
+        assert warm.construction.egraph is graph
+        assert egraph_to_wire(graph) == cold_wire
+        assert len(decodes) == 1 and store.count(KIND_SATURATED) == 2
+
+    @pytest.mark.parametrize("damage", ["deleted", "corrupted"])
+    def test_snapshot_warm_graph_heals_a_lost_snapshot(self, tmp_path,
+                                                       damage):
+        aig = _mapped_csa3()
+        store = ArtifactStore(tmp_path)
+        options = BoolEOptions(**self.OPTIONS, refine_rounds=2)
+        cold = BoolEPipeline(options, store=tmp_path / "cold").run(aig)
+        cold_wire = egraph_to_wire(cold.construction.egraph)
+        pipeline = BoolEPipeline(options, store=store)
+        BoolEPipeline(BoolEOptions(**self.OPTIONS), store=store).run(aig)
+
+        warm = pipeline.run(aig)
+        assert warm.cache_hit and not warm.construction.egraph_loaded
+        key = pipeline.cache_key(aig)
+        if damage == "deleted":
+            store.delete(key)
+        else:
+            store.path_for(key).write_bytes(b"corrupted mid-copy")
+        assert egraph_to_wire(warm.construction.egraph) == cold_wire
+        assert store.get(key, expected_kind=KIND_SATURATED)["egraph"] \
+            == cold_wire                               # recomputed, stored
+        assert store.verify()["unreadable"] == []
 
     def test_deferred_graph_heals_a_corrupt_snapshot(self, tmp_path):
         aig = _mapped_csa3()
