@@ -28,9 +28,12 @@ Performance and semantics (ISSUE 4 rewrite — the warm-store hot path):
   deterministic insertion order): an improved class re-evaluates only the
   nodes that actually consume it, not every node of every parent class.
 * **Value repair.**  A final bottom-up pass over the chosen-node DAG
-  recomputes every (mask, size) from the final child entries, so stored
-  values are exactly what reconstruction materialises and
-  ``num_exact_fas`` always matches the FA block count.  The pre-rewrite
+  (:func:`repair_values`) recomputes every (mask, size) from the final
+  child entries, so values are exactly what reconstruction materialises
+  and ``num_exact_fas`` always matches the FA block count.  Values are
+  therefore a function of the choices: the result, and its wire form,
+  store the chosen node per class, and the decoder derives the values
+  with the same function.  The pre-rewrite
   implementation (kept verbatim in
   :mod:`repro.core.extraction_reference` as the oracle/baseline) shipped
   *stale* values instead: a child refresh could shrink the FA union a
@@ -43,7 +46,7 @@ Performance and semantics (ISSUE 4 rewrite — the warm-store hot path):
   read straight off the saturated snapshot's columns
   (:func:`~repro.egraph.dense.read_node_table`) on a warm one, so a warm
   job never builds the mutable graph.  An :class:`ENode` is decoded only
-  for each class's chosen node.  The same fixpoint over decoded
+  when a caller reads a class's chosen node.  The same fixpoint over decoded
   ``ENode`` tables is the oracle in ``tests/enode_scans.py``.
 
 Results are deterministic across ``PYTHONHASHSEED`` values and agree with
@@ -55,27 +58,28 @@ measured FA recovery and the quality comparison against the reference's
 
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain, compress, islice, repeat
-from operator import sub
-from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
-                    Sequence, Set, Tuple, Union)
+from operator import ne, not_, or_, sub
+from typing import (Any, Callable, Dict, FrozenSet, Iterable, Iterator, List,
+                    Optional, Sequence, Set, Tuple, Union)
 
 from ..aig import AIG
 from ..egraph import EGraph, ENode, Op, as_engine
-from ..egraph.dense import NodeTable
+from ..egraph.dense import NodeTable, write_node_columns
 from .construct import ConstructionResult, DeferredEGraph
 
 __all__ = ["CostEntry", "BoolEExtraction", "BoolEExtractor", "FABlockRecord",
-           "reconstruct_aig"]
+           "reconstruct_aig", "repair_values"]
 
 _SIZE_CAP = 10**9
 
 
 @dataclass(slots=True)
 class CostEntry:
-    """Best known extraction choice for one e-class.
+    """Extraction choice and value of one e-class, as
+    :attr:`BoolEExtraction.entries` hands it out.
 
     ``fa_mask`` is the set of distinct exact-FA classes used underneath the
     choice, encoded as a bitmask over ``fa_index`` (bit *i* set ⇔
@@ -104,22 +108,132 @@ class CostEntry:
         return (-self.fa_mask.bit_count(), self.size)
 
 
+#: :func:`repair_values`' DFS states to its repaired bitmap: state 2
+#: (resolved) reads 1, the others 0.
+_RESOLVED = bytes.maketrans(b"\x00\x01\x02\x03", b"\x00\x00\x01\x00")
+
+
+def repair_values(kids: Sequence[Sequence[int]], own_mask: Sequence[int],
+                  own_size: Sequence[int], mask: List[int],
+                  size: List[int]) -> bytearray:
+    """Value repair along the chosen-node DAG: the one place values come
+    from, shared by the extractor and the wire decoder.
+
+    Position ``i``'s chosen node has child positions ``kids[i]``, own FA
+    bit ``own_mask[i]`` and own cost ``own_size[i]``.  Every position whose
+    chosen descendants all resolve gets ``mask[i] = own_mask[i] |
+    mask[children]`` and ``size[i] = own_size[i] + size[children]``
+    (capped), children first; the rest — on a chosen-node cycle, a
+    self-loop included, or above one — keep the values they came in with.
+    Returns the repaired-position bitmap.
+    """
+    # Iterative DFS: 0 unseen, 1 open (on the current path), 2 resolved,
+    # 3 on or above a cycle (a child still open closes the cycle).
+    state = bytearray(len(kids))
+    order = []
+    for root in range(len(kids)):
+        if state[root]:
+            continue
+        stack = [root]
+        while stack:
+            position = stack[-1]
+            if not state[position]:
+                state[position] = 1
+                for child in kids[position]:
+                    if not state[child]:
+                        stack.append(child)
+                continue
+            stack.pop()
+            if state[position] == 1:
+                for child in kids[position]:
+                    if state[child] != 2:
+                        state[position] = 3
+                        break
+                else:
+                    state[position] = 2
+                    order.append(position)
+    for position in order:
+        value_mask = own_mask[position]
+        value_size = own_size[position]
+        for child in kids[position]:
+            value_mask |= mask[child]
+            value_size += size[child]
+        mask[position] = value_mask
+        size[position] = value_size if value_size <= _SIZE_CAP else _SIZE_CAP
+    return state.translate(_RESOLVED)
+
+
+class _Entries(Mapping):
+    """Read-only ``class id → CostEntry`` view of a
+    :class:`BoolEExtraction`: each access builds the entry from the
+    columns, in ascending class-id order."""
+
+    __slots__ = ("_extraction",)
+
+    def __init__(self, extraction: "BoolEExtraction") -> None:
+        self._extraction = extraction
+
+    def __getitem__(self, class_id: int) -> CostEntry:
+        extraction = self._extraction
+        position = extraction.position(class_id)
+        if position is None:
+            raise KeyError(class_id)
+        return CostEntry(fa_mask=extraction.fa_masks[position],
+                         size=extraction.sizes[position],
+                         node=extraction.node_at(position),
+                         fa_index=extraction.fa_index)
+
+    def __contains__(self, class_id: object) -> bool:
+        return self._extraction.position(class_id) is not None
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._extraction.entry_class)
+
+    def __len__(self) -> int:
+        return len(self._extraction.entry_class)
+
+
 @dataclass
 class BoolEExtraction(DeferredEGraph):
-    """Result of the DAG extraction: one cost entry per reachable e-class.
+    """Result of the DAG extraction: one chosen e-node per reachable
+    e-class, as int columns in the layout of its wire form
+    (:func:`~repro.store.extraction_to_wire`).
 
-    ``fa_index`` maps bitmask positions back to FA e-class ids (shared by
-    every entry's :attr:`CostEntry.fa_mask`).  ``egraph`` is the graph the
-    entries' class ids refer to; an extraction restored from the store, or
-    computed on a snapshot's node table, loads it on first access
-    (:class:`~repro.core.construct.DeferredEGraph`).  ``node_table`` is
-    the table the extraction was computed on, so :attr:`find` answers
-    without the graph.
+    Entry ``i`` is class ``entry_class[i]`` (ascending) choosing node
+    ``entry_node[i]`` of ``node_columns`` (the chosen nodes, tabled as
+    :func:`~repro.egraph.dense.write_node_columns` writes them, children as
+    class ids); ``op_cost`` is the extractor's cost of each operator of
+    that table.  The values ``fa_masks[i]``/``sizes[i]`` are what
+    :func:`repair_values` derives from the choices, except at the entries
+    listed in ``cyclic`` (on or above a chosen-node cycle), which keep the
+    propagation's values.  ``fa_index`` maps mask bits back to FA class
+    ids.  :attr:`entries` is a read-only mapping over the columns.
+
+    ``egraph`` is the graph the class ids refer to; an extraction restored
+    from the store, or computed on a snapshot's node table, loads it on
+    first access (:class:`~repro.core.construct.DeferredEGraph`).
+    ``node_table`` is the table the extraction was computed on, so
+    :attr:`find` answers without the graph.
     """
 
     egraph: EGraph = field(repr=False, compare=False)
-    entries: Dict[int, CostEntry] = field(default_factory=dict)
-    fa_index: Tuple[int, ...] = ()
+    fa_index: Tuple[int, ...]
+    node_columns: Dict[str, List]
+    op_cost: List[int]
+    entry_class: List[int]
+    entry_node: List[int]
+    fa_masks: List[int]
+    sizes: List[int]
+    cyclic: List[int]
+
+    def __post_init__(self) -> None:
+        # class id -> entry position, built on first lookup.
+        self._positions: Optional[Dict[int, int]] = None
+
+    @property
+    def entries(self) -> Mapping[int, CostEntry]:
+        """``class id → CostEntry``, built per access."""
+        return _Entries(self)
 
     @property
     def find(self) -> Callable[[int], int]:
@@ -128,29 +242,58 @@ class BoolEExtraction(DeferredEGraph):
         table = self.node_table
         return table.find if table is not None else self.egraph.find
 
+    def position(self, class_id: Any) -> Optional[int]:
+        """The entry position of an already-canonical class id, or
+        ``None`` when the extraction did not reach it."""
+        if self._positions is None:
+            self._positions = dict(zip(self.entry_class,
+                                       range(len(self.entry_class))))
+        return self._positions.get(class_id)
+
+    def chosen_node(self, class_id: int) -> Optional[ENode]:
+        """The chosen :class:`ENode` of an already-canonical class id, or
+        ``None`` when the extraction did not reach it."""
+        position = self.position(class_id)
+        return None if position is None else self.node_at(position)
+
+    def node_at(self, position: int) -> ENode:
+        """The chosen :class:`ENode` of entry ``position``."""
+        columns = self.node_columns
+        node = self.entry_node[position]
+        offsets = columns["node_off"]
+        return ENode.unchecked(
+            columns["ops"][columns["node_op"][node]],
+            tuple(columns["node_child"][offsets[node]:offsets[node + 1]]),
+            columns["payloads"][columns["node_payload"][node]])
+
     def entry(self, class_id: int) -> CostEntry:
         """Return the entry for (the canonical class of) ``class_id``."""
         return self.entries[self.find(class_id)]
 
     def raw_entry(self, class_id: int) -> CostEntry:
-        """Return the entry of an already-canonical class id.
-
-        Skips the union-find lookup of :meth:`entry`; hot callers that have
-        just canonicalized (reconstruction, cache serialization) use this to
-        avoid paying ``find`` twice per class.
-        """
+        """Return the entry of an already-canonical class id (no
+        union-find lookup)."""
         return self.entries[class_id]
 
     def num_exact_fas(self, roots: Sequence[int]) -> int:
         """Number of distinct FAs used by the extraction of ``roots``."""
         mask = 0
         find = self.find
-        entries = self.entries
+        masks = self.fa_masks
         for root in roots:
-            entry = entries.get(find(root))
-            if entry is not None:
-                mask |= entry.fa_mask
+            position = self.position(find(root))
+            if position is not None:
+                mask |= masks[position]
         return mask.bit_count()
+
+
+#: Operator costs of :class:`BoolEExtractor` when none are given; any
+#: other operator costs 1.
+DEFAULT_NODE_COST = {
+    Op.VAR: 0, Op.CONST: 0, Op.FST: 0, Op.SND: 0,
+    Op.NOT: 1, Op.AND: 1, Op.OR: 1, Op.XOR: 1, Op.XNOR: 1,
+    Op.NAND: 1, Op.NOR: 1, Op.XOR3: 2, Op.MAJ: 2, Op.FA: 2, Op.HA: 1,
+}
 
 
 class BoolEExtractor:
@@ -158,7 +301,9 @@ class BoolEExtractor:
 
     Args:
         node_cost: per-operator base costs (participates in the extraction
-            cache key).
+            cache key); an operator it does not list costs 1, so ``{}``
+            costs every operator 1.  ``None`` (default) is
+            :data:`DEFAULT_NODE_COST`.
         refine_rounds: bounded choose→repair refinement iterations after
             the first pass.  The greedy fixpoint keeps *repaired* (true)
             values, so re-running the propagation from them can discover
@@ -172,11 +317,8 @@ class BoolEExtractor:
 
     def __init__(self, node_cost: Optional[Dict[str, int]] = None, *,
                  refine_rounds: int = 0) -> None:
-        self.node_cost = node_cost or {
-            Op.VAR: 0, Op.CONST: 0, Op.FST: 0, Op.SND: 0,
-            Op.NOT: 1, Op.AND: 1, Op.OR: 1, Op.XOR: 1, Op.XNOR: 1,
-            Op.NAND: 1, Op.NOR: 1, Op.XOR3: 2, Op.MAJ: 2, Op.FA: 2, Op.HA: 1,
-        }
+        self.node_cost = (dict(DEFAULT_NODE_COST) if node_cost is None
+                          else node_cost)
         if refine_rounds < 0:
             raise ValueError("refine_rounds must be >= 0")
         self.refine_rounds = refine_rounds
@@ -192,9 +334,8 @@ class BoolEExtractor:
         class.  Every table is built from a
         :class:`~repro.egraph.dense.NodeTable`'s int columns (classes in
         seq order, nodes in ``enode_sort_key`` order), so the pass is
-        independent of ``PYTHONHASHSEED`` and decodes an :class:`ENode`
-        only for each class's chosen node.  ``source`` is that table, or a
-        graph: it is rebuilt and its
+        independent of ``PYTHONHASHSEED`` and builds no :class:`ENode`.
+        ``source`` is that table, or a graph: it is rebuilt and its
         :meth:`~repro.egraph.DenseEGraph.node_table` taken (an
         object-engine graph is converted with
         :func:`~repro.egraph.as_engine` first), and the result keeps the
@@ -203,11 +344,11 @@ class BoolEExtractor:
 
         ``start`` is a single-pass (``refine_rounds=0``) extraction of the
         same graph under the same cost table, such as the stored one a
-        warm run finds: its entries are the first pass's choices and
-        repaired values, so the refinement rounds start from them instead
-        of recomputing the pass.  The first pass is deterministic, so the
-        result is identical; a ``start`` that does not fit the graph (a
-        different ``fa_index``, a class or chosen node the graph lacks) is
+        warm run finds: its choices and values are the first pass's, so
+        the refinement rounds start from them instead of recomputing the
+        pass.  The first pass is deterministic, so the result is
+        identical; a ``start`` that does not fit the graph (a different
+        ``fa_index`` or cost, a class or chosen node the graph lacks) is
         ignored.
         """
         egraph: Optional[EGraph] = None
@@ -230,24 +371,11 @@ class BoolEExtractor:
             repeat, range(num_classes),
             map(sub, islice(class_off, 1, None), class_off))))
         node_op = list(map(table.node_op.__getitem__, graph_nodes))
-        node_off = table.node_off
-        node_child = table.node_child
         class_index = dict(zip(class_list, range(num_classes)))
         position_of = class_index.__getitem__
         children: List[Tuple[int, ...]] = [
-            tuple(map(position_of,
-                      node_child[node_off[node]:node_off[node + 1]]))
-            for node in graph_nodes]
-        # node_tiebreak_key from the columns: (op name, child seqs,
-        # payload text).
+            tuple(map(position_of, kids)) for kids in table.kids]
         op_names = table.op_names
-        seqs = table.class_seqs.__getitem__
-        payload_text = [str(payload) for payload in table.payloads]
-        node_payload = table.node_payload
-        tiebreak: List[Tuple] = [
-            (op_names[op_id], tuple(map(seqs, kids)),
-             payload_text[node_payload[node]])
-            for node, op_id, kids in zip(graph_nodes, node_op, children)]
         base_of_op = [self.node_cost.get(name, 1) for name in op_names]
         base: List[int] = list(map(base_of_op.__getitem__, node_op))
         # FA-bearing classes enumerated into dense bit positions in node
@@ -264,17 +392,36 @@ class BoolEExtractor:
                     bit = fa_bit_of_class[class_position] = 1 << len(fa_index)
                     fa_index.append(class_list[class_position])
                 fa_self_bit[node_id] = bit
+        # node_tiebreak_key from the columns — (op name, child seqs,
+        # payload text) — built only for nodes that tie.
+        seqs = table.class_seqs.__getitem__
+        payloads = table.payloads
+        node_payload = table.node_payload
+        tiebreak: List[Optional[Tuple]] = [None] * num_nodes
+
+        def tiebreak_key(node_id: int) -> Tuple:
+            key = tiebreak[node_id] = (
+                op_names[node_op[node_id]],
+                tuple(map(seqs, children[node_id])),
+                str(payloads[node_payload[graph_nodes[node_id]]]))
+            return key
+
         # Kahn in-degrees (distinct child classes) and the node-level
         # dependency index: child class -> the nodes that read it, in node
         # order.
-        waiting: List[int] = [0] * num_nodes
+        waiting: List[int] = list(map(len, map(set, children)))
         users: List[List[int]] = [[] for _ in range(num_classes)]
+        add_user = [class_users.append for class_users in users]
         for node_id, kids in enumerate(children):
-            if kids:
-                distinct = set(kids) if len(kids) > 1 else kids
-                waiting[node_id] = len(distinct)
-                for child_position in distinct:
-                    users[child_position].append(node_id)
+            if len(kids) != waiting[node_id]:
+                kids = dict.fromkeys(kids)
+            for child_position in kids:
+                add_user[child_position](node_id)
+        # Index -1 (no choice) reads as "no children, no cost" below: a
+        # class without an entry repairs to its (0, 0) start values.
+        children.append(())
+        fa_self_bit.append(0)
+        base.append(0)
 
         # ---- cost propagation -------------------------------------------
         # Best entry per class as parallel arrays (choice < 0 = no entry);
@@ -283,28 +430,29 @@ class BoolEExtractor:
         best_size: List[int] = [0] * num_classes
         best_count: List[int] = [0] * num_classes
         choice: List[int] = [-1] * num_classes
-
-        def evaluate(node_id: int) -> Tuple[int, int]:
-            mask = fa_self_bit[node_id]
-            size = base[node_id]
-            for child_position in children[node_id]:
-                mask |= best_mask[child_position]
-                size += best_size[child_position]
-            return mask, (size if size <= _SIZE_CAP else _SIZE_CAP)
+        # ``stale[n]``: a child's or n's own class's value may have changed
+        # since n was last evaluated.  A fixpoint leaves every released
+        # node stable — a re-evaluation would be a no-op (within a pass a
+        # class's value only improves) — so a seed that is not stale is
+        # skipped at its place in the queue, and the FIFO order of every
+        # other evaluation is unchanged.
+        stale = bytearray(b"\x01") * num_nodes
 
         def propagate(seeds: Iterable[int]) -> bool:
             """Run the worklist fixpoint from ``seeds``; True if anything
-            was accepted.  The hot loop inlines :func:`evaluate`."""
-            queue = deque(seeds)
+            was accepted."""
+            queue = list(seeds)
             queued = bytearray(num_nodes)
             for node_id in queue:
                 queued[node_id] = 1
-            popleft = queue.popleft
             append = queue.append
             changed = False
-            while queue:
-                node_id = popleft()
+            # FIFO: the loop also visits what it appends.
+            for node_id in queue:
                 queued[node_id] = 0
+                if not stale[node_id]:
+                    continue
+                stale[node_id] = 0
                 mask = fa_self_bit[node_id]
                 size = base[node_id]
                 for child_position in children[node_id]:
@@ -334,7 +482,9 @@ class BoolEExtractor:
                         # staleness is fixed by the value-repair pass.)
                         if mask == best_mask[class_position]:
                             continue
-                    elif not tiebreak[node_id] < tiebreak[current]:
+                    elif not ((tiebreak[node_id] or tiebreak_key(node_id))
+                              < (tiebreak[current]
+                                 or tiebreak_key(current))):
                         # Equal (FA count, size): the (op, child seqs,
                         # payload) tie-break keeps the chosen
                         # representative independent of evaluation order.
@@ -359,13 +509,15 @@ class BoolEExtractor:
                     # Improvement/refresh: only re-evaluate the e-nodes
                     # that actually consume this class (released ones).
                     for user in users[class_position]:
-                        if not waiting[user] and not queued[user]:
-                            queued[user] = 1
-                            append(user)
+                        if not waiting[user]:
+                            stale[user] = 1
+                            if not queued[user]:
+                                queued[user] = 1
+                                append(user)
             return changed
 
         def repair() -> bytearray:
-            """Value repair along the chosen DAG.
+            """:func:`repair_values` over the current choices.
 
             The monotone loop never downgrades a stored value, so a child
             refresh that shrank the FA union a parent's value was computed
@@ -373,86 +525,92 @@ class BoolEExtractor:
             extractor shipped those values, making ``num_exact_fas`` claim
             FAs the reconstructed netlist does not contain.  The *choices*
             stand; the values are recomputed bottom-up along the
-            chosen-node DAG so every reported (mask, size) is exactly what
-            materialising the choice yields.  Returns the repaired-class
-            bitmap: classes on chosen-node cycles stay 0 (unreachable
-            bookkeeping only — reconstruction rejects them).
+            chosen-node DAG.  Classes on chosen-node cycles stay 0 in the
+            returned bitmap (unreachable bookkeeping only — reconstruction
+            rejects them).
             """
-            chosen_indegree = [0] * num_classes
-            chosen_users: List[List[int]] = [[] for _ in range(num_classes)]
-            for class_position in range(num_classes):
-                node_id = choice[class_position]
-                if node_id < 0:
-                    continue
-                seen = set()
-                for child_position in children[node_id]:
-                    if (child_position != class_position
-                            and child_position not in seen):
-                        seen.add(child_position)
-                        chosen_users[child_position].append(class_position)
-                        chosen_indegree[class_position] += 1
-            repaired = bytearray(num_classes)
-            queue = deque(
-                class_position for class_position in range(num_classes)
-                if choice[class_position] >= 0
-                and not chosen_indegree[class_position])
-            while queue:
-                class_position = queue.popleft()
-                repaired[class_position] = 1
-                mask, size = evaluate(choice[class_position])
-                best_mask[class_position] = mask
-                best_size[class_position] = size
-                best_count[class_position] = mask.bit_count()
-                for user in chosen_users[class_position]:
-                    chosen_indegree[user] -= 1
-                    if not chosen_indegree[user]:
-                        queue.append(user)
+            masks = best_mask[:]
+            sizes = best_size[:]
+            repaired = repair_values(
+                list(map(children.__getitem__, choice)),
+                list(map(fa_self_bit.__getitem__, choice)),
+                list(map(base.__getitem__, choice)), best_mask, best_size)
+            best_count[:] = map(int.bit_count, best_mask)
+            # A changed class may now lose to another of its nodes, and
+            # its users see new child values.
+            for class_position in compress(range(num_classes), map(
+                    or_, map(ne, masks, best_mask), map(ne, sizes, best_size))):
+                low = class_off[class_position]
+                high = class_off[class_position + 1]
+                stale[low:high] = b"\x01" * (high - low)
+                for user in users[class_position]:
+                    stale[user] = 1
             return repaired
 
-        def resume(start: BoolEExtraction) -> bool:
-            """Load ``start`` as the first pass's outcome: choices, values
+        def resume(start: BoolEExtraction) -> Optional[bytearray]:
+            """Load ``start`` as the first pass's outcome — choices, values
             and the Kahn counters they leave (a node waits on its child
-            classes without an entry).  False, with nothing changed, when
-            ``start`` does not fit this graph."""
+            classes without an entry) — and return its repaired bitmap;
+            ``None``, with nothing changed, when ``start`` does not fit
+            this graph.  Nodes are matched by int comparison."""
             if start.fa_index != tuple(fa_index):
-                return False
+                return None
+            columns = start.node_columns
             op_of = dict(zip(op_names, range(len(op_names))))
-            payloads = table.payloads
+            op_map = list(map(op_of.get, columns["ops"]))
+            if None in op_map or list(map(base_of_op.__getitem__, op_map)) \
+                    != start.op_cost:
+                return None
+            payload_of = dict(zip(payloads, range(len(payloads))))
+            payload_map = list(map(payload_of.get, columns["payloads"]))
+            positions = list(map(class_index.get, start.entry_class))
+            child_positions = list(map(class_index.get,
+                                       columns["node_child"]))
+            if None in payload_map or None in positions \
+                    or None in child_positions:
+                return None
+            start_op = list(map(op_map.__getitem__, columns["node_op"]))
+            start_payload = list(map(payload_map.__getitem__,
+                                     columns["node_payload"]))
+            start_off = columns["node_off"]
+            start_kids = list(map(tuple, map(child_positions.__getitem__, map(
+                slice, start_off, islice(start_off, 1, None)))))
+            payload_of_node = list(map(node_payload.__getitem__, graph_nodes))
             chosen = []
-            for class_id, entry in start.entries.items():
-                position = class_index.get(class_id)
-                node = entry.node
-                if position is None or node.op not in op_of:
-                    return False
-                op_id = op_of[node.op]
-                kids = tuple(map(class_index.get, node.children))
+            for position, node in zip(positions, start.entry_node):
+                op_id = start_op[node]
+                payload_id = start_payload[node]
+                kids = start_kids[node]
                 for node_id in range(class_off[position],
                                      class_off[position + 1]):
                     if (node_op[node_id] == op_id
-                            and children[node_id] == kids
-                            and payloads[node_payload[graph_nodes[node_id]]]
-                            == node.payload):
-                        chosen.append((position, node_id, entry))
+                            and payload_of_node[node_id] == payload_id
+                            and children[node_id] == kids):
+                        chosen.append(node_id)
                         break
                 else:
-                    return False
-            for position, node_id, entry in chosen:
+                    return None
+            repaired = bytearray(num_classes)
+            for position, node_id, mask, size in zip(
+                    positions, chosen, start.fa_masks, start.sizes):
                 choice[position] = node_id
-                best_mask[position] = entry.fa_mask
-                best_size[position] = entry.size
-                best_count[position] = entry.fa_mask.bit_count()
-            for node_id, kids in enumerate(children):
-                if kids:
-                    waiting[node_id] = len({child for child in kids
-                                            if choice[child] < 0})
-            return True
+                best_mask[position] = mask
+                best_size[position] = size
+                best_count[position] = mask.bit_count()
+                repaired[position] = 1
+            for entry in start.cyclic:
+                repaired[positions[entry]] = 0
+            waiting[:] = repeat(0, num_nodes)
+            for position in compress(range(num_classes),
+                                     map((-1).__eq__, choice)):
+                for user in users[position]:
+                    waiting[user] += 1
+            return repaired
 
-        if start is None or not resume(start):
-            propagate(node_id for node_id in range(num_nodes)
-                      if not waiting[node_id])
-        # Repair is idempotent on repaired values: after ``resume`` it
-        # only recomputes the repaired-class bitmap.
-        repaired = repair()
+        repaired = resume(start) if start is not None else None
+        if repaired is None:
+            propagate(compress(range(num_nodes), map(not_, waiting)))
+            repaired = repair()
 
         # ---- bounded choose→repair refinement ---------------------------
         # The repaired values are the *true* costs of the first-pass
@@ -499,10 +657,10 @@ class BoolEExtractor:
                 return (mask.bit_count(), -size)
 
             best_score = round_score(repaired)
-            snapshot = (best_mask[:], best_size[:], choice[:])
+            snapshot = (best_mask[:], best_size[:], choice[:], repaired)
             for _ in range(self.refine_rounds):
-                changed = propagate(node_id for node_id in range(num_nodes)
-                                    if not waiting[node_id])
+                changed = propagate(compress(range(num_nodes),
+                                             map(not_, waiting)))
                 if not changed:
                     break
                 repaired = repair()
@@ -511,23 +669,38 @@ class BoolEExtractor:
                     break
                 if best_score is None or score > best_score:
                     best_score = score
-                    snapshot = (best_mask[:], best_size[:], choice[:])
-            best_mask[:], best_size[:], choice[:] = snapshot
+                    snapshot = (best_mask[:], best_size[:], choice[:],
+                                repaired)
+            best_mask[:], best_size[:], choice[:], repaired = snapshot
 
-        # ---- assemble the result ----------------------------------------
-        fa_index_tuple = tuple(fa_index)
-        extraction = BoolEExtraction(egraph=egraph, fa_index=fa_index_tuple)
+        # ---- the result: choice columns, ascending class id -------------
+        order = sorted(range(num_classes), key=class_list.__getitem__)
+        positions = list(compress(order, map(
+            (0).__le__, map(choice.__getitem__, order))))
+        chosen = list(map(choice.__getitem__, positions))
+        distinct = list(dict.fromkeys(chosen))
+        node_index = dict(zip(distinct, range(len(distinct))))
+        graph_chosen = list(map(graph_nodes.__getitem__, distinct))
+        node_columns = write_node_columns(
+            list(map(op_names.__getitem__,
+                     map(table.node_op.__getitem__, graph_chosen))),
+            list(map(payloads.__getitem__,
+                     map(node_payload.__getitem__, graph_chosen))),
+            map(table.node_child.__getitem__, map(
+                slice, map(table.node_off.__getitem__, graph_chosen),
+                map(table.node_off.__getitem__,
+                    map((1).__add__, graph_chosen)))))
+        extraction = BoolEExtraction(
+            egraph, fa_index=tuple(fa_index), node_columns=node_columns,
+            op_cost=[self.node_cost.get(name, 1)
+                     for name in node_columns["ops"]],
+            entry_class=list(map(class_list.__getitem__, positions)),
+            entry_node=list(map(node_index.__getitem__, chosen)),
+            fa_masks=list(map(best_mask.__getitem__, positions)),
+            sizes=list(map(best_size.__getitem__, positions)),
+            cyclic=list(compress(range(len(positions)), map(
+                (0).__eq__, map(repaired.__getitem__, positions)))))
         extraction.node_table = table
-        entries = extraction.entries
-        decode = table.decode
-        for class_position, class_id in enumerate(class_list):
-            node_id = choice[class_position]
-            if node_id >= 0:
-                entries[class_id] = CostEntry(
-                    fa_mask=best_mask[class_position],
-                    size=best_size[class_position],
-                    node=decode(graph_nodes[node_id]),
-                    fa_index=fa_index_tuple)
         return extraction
 
 
@@ -573,7 +746,7 @@ class _Materializer:
         class_id = self.find(class_id)
         if class_id in self.fa_memo:
             return self.fa_memo[class_id]
-        node = self.extraction.raw_entry(class_id).node
+        node = self.extraction.chosen_node(class_id)
         inputs = tuple(self.literal(child, visiting) for child in node.children)
         sum_lit, carry_lit = self.aig.full_adder(*inputs)
         self.fa_memo[class_id] = (sum_lit, carry_lit)
@@ -587,10 +760,10 @@ class _Materializer:
             return self.literal_memo[class_id]
         if class_id in visiting:
             raise RuntimeError("cyclic extraction choice encountered")
-        entry = self.extraction.entries.get(class_id)
-        if entry is None:
+        node = self.extraction.chosen_node(class_id)
+        if node is None:
             raise RuntimeError(f"extraction did not reach class {class_id}")
-        literal = self.node(entry.node, visiting | {class_id})
+        literal = self.node(node, visiting | {class_id})
         self.literal_memo[class_id] = literal
         return literal
 

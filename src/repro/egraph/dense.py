@@ -231,6 +231,9 @@ class NodeTable(NamedTuple):
     class_off: List[int]
     #: Each class's canonical node ids in ``enode_sort_key`` order.
     nodes: List[int]
+    #: The child class ids of each of ``nodes`` (its ``node_child``
+    #: slice), in the same order.
+    kids: List[List[int]]
     node_op: List[int]
     node_payload: List[int]
     node_off: List[int]
@@ -277,6 +280,8 @@ class _SnapshotColumns(NamedTuple):
     class_node_off: List[int]
     class_nodes: List[int]
     seq: List[int]
+    #: The child class ids of each of ``class_nodes``.
+    class_node_kids: List[List[int]]
     #: True when every class node's children are roots.
     canonical: bool
     class_parent_off: List[int]
@@ -355,7 +360,7 @@ def _read_snapshot_columns(columns: Dict) -> _SnapshotColumns:
         raise TypeError("'clean' must be a bool")
     return _SnapshotColumns(
         uf, ops, payloads, node_op, node_payload, node_off, node_child,
-        class_ids, class_node_off, class_nodes, seq, canonical,
+        class_ids, class_node_off, class_nodes, seq, kids, canonical,
         class_parent_off, parent_nodes, parent_classes, hashcons, dirty,
         pending, clean)
 
@@ -385,6 +390,8 @@ def read_node_table(columns: Dict) -> NodeTable:
         class_off=[0, *accumulate(map(sub, highs, lows))],
         nodes=list(chain.from_iterable(map(
             class_nodes.__getitem__, map(slice, lows, highs)))),
+        kids=list(chain.from_iterable(map(
+            read.class_node_kids.__getitem__, map(slice, lows, highs)))),
         node_op=read.node_op, node_payload=read.node_payload,
         node_off=read.node_off, node_child=read.node_child,
         op_names=read.ops,
@@ -751,10 +758,15 @@ class DenseEGraph:
             if jumped == uf:
                 break
             uf = jumped
+        node_off = self._node_off
         return NodeTable(
             class_ids=list(class_ids),
             class_seqs=list(map(self._seq.__getitem__, class_ids)),
-            class_off=class_off, nodes=nodes, node_op=self._node_op,
+            class_off=class_off, nodes=nodes,
+            kids=list(map(self._node_child.__getitem__, map(
+                slice, map(node_off.__getitem__, nodes),
+                map(node_off.__getitem__, map((1).__add__, nodes))))),
+            node_op=self._node_op,
             node_payload=self._node_payload, node_off=self._node_off,
             node_child=self._node_child, op_names=self._op_names,
             payloads=self._payloads, uf=jumped, num_nodes=self.num_nodes)

@@ -68,8 +68,8 @@ from ..egraph import (
     BackoffScheduler,
     DenseEGraph,
     EGraph,
-    ENode,
     IterationReport,
+    Op,
     RuleStats,
     RunnerCheckpoint,
     RunnerLimits,
@@ -78,7 +78,7 @@ from ..egraph import (
     as_engine,
 )
 from ..egraph.dense import (PAYLOAD_TYPES, NodeTable, read_node_columns,
-                            read_node_table, write_node_columns)
+                            read_node_table)
 
 __all__ = [
     "CODEC_VERSION",
@@ -147,7 +147,12 @@ __all__ = [
 #: v8: the construction bookkeeping's ``class_of_var`` and
 #: ``literal_classes`` maps are each two parallel int columns, keys
 #: ascending, instead of ``[key, class]`` rows that never packed.
-CODEC_VERSION = 8
+#:
+#: v9: the extraction wire form stores choices, not values: the per-entry
+#: ``entry_size``/``entry_fa_off``/``entry_fa_bit`` columns are gone (the
+#: decoder derives them from the chosen nodes), and ``op_cost`` plus the
+#: ``cyclic_*`` values of entries above a chosen-node cycle are new.
+CODEC_VERSION = 9
 
 SNAPSHOT_FORMAT = "repro.store/snapshot"
 
@@ -358,53 +363,44 @@ def aig_from_wire(wire: Dict) -> AIG:
     )
 
 
-#: Fields of the extraction wire form: the chosen nodes' columns, the
-#: FA decode table and the parallel entry columns (``entry_fa_off`` is the
-#: CSR offset column of ``entry_fa_bit``).
-_EXTRACTION_FIELDS = ("ops", "payloads", "node_op", "node_payload",
-                      "node_off", "node_child", "fa_index", "entry_class",
-                      "entry_node", "entry_size", "entry_fa_off",
-                      "entry_fa_bit")
-
-#: ``bin()`` digits to 0/1 bytes, so :func:`itertools.compress` can pick
-#: the set bit positions at C speed.
-_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _set_bits(mask: int) -> List[int]:
-    """The positions of ``mask``'s set bits, ascending."""
-    digits = bin(mask)[:1:-1].encode("ascii").translate(_BIT_BYTES)
-    return list(compress(range(len(digits)), digits))
+#: Fields of the extraction wire form: the chosen nodes' columns with the
+#: extractor's cost of each of their operators, the FA decode table, the
+#: parallel entry columns, and the values of the entries whose values the
+#: choices do not determine (``cyclic_*``, see :func:`extraction_to_wire`).
+_NODE_COLUMNS = ("ops", "payloads", "node_op", "node_payload", "node_off",
+                 "node_child")
+_EXTRACTION_FIELDS = (*_NODE_COLUMNS, "op_cost", "fa_index", "entry_class",
+                      "entry_node", "cyclic_entry", "cyclic_size",
+                      "cyclic_fa_mask")
 
 
 def extraction_to_wire(extraction: "BoolEExtraction") -> Dict:
-    """Encode a :class:`~repro.core.extraction.BoolEExtraction`.
+    """Encode a :class:`~repro.core.extraction.BoolEExtraction`: its
+    choices, not its values.
 
-    The chosen e-nodes become node columns exactly like an e-graph
+    The chosen e-nodes are node columns exactly like an e-graph
     snapshot's (:func:`~repro.egraph.dense.write_node_columns`), in order
-    of first use; entry ``i`` is ``entry_class[i]``, ``entry_node[i]``,
-    ``entry_size[i]`` and the ``fa_index`` positions
-    ``entry_fa_bit[entry_fa_off[i]:entry_fa_off[i + 1]]`` (ascending) of
-    its FA mask, in ascending class-id order so identical extractions
-    produce identical wire bytes.
+    of first use, and ``op_cost`` is the extractor's cost of each of their
+    operators; entry ``i`` is class ``entry_class[i]`` (ascending)
+    choosing node ``entry_node[i]``, so identical choices produce
+    identical wire bytes.  Values are derived from the choices on decode
+    (:func:`~repro.core.extraction.repair_values`), except at the entries
+    the bottom-up pass cannot reach (on or above a chosen-node cycle):
+    ``cyclic_entry`` lists those positions ascending, with their
+    ``cyclic_size`` and ``cyclic_fa_mask``.
     """
-    entries = sorted(extraction.entries.items())
-    nodes = list(dict.fromkeys(entry.node for _, entry in entries))
-    node_index = dict(zip(nodes, range(len(nodes))))
-    wire = _serializable(write_node_columns(
-        [node.op for node in nodes], [node.payload for node in nodes],
-        [node.children for node in nodes]))
-    fa_off = [0]
-    fa_bit: List[int] = []
-    for _, entry in entries:
-        fa_bit += _set_bits(entry.fa_mask)
-        fa_off.append(len(fa_bit))
+    cyclic = list(extraction.cyclic)
+    columns = extraction.node_columns
+    wire = _serializable({name: list(columns[name])
+                          for name in _NODE_COLUMNS})
     wire.update(
+        op_cost=list(extraction.op_cost),
         fa_index=list(extraction.fa_index),
-        entry_class=[class_id for class_id, _ in entries],
-        entry_node=[node_index[entry.node] for _, entry in entries],
-        entry_size=[entry.size for _, entry in entries],
-        entry_fa_off=fa_off, entry_fa_bit=fa_bit)
+        entry_class=list(extraction.entry_class),
+        entry_node=list(extraction.entry_node),
+        cyclic_entry=cyclic,
+        cyclic_size=list(map(extraction.sizes.__getitem__, cyclic)),
+        cyclic_fa_mask=list(map(extraction.fa_masks.__getitem__, cyclic)))
     return wire
 
 
@@ -413,17 +409,20 @@ def extraction_from_wire(wire: Dict) -> "BoolEExtraction":
 
     The class ids refer to the saturated e-graph the extraction was
     computed on; the result carries no graph (the caller attaches one, or
-    a loader, see :class:`~repro.core.construct.DeferredEGraph`).  The
-    entries are checked against themselves: anything
+    a loader, see :class:`~repro.core.construct.DeferredEGraph`).  Every
+    column is checked once, with C-speed builtins, and the values are
+    derived from the choices by the extractor's own repair pass: anything
     :func:`extraction_to_wire` would not have written — a wrong type, an
-    index out of range, a chosen node's child that has no entry, an FA
-    position beyond ``fa_index`` or out of order, a table out of
-    first-use order — raises :class:`SnapshotError`.
+    index out of range, a chosen node's child that has no entry, a
+    duplicate node, a table out of first-use order, a cost table that does
+    not match the operator table, an FA node whose class is not in
+    ``fa_index``, or explicit values on any other entries than those the
+    repair cannot reach — raises :class:`SnapshotError`.
     """
     # Deferred: repro.core imports repro.store at module level; importing it
     # lazily here breaks the cycle (this function only runs long after both
     # packages are loaded).
-    from ..core.extraction import BoolEExtraction, CostEntry
+    from ..core.extraction import BoolEExtraction, repair_values
 
     _fields(wire, _EXTRACTION_FIELDS, "extraction")
     try:
@@ -432,47 +431,66 @@ def extraction_from_wire(wire: Dict) -> "BoolEExtraction":
     except (TypeError, ValueError) as error:
         raise SnapshotError(
             f"malformed extraction node columns: {error!r}") from error
-    entries = [_ints(wire[name], name)
-               for name in ("entry_class", "entry_node", "entry_size")]
-    if len(set(map(len, entries))) != 1:
+    op_cost = _ints(wire["op_cost"], "op_cost")
+    if len(op_cost) != len(ops):
+        raise SnapshotError("op_cost must give one cost per operator")
+    class_ids = _ints(wire["entry_class"], "entry_class")
+    node_indices = _ints(wire["entry_node"], "entry_node")
+    count = len(class_ids)
+    if len(node_indices) != count:
         raise SnapshotError("entry columns differ in length")
-    class_ids, node_indices, sizes = entries
     _ascending(class_ids, "entry classes")
-    if not set(class_ids).issuperset(node_child):
-        raise SnapshotError("a chosen node's child has no entry")
     if list(dict.fromkeys(node_indices)) != list(range(len(node_op))):
         raise SnapshotError("entry nodes are not in first-use order")
+    position = dict(zip(class_ids, range(count)))
+    try:
+        flat = list(map(position.__getitem__, node_child))
+    except KeyError:
+        raise SnapshotError("a chosen node's child has no entry") from None
     # ``read_node_columns`` checked every arity.
-    nodes = [ENode.unchecked(ops[op_id], tuple(node_child[low:high]),
-                             payloads[payload_id])
-             for op_id, payload_id, low, high in zip(
-                 node_op, node_payload, node_off, islice(node_off, 1, None))]
-    if len(set(nodes)) != len(nodes):
+    kids = list(map(flat.__getitem__,
+                    map(slice, node_off, islice(node_off, 1, None))))
+    if len(set(zip(node_op, node_payload, map(tuple, kids)))) != len(kids):
         raise SnapshotError("duplicate node table entry")
     fa_index = tuple(_ints(wire["fa_index"], "fa_index"))
     if len(set(fa_index)) != len(fa_index):
         raise SnapshotError("fa_index must list distinct classes")
-    fa_off = _ints(wire["entry_fa_off"], "entry_fa_off")
-    fa_bit = _ints(wire["entry_fa_bit"], "entry_fa_bit")
-    if (len(fa_off) != len(class_ids) + 1 or fa_off[0] != 0
-            or fa_off[-1] != len(fa_bit)
-            or not all(map(operator.le, fa_off, islice(fa_off, 1, None)))):
-        raise SnapshotError("entry_fa_off is not an offset column of "
-                            "entry_fa_bit")
-    if max(fa_bit, default=-1) >= len(fa_index):
-        raise SnapshotError("entry FA position exceeds fa_index")
-    powers = [1 << bit for bit in range(len(fa_index))]
-    fa_masks = []
-    for low, high in zip(fa_off, islice(fa_off, 1, None)):
-        bits = fa_bit[low:high]
-        if not all(map(operator.lt, bits, islice(bits, 1, None))):
-            raise SnapshotError("entry FA positions are not ascending")
-        fa_masks.append(sum(map(powers.__getitem__, bits)))
-    return BoolEExtraction(egraph=None, fa_index=fa_index, entries={
-        class_id: CostEntry(fa_mask=fa_mask, size=size,
-                            node=nodes[node_index], fa_index=fa_index)
-        for class_id, node_index, size, fa_mask in zip(
-            class_ids, node_indices, sizes, fa_masks)})
+    entry_op = list(map(node_op.__getitem__, node_indices))
+    own_mask = [0] * count
+    if Op.FA in ops:
+        bit_of = dict(zip(fa_index, map((1).__lshift__,
+                                        range(len(fa_index)))))
+        for entry in compress(range(count), map(
+                ops.index(Op.FA).__eq__, entry_op)):
+            bit = bit_of.get(class_ids[entry])
+            if bit is None:
+                raise SnapshotError("an FA node's class is not in fa_index")
+            own_mask[entry] = bit
+    fa_masks = [0] * count
+    sizes = [0] * count
+    repaired = repair_values(list(map(kids.__getitem__, node_indices)),
+                             own_mask,
+                             list(map(op_cost.__getitem__, entry_op)),
+                             fa_masks, sizes)
+    cyclic = _ints(wire["cyclic_entry"], "cyclic_entry")
+    cyclic_size = _ints(wire["cyclic_size"], "cyclic_size")
+    cyclic_mask = _ints(wire["cyclic_fa_mask"], "cyclic_fa_mask")
+    if cyclic != list(compress(range(count), map((0).__eq__, repaired))):
+        raise SnapshotError("explicit values must be given for exactly the "
+                            "entries the repair cannot reach")
+    if not len(cyclic_size) == len(cyclic_mask) == len(cyclic):
+        raise SnapshotError("cyclic value columns differ in length")
+    if max(cyclic_mask, default=0).bit_length() > len(fa_index):
+        raise SnapshotError("cyclic FA mask exceeds fa_index")
+    for entry, size, mask in zip(cyclic, cyclic_size, cyclic_mask):
+        sizes[entry] = size
+        fa_masks[entry] = mask
+    return BoolEExtraction(
+        None, fa_index=fa_index,
+        node_columns=dict(zip(_NODE_COLUMNS, (
+            ops, payloads, node_op, node_payload, node_off, node_child))),
+        op_cost=op_cost, entry_class=class_ids, entry_node=node_indices,
+        fa_masks=fa_masks, sizes=sizes, cyclic=cyclic)
 
 
 # ----------------------------------------------------------------------

@@ -11,14 +11,10 @@ entry.  Do not optimise this module; its slowness is what it is for.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.extraction import (
-    _SIZE_CAP,
-    BoolEExtraction,
-    BoolEExtractor,
-    CostEntry,
-)
+from repro.core.extraction import _SIZE_CAP, BoolEExtractor, CostEntry
 from repro.core.fa_structure import FAInsertionReport, FAPair
 from repro.egraph import EGraph, ENode, Op
 from repro.egraph.extract import worklist_tables
@@ -119,8 +115,18 @@ def scan_count_npn_fa_pairs(egraph: EGraph) -> int:
     return len(xor_keys & maj_keys)
 
 
+@dataclass
+class ScanExtraction:
+    """The oracle's extraction: ``fa_index`` and a ``class id →
+    CostEntry`` dict, as :class:`~repro.core.extraction.BoolEExtraction`
+    hands them out."""
+
+    fa_index: Tuple[int, ...]
+    entries: Dict[int, CostEntry]
+
+
 def scan_extract(egraph: EGraph, roots: Optional[Sequence[int]] = None, *,
-                 refine_rounds: int = 0) -> BoolEExtraction:
+                 refine_rounds: int = 0) -> ScanExtraction:
     """``BoolEExtractor(refine_rounds=...).extract`` over decoded
     :class:`ENode` tables (``worklist_tables``), with the default node
     costs."""
@@ -242,8 +248,9 @@ def scan_extract(egraph: EGraph, roots: Optional[Sequence[int]] = None, *,
         stand; the values are recomputed bottom-up along the
         chosen-node DAG so every reported (mask, size) is exactly what
         materialising the choice yields.  Returns the repaired-class
-        bitmap: classes on chosen-node cycles stay 0 (unreachable
-        bookkeeping only — reconstruction rejects them).
+        bitmap: classes on chosen-node cycles (a chosen node over its own
+        class included) stay 0 (unreachable bookkeeping only —
+        reconstruction rejects them).
         """
         chosen_indegree = [0] * num_classes
         chosen_users: List[List[int]] = [[] for _ in range(num_classes)]
@@ -253,8 +260,7 @@ def scan_extract(egraph: EGraph, roots: Optional[Sequence[int]] = None, *,
                 continue
             seen = set()
             for child_position in children[node_id]:
-                if (child_position != class_position
-                        and child_position not in seen):
+                if child_position not in seen:
                     seen.add(child_position)
                     chosen_users[child_position].append(class_position)
                     chosen_indegree[class_position] += 1
@@ -343,8 +349,7 @@ def scan_extract(egraph: EGraph, roots: Optional[Sequence[int]] = None, *,
 
     # ---- assemble the result ----------------------------------------
     fa_index_tuple = tuple(fa_index)
-    extraction = BoolEExtraction(egraph=egraph, fa_index=fa_index_tuple)
-    entries = extraction.entries
+    entries: Dict[int, CostEntry] = {}
     for class_position, class_id in enumerate(class_list):
         node_id = choice[class_position]
         if node_id >= 0:
@@ -353,4 +358,4 @@ def scan_extract(egraph: EGraph, roots: Optional[Sequence[int]] = None, *,
                 size=best_size[class_position],
                 node=nodes[node_id],
                 fa_index=fa_index_tuple)
-    return extraction
+    return ScanExtraction(fa_index=fa_index_tuple, entries=entries)

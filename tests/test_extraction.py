@@ -28,6 +28,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +38,6 @@ from repro.aig import AIG, aig_equivalent, lit_not
 from repro.core import BoolEOptions, BoolEPipeline
 from repro.core.construct import aig_to_egraph
 from repro.core.extraction import (
-    BoolEExtraction,
     BoolEExtractor,
     CostEntry,
     _SIZE_CAP,
@@ -210,7 +210,7 @@ class TestCostEntryBitmask:
         for class_id in result.construction.output_classes:
             canonical = egraph.find(class_id)
             assert (extraction.raw_entry(canonical)
-                    is extraction.entry(class_id))
+                    == extraction.entry(class_id))
 
 
 class TestReferenceEquivalence:
@@ -242,10 +242,11 @@ class TestReferenceEquivalence:
                 assert entry.size == ref.size
                 assert entry.fa_classes == ref.fa_classes
 
-        shim = BoolEExtraction(egraph=egraph)
-        for class_id, ref in reference.items():
-            shim.entries[class_id] = CostEntry(fa_mask=0, size=ref.size,
-                                               node=ref.node)
+        # The reference's choices, read the way reconstruction reads them.
+        shim = SimpleNamespace(
+            find=egraph.find,
+            chosen_node=lambda class_id: (reference[class_id].node
+                                          if class_id in reference else None))
         ref_aig, ref_blocks = reconstruct_aig(construction, shim)
         # Quality floor: the reference's stale optimism is a scheduling
         # lottery (its materialised count swings with iteration order —
@@ -552,6 +553,22 @@ class TestRefinementRounds:
     cache entries separately so refined and unrefined artifacts cannot
     shadow each other.
     """
+
+    def test_empty_cost_table_costs_every_operator_one(self):
+        """``node_cost={}`` is a table, not "use the default": every
+        operator then costs 1, leaves included."""
+        egraph = _pipeline_result(2).construction.egraph
+        default = BoolEExtractor().extract(egraph)
+        extractor = BoolEExtractor(node_cost={})
+        assert extractor.node_cost == {}
+        flat = extractor.extract(egraph)
+        assert flat.op_cost == [1] * len(flat.op_cost)
+        leaves = [class_id for class_id, entry in flat.entries.items()
+                  if entry.node.op == Op.VAR]
+        assert leaves
+        for class_id in leaves:
+            assert flat.entries[class_id].size == 1
+            assert default.entries[class_id].size == 0
 
     def test_negative_rounds_rejected(self):
         with pytest.raises(ValueError):

@@ -51,7 +51,7 @@ CASES = {
 #: matching-mode options, then the rule-variant and pruning switches; and
 #: once more when the R2 sorted-children appliers became ``(xor3 ...)`` /
 #: ``(maj ...)`` right-hand sides (the ruleset fingerprint covers them);
-#: and for the codec v5, v6, v7 and v8 bumps (the codec version salts
+#: and for the codec v5, v6, v7, v8 and v9 bumps (the codec version salts
 #: every key).  Every pin but the FA counts and the R1 stats was re-recorded
 #: when R2 dropped its 41 subsumed polarity variants.
 GOLDEN = {
@@ -67,7 +67,7 @@ GOLDEN = {
             "2f17a36a08ab208c091ad80df642270bfacd0c55180d9023f3128edbd14a560c",
         "r2_unions": 14189,
         "store_key":
-            "d616236674c7436d06f188add742d99c833eeb584c23a30105b285ec3d03f47e",
+            "a8e12aa78fab0ce2301330918747d517755bef825288d7667697fd70494ffce1",
     },
     "csa4": {
         "egraph_sha256":
@@ -81,7 +81,7 @@ GOLDEN = {
             "373da69affd4b23441c66ba4e913c5750f4fcabf38f3350323656f9796df7592",
         "r2_unions": 6199,
         "store_key":
-            "e8ab71a8ca589fd39bb06c04ed51bef6c12c0200b658a7b51181bb68bad40a66",
+            "f15c2c98ceca651586341b83d1cf9a1cfcc38e50d9eb0c0916087dd5241d138e",
     },
     "csa4-banned": {
         "egraph_sha256":
@@ -95,7 +95,7 @@ GOLDEN = {
             "99e24ceb10a349ddb762f05feac0c2b9110fe5ae953f78121b3e009114b63037",
         "r2_unions": 898,
         "store_key":
-            "7f5911fe25df261d9ebf59a2b7728132242781fcd1b9314ca21507c5b657b165",
+            "17015a61834a2ba53b92df24aeabb4812f53c6d27a261622e962b0692eb4c466",
     },
     "csa4-python": {
         "egraph_sha256":
@@ -109,7 +109,7 @@ GOLDEN = {
             "373da69affd4b23441c66ba4e913c5750f4fcabf38f3350323656f9796df7592",
         "r2_unions": 6199,
         "store_key":
-            "e8ab71a8ca589fd39bb06c04ed51bef6c12c0200b658a7b51181bb68bad40a66",
+            "f15c2c98ceca651586341b83d1cf9a1cfcc38e50d9eb0c0916087dd5241d138e",
     },
 }
 

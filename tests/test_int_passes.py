@@ -154,6 +154,38 @@ def test_refinement_resumed_from_first_pass_matches(circuit):
         assert _entries(resumed) == _entries(full) == _entries(reference)
 
 
+def _assert_warm_equals_cold(state, roots) -> None:
+    """At refine 0-3, extraction on the snapshot's node table resumed
+    from the decoded single-pass record equals extraction on the live
+    graph, entry by entry through the ``entries`` mapping, and encodes to
+    the same wire."""
+    graph = DenseEGraph.from_state(state)
+    insert_fa_structures(graph)
+    table = read_node_table(graph.to_columns())
+    first = extraction_from_wire(extraction_to_wire(
+        BoolEExtractor().extract(graph, roots=roots)))
+    for refine_rounds in range(4):
+        extractor = BoolEExtractor(refine_rounds=refine_rounds)
+        cold = extractor.extract(graph, roots=roots)
+        warm = extractor.extract(table, roots=roots, start=first)
+        assert list(warm.entries) == list(cold.entries)
+        for class_id, entry in cold.entries.items():
+            assert warm.entries[class_id] == entry
+        assert warm.entries == cold.entries
+        assert extraction_to_wire(warm) == extraction_to_wire(cold)
+
+
+@pytest.mark.parametrize("circuit", sorted(CIRCUITS))
+def test_warm_extraction_equals_cold_through_the_mapping(circuit):
+    _assert_warm_equals_cold(*_saturated(circuit))
+
+
+@given(random_adder_aigs())
+@settings(max_examples=10, deadline=None)
+def test_random_adders_warm_extraction_equals_cold(aig):
+    _assert_warm_equals_cold(*_saturate(aig, iterations=4))
+
+
 def test_refinement_ignores_a_first_pass_that_does_not_fit():
     """A start whose ``fa_index`` or chosen nodes are not this graph's is
     ignored: the extractor runs its own first pass."""
@@ -169,9 +201,13 @@ def test_refinement_ignores_a_first_pass_that_does_not_fit():
     class_id, entry = max(foreign.entries.items(),
                           key=lambda item: len(item[1].node.children))
     # A node over its own class only: not a node of this graph.
-    entry.node = ENode.unchecked(entry.node.op,
-                                 (class_id,) * len(entry.node.children),
-                                 entry.node.payload)
+    columns = foreign.node_columns
+    node = foreign.entry_node[foreign.position(class_id)]
+    low, high = columns["node_off"][node], columns["node_off"][node + 1]
+    columns["node_child"][low:high] = [class_id] * (high - low)
+    assert foreign.entries[class_id].node == ENode.unchecked(
+        entry.node.op, (class_id,) * len(entry.node.children),
+        entry.node.payload)
     for start in (shifted, foreign):
         resumed = BoolEExtractor(refine_rounds=2).extract(
             graph, roots=roots, start=start)

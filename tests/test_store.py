@@ -25,6 +25,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import BatchJob, BatchPipeline, BoolEOptions, BoolEPipeline, run_boole
+from repro.core import extraction as extraction_module
+from repro.core import phases as phases_module
 from repro.core.construct import aig_to_egraph
 from repro.core.extraction import BoolEExtractor
 from repro.core.fa_structure import insert_fa_structures
@@ -823,24 +825,36 @@ def _non_class_child(wire, _):
     wire["node_child"][0] = min(set(range(max(classes) + 2)) - classes)
 
 
-def _fa_positions_entry(wire):
-    """Index of the first entry with at least two FA positions."""
-    offsets = wire["entry_fa_off"]
-    return next(index for index in range(len(offsets) - 1)
-                if offsets[index + 1] - offsets[index] >= 2)
+def _fa_entry(wire):
+    """Position of the first entry whose chosen node is a full adder."""
+    fa_op = wire["ops"].index(Op.FA)
+    return next(entry for entry, node in enumerate(wire["entry_node"])
+                if wire["node_op"][node] == fa_op)
 
 
-def _fa_positions_swapped(wire, _):
-    low = wire["entry_fa_off"][_fa_positions_entry(wire)]
-    bits = wire["entry_fa_bit"]
-    bits[low], bits[low + 1] = bits[low + 1], bits[low]
+def _fa_class_dropped(wire, _):
+    """An FA node's class replaced in ``fa_index`` by an unused id."""
+    fa_index = wire["fa_index"]
+    class_id = wire["entry_class"][_fa_entry(wire)]
+    fa_index[fa_index.index(class_id)] = max(wire["entry_class"]) + 1
 
 
-def _fa_offsets_not_monotone(wire, _):
-    """One offset raised above its successor; both ends kept."""
-    index = _fa_positions_entry(wire)
-    offsets = wire["entry_fa_off"]
-    offsets[index] = offsets[index + 1] + 1
+def _value_on_reachable_class(wire, _):
+    """An explicit value for entry 0, which the repair reaches."""
+    wire["cyclic_entry"].append(0)
+    wire["cyclic_size"].append(1)
+    wire["cyclic_fa_mask"].append(0)
+
+
+def _self_loop(wire, _):
+    """The first inner chosen node rewired over its own class: a
+    chosen-node cycle that carries no explicit values."""
+    offsets = wire["node_off"]
+    entry, node = next(
+        (entry, node) for entry, node in enumerate(wire["entry_node"])
+        if offsets[node + 1] > offsets[node])
+    low, high = offsets[node], offsets[node + 1]
+    wire["node_child"][low:high] = [wire["entry_class"][entry]] * (high - low)
 
 
 def _ops_reversed(wire, _):
@@ -863,7 +877,7 @@ def _last_node_duplicated(wire, _):
 #: One malformed extraction wire form per check of the decoder: each is
 #: a SnapshotError, never a restored extraction.
 _MALFORMED_EXTRACTIONS = {
-    "entry-columns-unequal": lambda wire, _: wire["entry_size"].pop(),
+    "entry-columns-unequal": lambda wire, _: wire["entry_node"].pop(),
     "entry-node-out-of-range": lambda wire, _: wire["entry_node"].__setitem__(
         0, len(wire["node_op"])),
     "entry-node-not-first-use": lambda wire, _: _swap_first_two(
@@ -871,13 +885,6 @@ _MALFORMED_EXTRACTIONS = {
     "entry-class-unsorted": lambda wire, _: _swap_first_two(
         wire["entry_class"]),
     "child-not-a-class": _non_class_child,
-    "mask-beyond-fa-index": lambda wire, _: wire["entry_fa_bit"].__setitem__(
-        0, len(wire["fa_index"])),
-    "fa-positions-not-ascending": _fa_positions_swapped,
-    "fa-offsets-not-monotone": _fa_offsets_not_monotone,
-    "fa-offsets-short": lambda wire, _: wire["entry_fa_off"].pop(0),
-    "fa-offsets-past-positions": lambda wire, _: wire[
-        "entry_fa_bit"].pop(),
     "bool-in-node-column": lambda wire, _: wire["node_op"].__setitem__(
         0, True),
     "duplicate-op": lambda wire, _: wire["ops"].append(wire["ops"][0]),
@@ -885,13 +892,22 @@ _MALFORMED_EXTRACTIONS = {
         wire["payloads"][0]),
     "op-table-not-first-use": _ops_reversed,
     "duplicate-node": _last_node_duplicated,
+    "op-cost-short": lambda wire, _: wire["op_cost"].pop(),
+    "op-cost-negative": lambda wire, _: wire["op_cost"].__setitem__(0, -1),
+    "fa-class-not-in-fa-index": _fa_class_dropped,
+    "value-on-a-reachable-class": _value_on_reachable_class,
+    "cycle-without-values": _self_loop,
+    "cyclic-columns-unequal": lambda wire, _: _cyclic_values(
+        wire)["cyclic_size"].pop(),
+    "cyclic-mask-beyond-fa-index": lambda wire, _: _cyclic_values(
+        wire, mask=1 << len(wire["fa_index"])),
 }
 
 
 class TestMalformedExtractionArtifact:
-    #: Entry field -> the column that holds it.
-    COLUMNS = {"node_index": "entry_node", "size": "entry_size",
-               "fa_mask": "entry_fa_bit"}
+    #: Entry field -> the column it is read or derived from.
+    COLUMNS = {"node_index": "entry_node", "size": "op_cost",
+               "fa_mask": "fa_index"}
 
     def _assert_recomputed(self, tmp_path, tamper):
         """Store a cold run's extraction artifact after ``tamper(wire,
@@ -936,8 +952,61 @@ class TestMalformedExtractionArtifact:
         (entry,) = [entry for entry in store.entries()
                     if entry.kind == KIND_EXTRACTION]
         assert _extraction_blob_paths(store, entry.key) >= {
-            "entry_class", "entry_node", "entry_size", "node_op",
-            "node_payload", "node_off", "node_child"}
+            "entry_class", "entry_node", "node_op", "node_payload",
+            "node_off", "node_child"}
+
+    def test_cyclic_entries_keep_their_explicit_values(self, tmp_path):
+        """Entries on or above a chosen-node cycle carry their values; the
+        decoder keeps exactly those and derives the rest."""
+        store = ArtifactStore(tmp_path)
+        pipeline = BoolEPipeline(BoolEOptions(r1_iterations=2,
+                                              r2_iterations=2), store=store)
+        aig = _mapped_csa3()
+        pipeline.run(aig)
+        wire = store.get(pipeline.plan(aig).extraction_key)["extraction"]
+        derived = extraction_from_wire(wire)
+        cyclic = _cyclic_values(wire, size=7, mask=1)["cyclic_entry"]
+        assert cyclic
+        decoded = extraction_from_wire(wire)
+        assert decoded.cyclic == cyclic
+        for entry, (size, mask) in enumerate(zip(decoded.sizes,
+                                                  decoded.fa_masks)):
+            if entry in cyclic:
+                assert (size, mask) == (7, 1)
+            else:
+                assert (size, mask) == (derived.sizes[entry],
+                                        derived.fa_masks[entry])
+        assert extraction_to_wire(decoded) == wire
+
+
+def _cyclic_values(wire, size=1, mask=0):
+    """``wire`` with a chosen-node self-loop and explicit values (``size``,
+    ``mask``) for exactly the entries it cuts off."""
+    _self_loop(wire, None)
+    cyclic = _unresolved_entries(wire)
+    wire.update(cyclic_entry=cyclic, cyclic_size=[size] * len(cyclic),
+                cyclic_fa_mask=[mask] * len(cyclic))
+    return wire
+
+
+def _unresolved_entries(wire):
+    """Entry positions whose chosen descendants do not all resolve (a
+    plain fixpoint, independent of the decoder's)."""
+    position = {class_id: index
+                for index, class_id in enumerate(wire["entry_class"])}
+    offsets = wire["node_off"]
+    kids = [[position[child] for child in
+             wire["node_child"][offsets[node]:offsets[node + 1]]]
+            for node in wire["entry_node"]]
+    resolved = set()
+    grew = True
+    while grew:
+        grew = False
+        for entry, children in enumerate(kids):
+            if entry not in resolved and resolved.issuperset(children):
+                resolved.add(entry)
+                grew = True
+    return [entry for entry in range(len(kids)) if entry not in resolved]
 
 
 class _CountingStore(ArtifactStore):
@@ -1125,6 +1194,67 @@ class TestWarmLoadsOnlyWhatItUses:
         assert resumed.extraction.fa_index == reference.extraction.fa_index
         assert _entries(resumed.extraction) == _entries(reference.extraction)
         assert resumed.fa_blocks == reference.fa_blocks
+
+    def test_fully_warm_job_builds_no_cost_entry(self, tmp_path, csa8,
+                                                 monkeypatch):
+        """A fully warm job validates the stored choices and materialises
+        no entry; reading one through the mapping builds just that one."""
+        options = BoolEOptions(**self.OPTIONS)
+        BoolEPipeline(options, store=tmp_path).run(csa8)
+        built = []
+        cost_entry = extraction_module.CostEntry
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return cost_entry(*args, **kwargs)
+
+        monkeypatch.setattr(extraction_module, "CostEntry", counted)
+        warm = BoolEPipeline(options, store=tmp_path).run(csa8)
+        assert warm.cache_hit and warm.extraction_cache_hit
+        assert warm.summary()["exact_fas"] == warm.num_exact_fas
+        assert built == []
+        root = warm.extraction.entry_class[-1]
+        assert warm.extraction.entries[root].node is not None
+        assert built == [1]
+
+    def test_snapshot_warm_refine_job_decodes_the_first_pass_once(
+            self, tmp_path, csa8, monkeypatch):
+        store = ArtifactStore(tmp_path)
+        BoolEPipeline(BoolEOptions(**self.OPTIONS), store=store).run(csa8)
+        decodes = []
+        decode = phases_module.extraction_from_wire
+
+        def counted(wire):
+            decodes.append(1)
+            return decode(wire)
+
+        monkeypatch.setattr(phases_module, "extraction_from_wire", counted)
+        refined = BoolEPipeline(BoolEOptions(**self.OPTIONS, refine_rounds=2),
+                                store=store).run(csa8)
+        assert refined.cache_hit and not refined.extraction_cache_hit
+        assert decodes == [1]
+
+    def test_extraction_wire_is_byte_identical_for_identical_choices(
+            self, tmp_path, csa8):
+        """A refinement resumed from the stored first pass stores the same
+        bytes as a cold one, and a decoded record re-encodes to itself."""
+        options = BoolEOptions(**self.OPTIONS, refine_rounds=2)
+        cold = BoolEPipeline(options, store=tmp_path / "cold")
+        cold.run(csa8)
+        store = ArtifactStore(tmp_path / "warm")
+        BoolEPipeline(BoolEOptions(**self.OPTIONS), store=store).run(csa8)
+        warm = BoolEPipeline(options, store=store)
+        assert not warm.run(csa8).extraction_cache_hit
+        key = cold.plan(csa8).extraction_key
+        assert warm.plan(csa8).extraction_key == key
+        wires = [ArtifactStore(tmp_path / side).get(key)["extraction"]
+                 for side in ("cold", "warm")]
+        files = []
+        for side, wire in zip(("cold", "warm"), wires):
+            assert extraction_to_wire(extraction_from_wire(wire)) == wire
+            files.append(tmp_path / f"{side}.snap")
+            write_snapshot(files[-1], KIND_EXTRACTION, {"extraction": wire})
+        assert files[0].read_bytes() == files[1].read_bytes()
 
     def test_corrupt_first_pass_falls_back(self, tmp_path, monkeypatch):
         aig = _mapped_csa3()
